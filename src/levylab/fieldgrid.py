@@ -4,17 +4,28 @@ All computations live on the torus [0, L)^d sampled on a uniform grid with a
 power-of-two number of points per axis.  Whole-space problems are emulated by
 choosing L large enough that fields decay below tolerance at the boundary.
 
-Spectral convention: numpy ``fftn``; the frequency attached to index k is
-xi = 2 pi k / L with k in [-N/2, N/2) per axis (``fftfreq`` ordering).
+Spectral convention: this module runs every transform, ``scipy.fft.rfftn``
+over the spatial axes with ``LEVYLAB_THREADS`` workers, so a real field is
+stored by its half spectrum (indices 0..N/2 on the last axis).  Index k
+carries xi = 2 pi k / L, k in [-N/2, N/2) per axis (``fftfreq``; the last
+axis also keeps -pi/h at its Nyquist index N/2).
+
+Nyquist rule: a multiplier m acts as the average of m(xi) and m(xi'), xi'
+being xi with every Nyquist component changed in sign (xi' = xi off the
+Nyquist planes).  For a real operator, m(-xi) = conj m(xi), this is the
+Hermitian part of m, so results equal Re(ifftn(m fftn f)).
 """
 
 from __future__ import annotations
 
 import csv
+import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+import scipy.fft
 
 from .errors import InvalidArgument
 
@@ -64,11 +75,15 @@ class Grid:
         """xi values per axis in fft ordering: 2 pi k / L, k in [-N/2, N/2)."""
         return 2.0 * np.pi * np.fft.fftfreq(self.points_per_axis, d=self.spacing)
 
+    @property
+    def spectral_shape(self) -> tuple:
+        return self.shape[:-1] + (self.points_per_axis // 2 + 1,)
+
     def frequencies(self) -> np.ndarray:
-        """Frequency vectors, shape (*grid shape, dim), fft ordering."""
+        """Frequency vectors, shape (*spectral_shape, dim)."""
         xi = self.axis_frequencies()
-        mesh = np.meshgrid(*([xi] * self.dim), indexing="ij")
-        return np.stack(mesh, axis=-1)
+        axes = [xi] * (self.dim - 1) + [xi[:self.points_per_axis // 2 + 1]]
+        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -100,16 +115,6 @@ class GridField:
 
     def component(self, i: int) -> np.ndarray:
         return self.values[i]
-
-    def with_values(self, values) -> "GridField":
-        return GridField(self.grid, np.asarray(values, dtype=float))
-
-    @classmethod
-    def from_function(cls, grid: Grid, fn) -> "GridField":
-        """Sample fn(x) with x of shape (..., dim); fn may return (...,) for a
-        scalar field or (m, ...) for a multi-component field."""
-        vals = np.asarray(fn(grid.coordinates()), dtype=float)
-        return cls(grid, vals)
 
     @classmethod
     def zeros(cls, grid: Grid, components: int = 1) -> "GridField":
@@ -148,55 +153,107 @@ class SpaceTimeField:
 
 
 # ---------------------------------------------------------------------------
-# spectral transform helpers
+# spectral core: transforms and multipliers
 # ---------------------------------------------------------------------------
 
-def forward(field: GridField) -> np.ndarray:
-    """fftn per component, shape (m, *grid shape), complex."""
-    axes = tuple(range(1, field.grid.dim + 1))
-    return np.fft.fftn(field.values, axes=axes)
+def thread_count() -> int:
+    """Worker cap from LEVYLAB_THREADS (default: all cores); also the FFT
+    worker count."""
+    raw = os.environ.get("LEVYLAB_THREADS", "")
+    try:
+        n = int(raw)
+    except ValueError:
+        n = 0
+    return n if n > 0 else (os.cpu_count() or 1)
 
 
-def inverse(grid: Grid, coeffs: np.ndarray, imag_tol: float | None = None):
-    """ifftn per component; returns the real part.
+def forward(field, grid: Grid | None = None) -> np.ndarray:
+    """Half spectrum over the spatial (last dim) axes: of a GridField, shape
+    (m, *spectral_shape), or of a real array sampled on ``grid``."""
+    if grid is None:
+        field, grid = field.values, field.grid
+    return scipy.fft.rfftn(field, axes=tuple(range(-grid.dim, 0)),
+                           workers=thread_count())
 
-    With imag_tol set, raises ConsistencyFailure if the imaginary residue
-    exceeds imag_tol relative to the field scale.
-    """
-    coeffs = np.asarray(coeffs)
-    if coeffs.ndim == grid.dim:
-        coeffs = coeffs[None, ...]
-    axes = tuple(range(1, grid.dim + 1))
-    full = np.fft.ifftn(coeffs, axes=axes)
-    if imag_tol is not None:
-        from .errors import ConsistencyFailure
-        scale = max(float(np.max(np.abs(full))), 1e-300)
-        residue = float(np.max(np.abs(full.imag))) / scale
-        if residue > imag_tol:
-            raise ConsistencyFailure(
-                f"imaginary residue {residue:.3e} exceeds {imag_tol:.1e}",
-                discrepancy=residue)
-    return full.real
+
+def inverse(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """Real field of a half spectrum (over the last dim axes)."""
+    return scipy.fft.irfftn(coeffs, s=grid.shape,
+                            axes=tuple(range(-grid.dim, 0)),
+                            workers=thread_count())
+
+
+@lru_cache(maxsize=16)
+def _nyquist_entries(grid: Grid) -> np.ndarray:
+    """Mask of the half-spectrum entries with a Nyquist component."""
+    return np.any(np.indices(grid.spectral_shape) == grid.points_per_axis // 2,
+                  axis=0)
+
+
+def spectral_points(grid: Grid) -> np.ndarray:
+    """Where multipliers are sampled, shape (n, dim): the half spectrum,
+    flattened, then xi' for each Nyquist entry (in mask order)."""
+    xi = grid.frequencies()
+    flip = xi[_nyquist_entries(grid)]
+    nyq_value = grid.axis_frequencies()[grid.points_per_axis // 2]
+    return np.concatenate([xi.reshape(-1, grid.dim),
+                           np.where(flip == nyq_value, -flip, flip)])
+
+
+def resolve(grid: Grid, mult: np.ndarray) -> np.ndarray:
+    """Half-spectrum values of a multiplier sampled at spectral_points
+    (trailing axes allowed), under the Nyquist rule."""
+    nyq = _nyquist_entries(grid)
+    out = mult[:nyq.size].reshape(nyq.shape + mult.shape[1:]).copy()
+    out[nyq] = 0.5 * (out[nyq] + mult[nyq.size:])
+    return out
+
+
+def periodic_samples(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Samples of the transform of a real grid kernel, given on the half
+    spectrum: a trigonometric polynomial on the grid, equal at xi and xi'."""
+    nyq = _nyquist_entries(grid)
+    return np.concatenate([values.reshape(nyq.size), values[nyq]])
+
+
+def apply_multiplier(field: GridField, mult: np.ndarray) -> GridField:
+    """m(D) f for a scalar multiplier sampled at spectral_points."""
+    g = field.grid
+    return GridField(g, inverse(g, forward(field) * resolve(g, mult)))
+
+
+def spectral_l2(grid: Grid, coeffs: np.ndarray) -> float:
+    """Riemann-sum L^2 norm of the real field with half spectrum coeffs
+    (Parseval over the full spectrum, every component)."""
+    n = grid.points_per_axis
+    weight = np.full(n // 2 + 1, 2.0)
+    weight[[0, -1]] = 1.0
+    total = float(np.sum(np.abs(coeffs) ** 2 * weight))
+    return float(np.sqrt(total * grid.cell_volume / n ** grid.dim))
 
 
 def refine(field: GridField, factor: int = 2) -> GridField:
     """Spectral upsampling to factor*N points per axis (trigonometric
-    interpolation, exact below the Nyquist mode)."""
+    interpolation, exact below the Nyquist mode; a Nyquist coefficient is
+    split between xi and xi' by the Nyquist rule)."""
     if factor < 1 or (factor & (factor - 1)):
         raise InvalidArgument("factor must be a power of two")
     if factor == 1:
         return field
     g = field.grid
     n, n2 = g.points_per_axis, factor * g.points_per_axis
-    co = forward(field)
-    for ax in range(1, g.dim + 1):
-        co = np.fft.fftshift(co, axes=ax)
-    pad = [(0, 0)] + [((n2 - n) // 2, (n2 - n) // 2)] * g.dim
-    co = np.pad(co, pad)
-    for ax in range(1, g.dim + 1):
-        co = np.fft.ifftshift(co, axes=ax)
     fine = Grid(g.dim, n2, g.side_length)
-    return GridField(fine, inverse(fine, co).real * factor ** g.dim)
+    nyq = _nyquist_entries(g)
+    co = forward(field) * factor ** g.dim
+    co[:, nyq] *= 0.5
+    # each coefficient at its xi, each Nyquist one once more at xi'; a
+    # last-axis -N/2 has no slot in the half spectrum (xi' fills its partner)
+    co = np.concatenate([co.reshape(co.shape[0], -1), co[:, nyq]], axis=1)
+    k = np.rint(spectral_points(g) * (g.side_length / (2 * np.pi)))
+    keep = k[:, -1] >= 0
+    out = np.zeros((field.components,) + fine.spectral_shape, dtype=complex)
+    out[(slice(None),) + tuple((k[keep].astype(int) % n2).T)] = co[:, keep]
+    return GridField(fine, inverse(fine, out))
 
 
 def coarsen_samples(field: GridField, factor: int = 2) -> GridField:
@@ -214,14 +271,10 @@ def gradient(field: GridField) -> np.ndarray:
     """Spectral gradient, shape (m, dim, *grid shape)."""
     g = field.grid
     co = forward(field)
-    xi = g.axis_frequencies()
+    ik = resolve(g, 1j * spectral_points(g))
     out = np.empty((field.components, g.dim) + g.shape)
-    axes = tuple(range(1, g.dim + 1))
     for j in range(g.dim):
-        shape = [1] * (g.dim + 1)
-        shape[j + 1] = g.points_per_axis
-        mult = 1j * xi.reshape(shape)
-        out[:, j] = np.fft.ifftn(co * mult, axes=axes).real
+        out[:, j] = inverse(g, co * ik[..., j])
     return out
 
 
@@ -245,23 +298,24 @@ def bessel_norm(field: GridField, alpha: float, p: float) -> float:
         raise InvalidArgument("alpha must be nonnegative")
     if alpha == 0:
         return lp_norm(field, p)
+    xi2 = np.sum(spectral_points(field.grid) ** 2, axis=-1)
+    weight = (1.0 + xi2) ** (alpha / 2.0)
+    return lp_norm(apply_multiplier(field, weight), p)
+
+
+def _displaced_differences(field: GridField, max_dist: float):
+    """|u(x + d) - u(x)| and |d| for every nonzero grid displacement d with
+    periodic (minimum-image) length in (0, max_dist]."""
     g = field.grid
-    xi2 = np.sum(g.frequencies() ** 2, axis=-1)
-    co = forward(field) * (1.0 + xi2) ** (alpha / 2.0)
-    smoothed = inverse(g, co)
-    return lp_norm(GridField(g, smoothed), p)
-
-
-def _periodic_displacements(grid: Grid, max_dist: float):
-    """Nonzero index displacements with periodic (minimum-image) distance in
-    (0, max_dist]; returns (list of index tuples, array of distances)."""
-    N, h, L = grid.points_per_axis, grid.spacing, grid.side_length
+    N, h, L = g.points_per_axis, g.spacing, g.side_length
     k = np.arange(N)
     km = np.minimum(k, N - k) * h          # per-axis min-image distance
-    mesh = np.meshgrid(*([km] * grid.dim), indexing="ij")
+    mesh = np.meshgrid(*([km] * g.dim), indexing="ij")
     dist = np.sqrt(sum(m ** 2 for m in mesh))
-    idx = np.argwhere((dist > 0) & (dist <= max_dist + 1e-12 * L))
-    return [tuple(i) for i in idx], dist[tuple(idx.T)]
+    axes = tuple(range(1, g.dim + 1))
+    for idx in np.argwhere((dist > 0) & (dist <= max_dist + 1e-12 * L)):
+        shifted = np.roll(field.values, shift=[-i for i in idx], axis=axes)
+        yield np.abs(shifted - field.values), dist[tuple(idx)]
 
 
 def slobodeckij_norm(field: GridField, beta: float, p: float) -> float:
@@ -275,13 +329,9 @@ def slobodeckij_norm(field: GridField, beta: float, p: float) -> float:
     if p < 1:
         raise InvalidArgument("p must be >= 1")
     g = field.grid
-    disps, dists = _periodic_displacements(g, g.side_length / 2.0)
     acc = 0.0
-    v = field.values
-    for d_idx, dist in zip(disps, dists):
-        shifted = np.roll(v, shift=[-i for i in d_idx],
-                          axis=tuple(range(1, g.dim + 1)))
-        acc += float(np.sum(np.abs(shifted - v) ** p)) / dist ** (g.dim + beta * p)
+    for diff, dist in _displaced_differences(field, g.side_length / 2.0):
+        acc += float(np.sum(diff ** p)) / dist ** (g.dim + beta * p)
     semi = (g.cell_volume ** 2 * acc) ** (1.0 / p)
     return lp_norm(field, p) + semi
 
@@ -290,14 +340,10 @@ def holder_norm(field: GridField, beta: float) -> float:
     """Sup norm plus sup_{0<|x-y|<=1} |u(x)-u(y)| / |x-y|^beta."""
     if not 0.0 < beta <= 1.0:
         raise InvalidArgument("beta must lie in (0,1]")
-    g = field.grid
-    disps, dists = _periodic_displacements(g, min(1.0, g.side_length / 2.0))
     semi = 0.0
-    v = field.values
-    for d_idx, dist in zip(disps, dists):
-        shifted = np.roll(v, shift=[-i for i in d_idx],
-                          axis=tuple(range(1, g.dim + 1)))
-        semi = max(semi, float(np.max(np.abs(shifted - v))) / dist ** beta)
+    max_dist = min(1.0, field.grid.side_length / 2.0)
+    for diff, dist in _displaced_differences(field, max_dist):
+        semi = max(semi, float(np.max(diff)) / dist ** beta)
     return lp_norm(field, np.inf) + semi
 
 
@@ -308,23 +354,31 @@ def holder_norm(field: GridField, beta: float) -> float:
 _HEADER = struct.Struct("<qqdq")         # dim, N, L, m
 
 
+def _write_field(fh, field: GridField) -> None:
+    g = field.grid
+    fh.write(_HEADER.pack(g.dim, g.points_per_axis, g.side_length,
+                          field.components))
+    fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
+
+
+def _read_field(fh) -> GridField:
+    dim, n, length, m = _HEADER.unpack(fh.read(_HEADER.size))
+    grid = Grid(dim, n, length)
+    count = m * n ** dim
+    vals = np.frombuffer(fh.read(count * 8), dtype="<f8", count=count)
+    return GridField(grid, vals.reshape((m,) + grid.shape))
+
+
 def save_field(field: GridField, path) -> None:
     """Binary layout: little-endian header (int64 dim, int64 N, float64 L,
     int64 m) followed by m * N^dim row-major float64 values."""
-    g = field.grid
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(g.dim, g.points_per_axis, g.side_length,
-                              field.components))
-        fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
+        _write_field(fh, field)
 
 
 def load_field(path) -> GridField:
     with open(path, "rb") as fh:
-        dim, n, length, m = _HEADER.unpack(fh.read(_HEADER.size))
-        grid = Grid(dim, n, length)
-        count = m * n ** dim
-        vals = np.frombuffer(fh.read(count * 8), dtype="<f8", count=count)
-    return GridField(grid, vals.reshape((m,) + grid.shape).copy())
+        return _read_field(fh)
 
 
 def save_field_csv(field: GridField, path) -> None:
@@ -345,33 +399,32 @@ def load_field_csv(path) -> GridField:
         rows = list(csv.reader(fh))
     dim, n, length, m = int(rows[0][0]), int(rows[0][1]), float(rows[0][2]), int(rows[0][3])
     grid = Grid(dim, n, length)
-    vals = np.zeros((m,) + grid.shape)
-    for row in rows[1:]:
-        c, *idx, val = row
-        vals[(int(c),) + tuple(int(i) for i in idx)] = float(val)
+    if len(rows) - 1 != m * n ** dim:
+        raise InvalidArgument(f"expected {m * n ** dim} value rows, found "
+                              f"{len(rows) - 1}")
+    vals = np.full((m,) + grid.shape, np.nan)     # nan: not yet given
+    for c, *idx, val in rows[1:]:
+        key = (int(c),) + tuple(int(i) for i in idx)
+        inside = len(key) == dim + 1 and all(
+            0 <= k < size for k, size in zip(key, vals.shape))
+        if not inside or not np.isnan(vals[key]):
+            raise InvalidArgument(f"index {key} outside {vals.shape} "
+                                  f"or given twice")
+        vals[key] = float(val)
     return GridField(grid, vals)
 
 
 def save_trajectory(stf: SpaceTimeField, path) -> None:
     """Binary layout: little-endian int64 frame count, float64 time step,
     then each frame in save_field layout."""
-    g = stf.grid
     with open(path, "wb") as fh:
         fh.write(struct.pack("<qd", len(stf.frames), stf.time_step))
         for fr in stf.frames:
-            fh.write(_HEADER.pack(g.dim, g.points_per_axis, g.side_length,
-                                  fr.components))
-            fh.write(np.ascontiguousarray(fr.values, dtype="<f8").tobytes())
+            _write_field(fh, fr)
 
 
 def load_trajectory(path) -> SpaceTimeField:
     with open(path, "rb") as fh:
         n_frames, dt = struct.unpack("<qd", fh.read(16))
-        frames = []
-        for _ in range(n_frames):
-            dim, n, length, m = _HEADER.unpack(fh.read(_HEADER.size))
-            grid = Grid(dim, n, length)
-            count = m * n ** dim
-            vals = np.frombuffer(fh.read(count * 8), dtype="<f8", count=count)
-            frames.append(GridField(grid, vals.reshape((m,) + grid.shape).copy()))
-    return SpaceTimeField(dt, tuple(frames))
+        frames = tuple(_read_field(fh) for _ in range(n_frames))
+    return SpaceTimeField(dt, frames)

@@ -16,8 +16,9 @@ import numpy as np
 
 from . import levy
 from .errors import InvalidArgument, PreconditionFailure, ResolutionTooCoarse
-from .fieldgrid import Grid, GridField, forward, inverse
-from .nonlocal_op import _hermitianize
+from .fieldgrid import (Grid, GridField, apply_multiplier, inverse, resolve,
+                        spectral_points)
+from .nonlocal_op import OperatorRoute, multiplier
 
 KERNEL_MASS_TOL = 1e-6
 KERNEL_NEGATIVITY_TOL = 1e-6
@@ -61,10 +62,6 @@ class DriftSchedule:
     def dim(self) -> int:
         return len(self.values[0])
 
-    @property
-    def bound(self) -> float:
-        return float(max(np.linalg.norm(v) for v in self.values))
-
     def theta(self, t: float) -> np.ndarray:
         j = int(np.searchsorted(self.breakpoints, t, side="right"))
         return np.array(self.values[j])
@@ -82,9 +79,6 @@ class DriftSchedule:
 
 # ---------------------------------------------------------------------------
 
-_kernel_cache: dict = {}
-
-
 def kernel(measure, t: float, grid: Grid) -> GridField:
     """Heat kernel density p_t on the grid by spectral inversion of
     e^{-t psi}; requires a nondegenerate measure."""
@@ -92,17 +86,13 @@ def kernel(measure, t: float, grid: Grid) -> GridField:
         raise InvalidArgument("t must be positive")
     if levy.nondegeneracy_of(measure) <= 0.0:
         raise PreconditionFailure("degenerate measure: heat kernel undefined")
-    key = (levy.measure_digest(measure), float(t), grid)
-    hit = _kernel_cache.get(key)
-    if hit is not None:
-        return hit
-    psi = levy.symbol_array(measure, grid.frequencies())
     # density of the process at time t: characteristic function e^{-t psi},
     # inverted with the e^{+i xi x} convention via conj so that the forward
     # (Fokker-Planck) equation  d/dt p = L^{nu*} p  holds for asymmetric
     # measures as well
-    mult = _hermitianize(np.exp(-t * np.conj(psi)))
-    dens = inverse(grid, mult) / grid.cell_volume
+    gen = multiplier(measure, grid, OperatorRoute.multiplier())     # -psi
+    mult = np.exp(t * np.conj(gen))
+    dens = inverse(grid, resolve(grid, mult)) / grid.cell_volume
     mass = float(np.sum(dens) * grid.cell_volume)
     if abs(mass - 1.0) > KERNEL_MASS_TOL:
         raise ResolutionTooCoarse(
@@ -114,9 +104,7 @@ def kernel(measure, t: float, grid: Grid) -> GridField:
             f"kernel minimum {dens.min():.3e} below -{KERNEL_NEGATIVITY_TOL:.0e}",
             suggested_points=2 * grid.points_per_axis,
             suggested_length=grid.side_length)
-    out = GridField(grid, dens)
-    _kernel_cache[key] = out
-    return out
+    return GridField(grid, dens)
 
 
 def semigroup_apply(measure, t: float, field: GridField) -> GridField:
@@ -125,10 +113,8 @@ def semigroup_apply(measure, t: float, field: GridField) -> GridField:
         raise InvalidArgument("t must be nonnegative")
     if t == 0:
         return field
-    g = field.grid
-    psi = levy.symbol_array(measure, g.frequencies())
-    mult = _hermitianize(np.exp(-t * psi))
-    return GridField(g, inverse(g, forward(field) * mult))
+    gen = multiplier(measure, field.grid, OperatorRoute.multiplier())
+    return apply_multiplier(field, np.exp(t * gen))
 
 
 def shifted_propagator(measure, drift: DriftSchedule, t: float, s: float,
@@ -140,7 +126,6 @@ def shifted_propagator(measure, drift: DriftSchedule, t: float, s: float,
     if drift.dim != g.dim:
         raise InvalidArgument("drift and field dimensions differ")
     theta_cum = drift.cumulative(s, t)
-    psi = levy.symbol_array(measure, g.frequencies())
-    phase = g.frequencies() @ theta_cum
-    mult = _hermitianize(np.exp(-(t - s) * psi - 1j * phase))
-    return GridField(g, inverse(g, forward(field) * mult))
+    gen = multiplier(measure, g, OperatorRoute.multiplier())
+    phase = spectral_points(g) @ theta_cum
+    return apply_multiplier(field, np.exp((t - s) * gen - 1j * phase))

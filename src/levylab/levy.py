@@ -20,17 +20,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import gamma as Gamma
-from scipy.special import sici
 
 from .errors import InvalidArgument, QuadratureFailure
 
 EULER_GAMMA = 0.5772156649015328606
+DENSITY_FREQ_CHUNK = 64      # frequencies per block of the density quadrature
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +107,8 @@ class SphericalMeasure:
     def __post_init__(self):
         if self.dim not in (1, 2, 3):
             raise InvalidArgument(f"dim must be 1, 2 or 3, got {self.dim}")
+        object.__setattr__(self, "atoms", tuple(          # hashable
+            (tuple(d), w) for d, w in self.atoms))
         if (self.total_mass is None) == (not self.atoms):
             raise InvalidArgument("exactly one of total_mass / atoms must be given")
         if self.total_mass is not None and not self.total_mass > 0:
@@ -206,11 +208,6 @@ class StableSpectral:
     def is_symmetric(self) -> bool:
         return self.sigma.is_symmetric
 
-    @property
-    def satisfies_cancellation(self) -> bool:
-        # symmetric spherical part cancels the odd part for every annulus
-        return self.is_symmetric
-
     def reflected(self) -> "StableSpectral":
         return StableSpectral(self.alpha, self.sigma.reflected())
 
@@ -248,10 +245,6 @@ class DensityKernel:
     def is_symmetric(self) -> bool:
         return self.symmetric
 
-    @property
-    def satisfies_cancellation(self) -> bool:
-        return self.symmetric
-
     def reflected(self) -> "DensityKernel":
         inner = self.a
         return DensityKernel(self.alpha, self.dim, lambda y: inner(-np.asarray(y)),
@@ -273,7 +266,9 @@ class DirectSumAxes:
 
     def __post_init__(self):
         _check_alpha(self.alpha)
-        if not self.axis_weights or any(not w > 0 for w in self.axis_weights):
+        weights = tuple(float(w) for w in self.axis_weights)   # hashable
+        object.__setattr__(self, "axis_weights", weights)
+        if not weights or any(not w > 0 for w in weights):
             raise InvalidArgument("axis weights must be strictly positive")
 
     @property
@@ -282,10 +277,6 @@ class DirectSumAxes:
 
     @property
     def is_symmetric(self) -> bool:
-        return True
-
-    @property
-    def satisfies_cancellation(self) -> bool:
         return True
 
     def reflected(self) -> "DirectSumAxes":
@@ -297,11 +288,8 @@ class DirectSumAxes:
             [((1.0,), w), ((-1.0,), w)])) for w in self.axis_weights]
 
 
-LevyMeasure = StableSpectral | DensityKernel | DirectSumAxes
-
-
 def measure_digest(measure) -> str:
-    """Short identifier used for caches and run manifests."""
+    """Short identifier used in run manifests."""
     try:
         return json.dumps(to_dict(measure), sort_keys=True)
     except InvalidArgument:
@@ -418,6 +406,13 @@ def _symbol_density(measure: DensityKernel, xi, rel_tol: float = 1e-8):
 
 
 def _density_quad_once(measure, flat, dirs, dir_wts, panels_per_decade):
+    if flat.shape[0] > DENSITY_FREQ_CHUNK:
+        # blocks of frequencies bound the (frequencies x nodes) work arrays;
+        # every sum runs per frequency, so blocking leaves psi unchanged
+        return np.concatenate([
+            _density_quad_once(measure, flat[k0:k0 + DENSITY_FREQ_CHUNK],
+                               dirs, dir_wts, panels_per_decade)
+            for k0 in range(0, flat.shape[0], DENSITY_FREQ_CHUNK)])
     alpha = measure.alpha
     u_min, u_max = 1e-6, 300.0
     # log-spaced panel edges with u = 1 always an edge (the alpha = 1

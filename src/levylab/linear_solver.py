@@ -17,16 +17,16 @@ Two solvers:
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import levy
 from .errors import InvalidArgument, IterationFailure
-from .fieldgrid import (Grid, GridField, SpaceTimeField, forward, inverse,
-                        lp_norm)
-from .nonlocal_op import _hermitianize, apply as op_apply
+from .fieldgrid import (Grid, GridField, SpaceTimeField, apply_multiplier,
+                        forward, inverse, lp_norm, periodic_samples,
+                        resolve, spectral_l2, spectral_points)
+from .nonlocal_op import OperatorRoute, apply as op_apply, multiplier
 from .heatkernel import DriftSchedule
 
 
@@ -74,6 +74,15 @@ class SolverConfig:
 # helpers
 # ---------------------------------------------------------------------------
 
+def step_count(horizon: float, dt: float) -> int:
+    """horizon / dt, which must be a whole number >= 1 (to 1e-9 relative)."""
+    n = round(horizon / dt)
+    if n < 1 or abs(horizon / dt - n) > 1e-9 * n:
+        raise InvalidArgument(
+            f"horizon {horizon} is not a whole number of time steps {dt}")
+    return n
+
+
 def mollify(field: GridField, eps: float) -> GridField:
     """Convolution with the compactly supported bump mollifier rho_eps
     (unit discrete mass, support radius eps), computed spectrally."""
@@ -90,9 +99,8 @@ def mollify(field: GridField, eps: float) -> GridField:
     if total <= 0:
         raise InvalidArgument("mollifier width below grid resolution")
     rho /= total
-    rho_hat = np.fft.fftn(rho)
-    out = inverse(g, forward(field) * rho_hat) * g.cell_volume
-    return GridField(g, out)
+    rho_hat = forward(rho, g) * g.cell_volume
+    return apply_multiplier(field, periodic_samples(g, rho_hat))
 
 
 def _phi1(z):
@@ -146,31 +154,34 @@ def duhamel_solve(problem: LinearProblem, config: SolverConfig) -> SpaceTimeFiel
         raise InvalidArgument("duhamel_solve needs an x-independent drift")
     g = problem.phi.grid
     dt = config.time_step
-    n_steps = int(round(problem.horizon / dt))
+    n_steps = step_count(problem.horizon, dt)
     times = np.arange(n_steps + 1) * dt
     m = problem.phi.components
     f_frames = _forcing_frames(problem.forcing, g, times, m)
 
-    psi = levy.symbol_array(problem.measure, g.frequencies())
-    xi = g.frequencies()
-    axes = tuple(range(1, g.dim + 1))
+    gen = multiplier(problem.measure, g, OperatorRoute.multiplier())
+    xi = spectral_points(g)
 
-    u_hat = np.fft.fftn(problem.phi.values, axes=axes)
+    u_hat = forward(problem.phi)
     frames = [problem.phi]
-    f_hat_next = np.fft.fftn(f_frames[0], axes=axes)
+    f_hat_next = forward(f_frames[0], g)
     for n in range(n_steps):
         theta = problem.drift.theta(times[n] + dt / 2.0)
-        a = psi - 1j * (xi @ theta) + problem.lam
-        z = a * dt
-        decay = np.exp(-z)
+        z = (-gen - 1j * (xi @ theta) + problem.lam) * dt
+        decay, w_old, w_new = _etd2_weights(g, z, dt)
         f_hat = f_hat_next
-        f_hat_next = np.fft.fftn(f_frames[n + 1], axes=axes)
-        u_hat = (decay * u_hat
-                 + dt * (_phi1(z) - _phi2(z)) * f_hat
-                 + dt * _phi2(z) * f_hat_next)
-        vals = np.fft.ifftn(u_hat, axes=axes).real
-        frames.append(GridField(g, vals))
+        f_hat_next = forward(f_frames[n + 1], g)
+        u_hat = decay * u_hat + w_old * f_hat + w_new * f_hat_next
+        frames.append(GridField(g, inverse(g, u_hat)))
     return SpaceTimeField(dt, tuple(frames))
+
+
+def _etd2_weights(grid: Grid, z, dt: float):
+    """Propagator e^{-z} and the weights on g_n and g_{n+1} of the ETD2
+    step, each under the Nyquist rule."""
+    return (resolve(grid, np.exp(-z)),
+            resolve(grid, dt * (_phi1(z) - _phi2(z))),
+            resolve(grid, dt * _phi2(z)))
 
 
 # ---------------------------------------------------------------------------
@@ -200,12 +211,10 @@ def _drift_frames(drift, grid: Grid, times):
     return out
 
 
-def _grad_dot(b_vals, u_hat, xi, axes):
+def _grad_dot(b_vals, u_hat, ik, grid):
     """(b . grad u) for every component of u_hat; returns physical values."""
-    m = u_hat.shape[0]
-    out = np.empty((m,) + b_vals.shape[:-1])
     for j in range(b_vals.shape[-1]):
-        du = np.fft.ifftn(u_hat * (1j * xi[..., j]), axes=axes).real
+        du = inverse(grid, u_hat * ik[..., j])
         if j == 0:
             out = du * b_vals[..., j]
         else:
@@ -221,7 +230,7 @@ def drift_solve(problem: LinearProblem, config: SolverConfig,
     g = problem.phi.grid
     dt = config.time_step
     eps = config.mollifier_width
-    n_steps = int(round(problem.horizon / dt))
+    n_steps = step_count(problem.horizon, dt)
     times = np.arange(n_steps + 1) * dt
 
     phi = mollify(problem.phi, eps)
@@ -235,37 +244,30 @@ def drift_solve(problem: LinearProblem, config: SolverConfig,
             mollify(GridField(g, np.moveaxis(v, -1, 0)), eps).values, 0, -1)
             for v in b_frames]
 
-    psi = levy.symbol_array(problem.measure, g.frequencies())
-    z = dt * (psi + problem.lam)
-    prop = _hermitianize(np.exp(-z))
-    w_old = _hermitianize(dt * (_phi1(z) - _phi2(z)))   # weight on g_n
-    w_new = _hermitianize(dt * _phi2(z))                # weight on g_{n+1}
-    w_pred = _hermitianize(dt * _phi1(z))
-    xi = g.frequencies()
-    axes = tuple(range(1, g.dim + 1))
-    mask = _dealias_mask(g) if dealias else None
+    gen = multiplier(problem.measure, g, OperatorRoute.multiplier())
+    z = dt * (-gen + problem.lam)
+    prop, w_old, w_new = _etd2_weights(g, z, dt)
+    w_pred = resolve(g, dt * _phi1(z))
+    xi = spectral_points(g)
+    ik = resolve(g, 1j * xi)
+    # 2/3 rule for quadratic nonlinearities; 1 keeps every mode
+    keep = np.all(np.abs(xi) <= 2 * np.pi * g.points_per_axis
+                  / (3 * g.side_length), axis=-1)
+    mask = resolve(g, keep.astype(float)) if dealias else 1.0
 
-    u = phi.values
-    u_hat = np.fft.fftn(u, axes=axes)
+    u_hat = forward(phi)
     frames = [phi]
-    vol = g.cell_volume
     for n in range(n_steps):
-        g_n = _grad_dot(b_frames[n], u_hat, xi, axes) + f_frames[n]
-        g_n_hat = np.fft.fftn(g_n, axes=axes)
-        if mask is not None:
-            g_n_hat *= mask
+        g_n = _grad_dot(b_frames[n], u_hat, ik, g) + f_frames[n]
+        g_n_hat = forward(g_n, g) * mask
         new_hat = prop * u_hat + w_pred * g_n_hat  # predictor
         converged = False
         residuals = []
         for _ in range(config.max_iterations):
-            g_new = _grad_dot(b_frames[n + 1], new_hat, xi, axes) + f_frames[n + 1]
-            g_new_hat = np.fft.fftn(g_new, axes=axes)
-            if mask is not None:
-                g_new_hat *= mask
+            g_new = _grad_dot(b_frames[n + 1], new_hat, ik, g) + f_frames[n + 1]
+            g_new_hat = forward(g_new, g) * mask
             cand_hat = prop * u_hat + w_old * g_n_hat + w_new * g_new_hat
-            delta = cand_hat - new_hat
-            res = math.sqrt(float(np.sum(np.abs(delta) ** 2)) * vol
-                            / delta[0].size)
+            res = spectral_l2(g, cand_hat - new_hat)
             residuals.append(res)
             new_hat = cand_hat
             if res < config.picard_tol:
@@ -276,19 +278,8 @@ def drift_solve(problem: LinearProblem, config: SolverConfig,
                 f"drift step {n} did not contract to {config.picard_tol:.1e}",
                 residuals=residuals)
         u_hat = new_hat
-        frames.append(GridField(g, np.fft.ifftn(u_hat, axes=axes).real))
+        frames.append(GridField(g, inverse(g, u_hat)))
     return SpaceTimeField(dt, tuple(frames))
-
-
-def _dealias_mask(grid: Grid):
-    """2/3-rule mask for quadratic nonlinearities."""
-    k = np.fft.fftfreq(grid.points_per_axis) * grid.points_per_axis
-    cut = grid.points_per_axis / 3.0
-    keep = np.abs(k) <= cut
-    mask = keep
-    for _ in range(grid.dim - 1):
-        mask = np.multiply.outer(mask, keep)
-    return mask.astype(float)
 
 
 # ---------------------------------------------------------------------------

@@ -17,15 +17,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from scipy.integrate import cumulative_simpson
 
 from . import levy
-from .errors import ConsistencyFailure, InvalidArgument, UnsupportedMeasure
-from .fieldgrid import GridField, forward, inverse, lp_norm
+from .errors import ConsistencyFailure, InvalidArgument
+from .fieldgrid import (GridField, apply_multiplier, coarsen_samples,
+                        forward, inverse, lp_norm, refine, resolve,
+                        spectral_points)
 
-IMAG_RESIDUE_TOL = 1e-8
 COMMUTATOR_TOL = 1e-6
+MULTIPLIER_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -129,11 +133,6 @@ def _radial_rule(alpha: float, r_min: float, r_max: float, n_nodes: int):
     return r, w
 
 
-from functools import lru_cache
-
-from scipy.integrate import cumulative_simpson
-
-
 @lru_cache(maxsize=None)
 def _oscillatory_tail_profile(alpha: float):
     """Regularized tail profiles on a dense grid, extended through v = 0.
@@ -177,41 +176,33 @@ def _oscillatory_tail_profile(alpha: float):
     return v_ext, g_ext, h_ext
 
 
-def _tail_multiplier(measure, grid, route):
+def _tail_multiplier(measure, grid, route, xi):
     """Analytic correction for jumps beyond the truncation radius R:
     per direction, int_R^inf (e^{i s r} - 1 - comp) r^{-1-alpha} dr with the
-    density (if any) frozen at R theta.  Diagonal in frequency."""
+    density (if any) frozen at R theta, at frequencies xi (n, dim).
+    Diagonal in frequency."""
     alpha = measure.alpha
     r_max = route.truncation_radius or grid.side_length / 2.0
     dirs, dir_wts = _direction_rule(measure)
     v_tab, g_tab, h_tab = _oscillatory_tail_profile(alpha)
-    xi = grid.frequencies()
-    mult = np.zeros(grid.shape, dtype=complex)
+    mult = np.zeros(xi.shape[:-1], dtype=complex)
     is_density = isinstance(measure, levy.DensityKernel)
-    paired = _pair_directions(dirs, dir_wts) if measure.is_symmetric else None
-    if paired is not None:
-        dirs, dir_wts = paired        # odd tail parts cancel in +/- pairs
     for theta, wt in zip(dirs, dir_wts):
         s = xi @ theta
-        mag = np.abs(s)
-        v = mag * r_max
-        g_re = np.interp(v, v_tab, g_tab)
-        # even part: int_R^inf (cos(s r) - 1) r^{-1-alpha} dr = mag^a G(mag R)
-        if paired is not None:
-            tail = (mag ** alpha * g_re).astype(complex)
-        else:
-            # odd part (compensated beyond R when alpha > 1):
-            # mag^a sign(s) H(mag R)
-            h_im = np.interp(v, v_tab, h_tab)
-            tail = mag ** alpha * (g_re + 1j * np.sign(s) * h_im)
+        v = np.abs(s) * r_max
+        # even part: int_R^inf (cos(s r) - 1) r^{-1-alpha} dr = |s|^a G(|s| R)
+        # and odd part (compensated beyond R when alpha > 1), which cancels
+        # in +/- pairs: |s|^a sign(s) H(|s| R)
+        tail = np.abs(s) ** alpha * (np.interp(v, v_tab, g_tab) + 1j
+                                     * np.sign(s) * np.interp(v, v_tab, h_tab))
         a_inf = float(measure._eval_a(r_max * theta)) if is_density else 1.0
         mult += (wt * a_inf) * tail
     return mult
 
 
-def _quadrature_multiplier(measure, grid, route):
-    """-psi_quadrature(xi) on the fft-ordered frequency grid, built from
-    compensated node sums (no closed-form symbol involved)."""
+def _quadrature_multiplier(measure, grid, route, xi):
+    """-psi_quadrature at frequencies xi (n, dim), built from compensated
+    node sums on the grid's scales (no closed-form symbol involved)."""
     alpha = measure.alpha
     h = grid.spacing
     r_min = h / 2.0
@@ -230,8 +221,7 @@ def _quadrature_multiplier(measure, grid, route):
     else:
         comp = np.zeros_like(radii, dtype=bool)
 
-    xi = grid.frequencies()                                     # (*shape, d)
-    mult = np.zeros(grid.shape, dtype=complex)
+    mult = np.zeros(xi.shape[:-1], dtype=complex)
     is_density = isinstance(measure, levy.DensityKernel)
     paired = _pair_directions(dirs, dir_wts) if measure.is_symmetric else None
     if paired is not None:
@@ -246,7 +236,7 @@ def _quadrature_multiplier(measure, grid, route):
             node_w = node_w * measure._eval_a(radii[:, None] * theta)
         a0 = float(measure._eval_a(r_min * theta)) if is_density else 1.0
         if paired is not None:
-            acc = np.zeros(grid.shape)
+            acc = np.zeros(xi.shape[:-1])
             for k0 in range(0, len(radii), chunk):
                 r_c = radii[k0:k0 + chunk]
                 term = np.cos(s[..., None] * r_c) - 1.0
@@ -258,7 +248,7 @@ def _quadrature_multiplier(measure, grid, route):
                     * r_min ** (k - alpha) / (math.factorial(k) * (k - alpha))
             mult += acc
             continue
-        acc = np.zeros(grid.shape, dtype=complex)
+        acc = np.zeros(xi.shape[:-1], dtype=complex)
         for k0 in range(0, len(radii), chunk):
             r_c = radii[k0:k0 + chunk]
             w_c = node_w[k0:k0 + chunk]
@@ -275,7 +265,7 @@ def _quadrature_multiplier(measure, grid, route):
         mult += acc
     # jumps beyond the truncation radius (includes the alpha > 1
     # compensation tail), diagonal in frequency
-    mult += _tail_multiplier(measure, grid, route)
+    mult += _tail_multiplier(measure, grid, route, xi)
     return mult
 
 
@@ -299,30 +289,27 @@ def quadrature_tail_estimate(measure, field: GridField,
 # operator application
 # ---------------------------------------------------------------------------
 
-def _hermitianize(mult: np.ndarray) -> np.ndarray:
-    """m(k) <- (m(k) + conj(m(-k mod N))) / 2, so that applying m to a real
-    field gives a real field.  Only modes involving the (self-paired)
-    Nyquist frequency are affected."""
-    rev = mult
-    for ax in range(mult.ndim):
-        rev = np.roll(np.flip(rev, axis=ax), 1, axis=ax)
-    return 0.5 * (mult + np.conj(rev))
+@lru_cache(maxsize=MULTIPLIER_CACHE_SIZE)
+def multiplier(measure, grid, route: OperatorRoute) -> np.ndarray:
+    """The multiplier of L^nu at the grid's spectral_points by the requested
+    route: -psi, or its quadrature counterpart.  Cached per (measure, grid,
+    route), read-only; the heat and solver multipliers derive from the
+    multiplier-route entry."""
+    xi = spectral_points(grid)
+    if route.variant == "multiplier":
+        mult = -levy.symbol_array(measure, xi)
+    else:
+        mult = _quadrature_multiplier(measure, grid, route, xi)
+    mult.flags.writeable = False
+    return mult
 
 
 def apply(measure, field: GridField,
           route: OperatorRoute = OperatorRoute.multiplier()) -> GridField:
     """L^nu f on the grid by the requested route."""
-    g = field.grid
-    if g.dim != measure.dim:
+    if field.grid.dim != measure.dim:
         raise InvalidArgument("measure and field dimensions differ")
-    if route.variant == "multiplier":
-        psi = levy.symbol_array(measure, g.frequencies())
-        mult = -psi
-    else:
-        mult = _quadrature_multiplier(measure, g, route)
-    mult = _hermitianize(mult)
-    out = inverse(g, forward(field) * mult, imag_tol=IMAG_RESIDUE_TOL)
-    return GridField(g, out)
+    return apply_multiplier(field, multiplier(measure, field.grid, route))
 
 
 def adjoint_apply(measure, field: GridField,
@@ -354,8 +341,6 @@ def commutator_defect(measure, f: GridField, zeta: GridField,
         raise InvalidArgument("commutator defect requires the quadrature route")
     # work on a spectrally refined grid so the product f*zeta is exactly
     # representable (no aliasing in the composed-vs-direct comparison)
-    coarse = f.grid
-    from .fieldgrid import coarsen_samples, refine
     f = refine(f, 2)
     zeta = refine(zeta, 2)
     g = f.grid
@@ -388,10 +373,13 @@ def _direct_commutator(measure, f, zeta, route):
     dirs, dir_wts = _direction_rule(measure)
     radii, rad_wts = _radial_rule(alpha, r_min, r_max, route.radial_nodes)
 
-    xi = g.frequencies()
+    xi = spectral_points(g)
     f_hat = forward(f)
     z_hat = forward(zeta)
-    axes = tuple(range(1, g.dim + 1))
+
+    def spatial(co, mult):
+        return inverse(g, co * resolve(g, mult))
+
     out = np.zeros((1,) + g.shape)
     is_density = isinstance(measure, levy.DensityKernel)
     for theta, wt in zip(dirs, dir_wts):
@@ -401,17 +389,16 @@ def _direct_commutator(measure, f, zeta, route):
             node_w = node_w * measure._eval_a(radii[:, None] * theta)
         for r, w in zip(radii, node_w):
             phase = np.exp(1j * s * r)
-            df = np.fft.ifftn(f_hat * phase, axes=axes).real - f.values
-            dz = np.fft.ifftn(z_hat * phase, axes=axes).real - zeta.values
+            df = spatial(f_hat, phase) - f.values
+            dz = spatial(z_hat, phase) - zeta.values
             out += w * df * dz
         # singular region: Taylor product [Delta f][Delta zeta] =
         # sum r^{j+k} F_j G_k / (j! k!) with F_k = (theta.grad)^k f, matched
         # order-by-order with the composed route's inner expansion
         a0 = float(measure._eval_a(r_min * theta)) if is_density else 1.0
-        F = [np.fft.ifftn(f_hat * (1j * s) ** k, axes=axes).real
-             for k in (1, 2, 3)]
-        Z = [np.fft.ifftn(z_hat * (1j * s) ** k, axes=axes).real
-             for k in (1, 2, 3)]
+        derivs = [(1j * s) ** k for k in (1, 2, 3)]
+        F = [spatial(f_hat, dk) for dk in derivs]
+        Z = [spatial(z_hat, dk) for dk in derivs]
         inner = (F[0] * Z[0] * r_min ** (2.0 - alpha) / (2.0 - alpha)
                  + 0.5 * (F[0] * Z[1] + F[1] * Z[0])
                  * r_min ** (3.0 - alpha) / (3.0 - alpha)
@@ -422,10 +409,8 @@ def _direct_commutator(measure, f, zeta, route):
     # Delta(f zeta) - (Delta f) zeta - f (Delta zeta) and apply the same
     # analytic tail correction as the composed route (exact cancellation of
     # the shared approximation in the consistency comparison)
-    tail = _tail_multiplier(measure, g, route)
+    tail = _tail_multiplier(measure, g, route, xi)
     p_hat = forward(GridField(g, f.values * zeta.values))
-    t_p = np.fft.ifftn(p_hat * tail, axes=axes).real
-    t_f = np.fft.ifftn(f_hat * tail, axes=axes).real
-    t_z = np.fft.ifftn(z_hat * tail, axes=axes).real
+    t_p, t_f, t_z = (spatial(co, tail) for co in (p_hat, f_hat, z_hat))
     out += t_p - t_f * zeta.values - f.values * t_z
     return out

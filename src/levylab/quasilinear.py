@@ -23,17 +23,16 @@ components, b = -grad_q H, with forcing
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import levy
 from .errors import (GradientAugmentationInconsistency, InvalidArgument,
                      IterationFailure)
-from .fieldgrid import (Grid, GridField, SpaceTimeField, forward, gradient,
-                        lp_norm)
-from .heatkernel import DriftSchedule
-from .linear_solver import LinearProblem, SolverConfig, drift_solve
+from .fieldgrid import GridField, SpaceTimeField, gradient, lp_norm
+from .linear_solver import (LinearProblem, SolverConfig, drift_solve,
+                            step_count)
 
 GRADIENT_CONSISTENCY_TOL = 1e-3
 
@@ -116,8 +115,7 @@ def picard_solve(problem: QuasilinearProblem, config: SolverConfig,
         raise InvalidArgument("measure must be nondegenerate")
     g = problem.phi.grid
     dt = config.time_step
-    n_steps = int(round(problem.horizon / dt))
-    times = np.arange(n_steps + 1) * dt
+    times = np.arange(step_count(problem.horizon, dt) + 1) * dt
     zero = GridField.zeros(g, problem.components)
     current = SpaceTimeField(dt, tuple(zero for _ in times))
     residuals = []

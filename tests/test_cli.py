@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from levylab import cli, levy
-from levylab.fieldgrid import Grid, GridField, load_field, load_trajectory, save_field
+from levylab.errors import InvalidArgument
+from levylab.fieldgrid import (Grid, GridField, load_field, load_field_csv,
+                               load_trajectory, save_field)
 
 
 @pytest.fixture()
@@ -188,3 +190,28 @@ def test_verify_unknown_check():
 
 def test_verify_without_selection():
     assert cli.main(["verify"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# CSV field validation
+# ---------------------------------------------------------------------------
+
+def _csv_phi(tmp_path, rows):
+    path = tmp_path / "phi.csv"
+    path.write_text("1,4,6.283185307179586,1\n"
+                    + "".join(f"0,{i},{v}\n" for i, v in rows))
+    return str(path)
+
+
+@pytest.mark.parametrize("rows", [
+    [(0, 0.1), (1, 0.2), (2, 0.3)],                 # a row missing
+    [(0, 0.1), (1, 0.2), (2, 0.3), (2, 0.4)],       # index 2 twice
+    [(0, 0.1), (1, 0.2), (2, 0.3), (-1, 0.4)],      # would wrap to 3
+    [(0, 0.1), (1, 0.2), (2, 0.3), (4, 0.4)],       # beyond N - 1
+], ids=["row-count", "duplicate", "negative-index", "index-beyond-grid"])
+def test_malformed_csv_field_exits_2(tmp_path, rows):
+    path = _csv_phi(tmp_path, rows)
+    with pytest.raises(InvalidArgument):
+        load_field_csv(path)
+    assert cli.main(["burgers", "--phi", path, "--T", "0.25", "--dt",
+                     "0.125", "--out", str(tmp_path / "run")]) == 2

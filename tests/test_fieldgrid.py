@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levylab import fieldgrid as fg
-from levylab.errors import ConsistencyFailure, InvalidArgument
+from levylab.errors import InvalidArgument
 from levylab.fieldgrid import Grid, GridField, SpaceTimeField
 
 
@@ -125,14 +125,6 @@ def test_forward_inverse_round_trip(seed):
     u = GridField(g, rng.normal(size=(2, 16, 16)))
     back = fg.inverse(g, fg.forward(u))
     np.testing.assert_allclose(back, u.values, atol=1e-12)
-
-
-def test_inverse_flags_imaginary_residue():
-    g = Grid(1, 16, 1.0)
-    co = np.zeros((1, 16), dtype=complex)
-    co[0, 1] = 1.0                      # no conjugate partner: complex field
-    with pytest.raises(ConsistencyFailure):
-        fg.inverse(g, co, imag_tol=1e-10)
 
 
 def test_refine_then_coarsen_identity():

@@ -13,6 +13,7 @@ from levylab.linear_solver import (LinearProblem, SolverConfig,
                                    comparison_ratio, drift_solve,
                                    duhamel_solve, mollify,
                                    regularity_ratio)
+from levylab.quasilinear import QuasilinearProblem, picard_solve
 
 
 def _iso1d(mass=2.0 / np.pi, alpha=1.0):
@@ -38,6 +39,30 @@ def test_problem_validation():
         SolverConfig(time_step=0.0)
     with pytest.raises(InvalidArgument):
         SolverConfig(time_step=0.1, mollifier_width=-1.0)
+
+
+@pytest.mark.parametrize("horizon", [0.5, 0.1])
+def test_horizon_must_be_whole_number_of_steps(horizon):
+    # 0.5 / 0.3 would silently run to t = 0.6, 0.1 / 0.3 would return
+    # only the initial frame
+    phi = GridField(G, np.sin(X)[None])
+    config = SolverConfig(time_step=0.3)
+    problem = LinearProblem(_iso1d(), DriftSchedule.zero(1), 0.0, None, phi,
+                            horizon)
+    for solve in (duhamel_solve, drift_solve):
+        with pytest.raises(InvalidArgument):
+            solve(problem, config)
+    qproblem = QuasilinearProblem(_iso1d(), 1, None, None, phi, horizon)
+    with pytest.raises(InvalidArgument):
+        picard_solve(qproblem, config)
+
+
+def test_regularity_ratio_accepts_floating_point_horizon():
+    # horizon = 0.1 * 6 is 0.6000000000000001 in floating point
+    frames = tuple(GridField(G, np.cos(3 * X)[None]) for _ in range(7))
+    f = SpaceTimeField(0.1, frames)
+    assert f.time_step * (len(frames) - 1) != 0.6
+    assert np.isfinite(regularity_ratio(_iso1d(), _iso1d(), 1.0, f, 2, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,255 @@
+"""The real-to-complex spectral core: every single-application routine
+against a complex-FFT reference on white noise, the multiplier cache, and
+the rule that only ``fieldgrid`` runs transforms."""
+
+import ast
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from levylab import fieldgrid as fg
+from levylab import heatkernel, levy, linear_solver, nonlocal_op
+from levylab.fieldgrid import Grid, GridField
+from levylab.heatkernel import DriftSchedule
+from levylab.nonlocal_op import OperatorRoute
+
+CASES = [(d, n) for d in (1, 2, 3) for n in (8, 16)]
+
+
+# ---------------------------------------------------------------------------
+# complex-FFT reference: Re(ifftn(H(m) fftn f)) with H the Hermitian part
+# ---------------------------------------------------------------------------
+
+def _hermitian_part(mult):
+    rev = mult
+    for ax in range(mult.ndim):
+        rev = np.roll(np.flip(rev, axis=ax), 1, axis=ax)
+    return 0.5 * (mult + np.conj(rev))
+
+
+def _full_frequencies(g):
+    xi = g.axis_frequencies()
+    return np.stack(np.meshgrid(*([xi] * g.dim), indexing="ij"), axis=-1)
+
+
+def _reference(g, values, mult):
+    axes = tuple(range(1, g.dim + 1))
+    co = np.fft.fftn(values, axes=axes) * _hermitian_part(mult)
+    return np.fft.ifftn(co, axes=axes).real
+
+
+def _atoms(d, alpha=1.3):
+    """Three non-symmetric atoms: psi has an odd imaginary part."""
+    rng = np.random.default_rng(10 + d)
+    dirs = rng.normal(size=(3, d))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    return levy.StableSpectral(alpha, levy.SphericalMeasure.discrete(
+        [(tuple(v), w) for v, w in zip(dirs, (0.3, 0.5, 0.7))], dim=d))
+
+
+def _noise(g, seed=0):
+    rng = np.random.default_rng(seed)
+    return GridField(g, rng.normal(size=(1,) + g.shape))
+
+
+def _close(got, want):
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("d,n", CASES)
+def test_operator_routes_match_reference(d, n):
+    g = Grid(d, n, 6.0)
+    f = _noise(g)
+    m = _atoms(d)
+    xi = _full_frequencies(g)
+    psi = levy.symbol_array(m, xi)
+    _close(nonlocal_op.apply(m, f).values, _reference(g, f.values, -psi))
+    route = OperatorRoute.quadrature(40)
+    quad = nonlocal_op._quadrature_multiplier(
+        m, g, route, xi.reshape(-1, d)).reshape(g.shape)
+    _close(nonlocal_op.apply(m, f, route).values,
+           _reference(g, f.values, quad))
+    psi_adj = levy.symbol_array(m.reflected(), xi)
+    _close(nonlocal_op.adjoint_apply(m, f).values,
+           _reference(g, f.values, -psi_adj))
+
+
+@pytest.mark.parametrize("d,n", CASES)
+def test_heat_routines_match_reference(d, n):
+    g = Grid(d, n, 6.0)
+    f = _noise(g, 1)
+    m = _atoms(d)
+    xi = _full_frequencies(g)
+    psi = levy.symbol_array(m, xi)
+    _close(heatkernel.semigroup_apply(m, 0.3, f).values,
+           _reference(g, f.values, np.exp(-0.3 * psi)))
+    drift = DriftSchedule((0.1,), ((0.4,) * d, (-0.7,) * d))
+    theta = drift.cumulative(0.05, 0.4)
+    _close(heatkernel.shifted_propagator(m, drift, 0.4, 0.05, f).values,
+           _reference(g, f.values, np.exp(-0.35 * psi - 1j * (xi @ theta))))
+    gk = Grid(d, n, 3.0)
+    mult = _hermitian_part(np.exp(-2.0 * np.conj(
+        levy.symbol_array(m, _full_frequencies(gk)))))
+    want = np.fft.ifftn(mult).real / gk.cell_volume
+    _close(heatkernel.kernel(m, 2.0, gk).values[0], want)
+
+
+@pytest.mark.parametrize("d,n", CASES)
+def test_field_routines_match_reference(d, n):
+    g = Grid(d, n, 6.0)
+    f = _noise(g, 2)
+    xi = _full_frequencies(g)
+    grad = fg.gradient(f)
+    for j in range(d):
+        _close(grad[:, j], _reference(g, f.values, 1j * xi[..., j]))
+    bessel = _reference(g, f.values, (1.0 + np.sum(xi ** 2, axis=-1)) ** 0.65)
+    assert fg.bessel_norm(f, 1.3, 2) == pytest.approx(
+        fg.lp_norm(GridField(g, bessel), 2), rel=1e-12)
+    # refinement: zero-pad the centred complex spectrum, keep the real part
+    axes = tuple(range(1, d + 1))
+    co = np.fft.fftshift(np.fft.fftn(f.values, axes=axes), axes=axes)
+    co = np.fft.ifftshift(np.pad(co, [(0, 0)] + [(n // 2, n // 2)] * d),
+                          axes=axes)
+    _close(fg.refine(f, 2).values,
+           np.fft.ifftn(co, axes=axes).real * 2 ** d)
+    # mollifier: the bump rho_eps centred at the origin, unit discrete mass
+    eps = 1.7
+    x = g.coordinates()
+    centred = np.where(x > g.side_length / 2, x - g.side_length, x)
+    r2 = np.sum(centred ** 2, axis=-1) / eps ** 2
+    with np.errstate(divide="ignore"):
+        rho = np.where(r2 < 1.0, np.exp(-1.0 / np.maximum(1e-300, 1.0 - r2)),
+                       0.0)
+    rho /= rho.sum() * g.cell_volume
+    _close(linear_solver.mollify(f, eps).values,
+           _reference(g, f.values, np.fft.fftn(rho) * g.cell_volume))
+
+
+# ---------------------------------------------------------------------------
+# multiplier cache
+# ---------------------------------------------------------------------------
+
+def _constant_density(value):
+    return levy.DensityKernel(
+        1.0, 1, lambda y: np.full(np.asarray(y).shape[:-1], value), 0.5, 2.0)
+
+
+def test_distinct_densities_get_distinct_kernels():
+    # the same (alpha, dim, c1, c2) but densities 1 and 2
+    g = Grid(1, 256, 60.0)
+    p1 = heatkernel.kernel(_constant_density(1.0), 1.0, g).values
+    p2 = heatkernel.kernel(_constant_density(2.0), 1.0, g).values
+    assert np.max(np.abs(p1 - p2)) > 0.04
+
+
+def test_cached_multiplier_is_read_only_and_reused():
+    g = Grid(2, 16, 4.0)
+    route = OperatorRoute.multiplier()
+    mult = nonlocal_op.multiplier(_atoms(2), g, route)
+    assert nonlocal_op.multiplier(_atoms(2), g, route) is mult
+    # the half spectrum and xi' for each of its 16 + 9 - 1 Nyquist entries
+    assert mult.shape == (16 * 9 + 24,)
+    assert not mult.flags.writeable
+    with pytest.raises(ValueError):
+        mult[...] = 0.0
+
+
+def test_multiplier_cache_is_bounded():
+    g = Grid(1, 16, 4.0)
+    route = OperatorRoute.multiplier()
+    for k in range(nonlocal_op.MULTIPLIER_CACHE_SIZE + 5):
+        m = levy.StableSpectral(1.0, levy.SphericalMeasure.isotropic(
+            1, 1.0 + k))
+        nonlocal_op.multiplier(m, g, route)
+        info = nonlocal_op.multiplier.cache_info()
+        assert info.currsize <= nonlocal_op.MULTIPLIER_CACHE_SIZE
+    assert info.maxsize == nonlocal_op.MULTIPLIER_CACHE_SIZE
+
+
+def test_multiplier_cache_under_threads():
+    # more threads than cores and more measures than cache entries, so
+    # that entries are evicted while other threads read them
+    g = Grid(1, 64, 4.0)
+    f = _noise(g, 3)
+    measures = [levy.StableSpectral(1.0 + 0.02 * k, levy.SphericalMeasure
+                                    .isotropic(1, 1.0))
+                for k in range(nonlocal_op.MULTIPLIER_CACHE_SIZE + 8)]
+    want = [nonlocal_op.apply(m, f).values for m in measures]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(nonlocal_op.apply, m, f)
+                       for m in measures * 4]
+            got = [fut.result(timeout=60).values for fut in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for k, values in enumerate(got):
+        np.testing.assert_array_equal(values, want[k % len(measures)])
+    info = nonlocal_op.multiplier.cache_info()
+    assert info.currsize <= nonlocal_op.MULTIPLIER_CACHE_SIZE
+
+
+# ---------------------------------------------------------------------------
+# only fieldgrid runs transforms
+# ---------------------------------------------------------------------------
+
+TRANSFORMS = {
+    "fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
+    "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft", "hfft2", "ihfft2",
+    "hfftn", "ihfftn", "dct", "idct", "dst", "idst", "dctn", "idctn", "dstn",
+    "idstn", "fht", "ifht"}
+FFT_MODULES = ("numpy.fft", "scipy.fft")
+
+
+def _transform_calls(source: str) -> list:
+    """Names of numpy.fft / scipy.fft transforms the source refers to."""
+    tree = ast.parse(source)
+    alias = {}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                alias[(a.asname or a.name).split(".")[0]] = (
+                    a.name if a.asname else a.name.split(".")[0])
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            for a in node.names:
+                full = f"{node.module}.{a.name}"
+                alias[a.asname or a.name] = full
+                if node.module in FFT_MODULES and a.name in TRANSFORMS:
+                    found.append(full)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        parts = []
+        cur = node
+        while isinstance(cur, ast.Attribute):
+            parts.append(cur.attr)
+            cur = cur.value
+        if not isinstance(cur, ast.Name) or cur.id not in alias:
+            continue
+        dotted = ".".join([alias[cur.id]] + parts[::-1])
+        head, _, name = dotted.rpartition(".")
+        if head in FFT_MODULES and name in TRANSFORMS:
+            found.append(dotted)
+    return found
+
+
+def test_transform_guard_detects_calls():
+    assert _transform_calls("import numpy as np\nnp.fft.ifftn(x)")
+    assert _transform_calls("import scipy.fft\nscipy.fft.rfftn(x)")
+    assert _transform_calls("from scipy import fft\nfft.irfftn(x)")
+    assert _transform_calls("from numpy.fft import fft2")
+    assert not _transform_calls("import numpy as np\nnp.fft.fftfreq(8)")
+
+
+def test_only_fieldgrid_runs_transforms():
+    package = Path(nonlocal_op.__file__).parent
+    offenders = {p.name: calls for p in sorted(package.glob("*.py"))
+                 if p.name != "fieldgrid.py"
+                 and (calls := _transform_calls(p.read_text()))}
+    assert offenders == {}
