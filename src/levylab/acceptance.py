@@ -368,7 +368,7 @@ def check_feynman_kac() -> CheckResult:
 
 def check_sampling_law() -> CheckResult:
     from scipy import stats
-    rng = stochastic.path_rng(99, 0)
+    rng = np.random.Generator(np.random.Philox(key=99))
     iso = levy.SphericalMeasure.isotropic(1, 2 / np.pi)
     inc = stochastic.sample_stable_increment(iso, 1.0, 1.0, rng,
                                              size=100000)[:, 0]

@@ -29,7 +29,7 @@ from .fieldgrid import (Grid, GridField, SpaceTimeField, load_field,
                         save_field_csv, save_trajectory)
 from .heatkernel import DriftSchedule
 from .linear_solver import (LinearProblem, SolverConfig, drift_solve,
-                            duhamel_solve)
+                            duhamel_solve, step_count)
 
 USAGE_ERROR = 2
 
@@ -163,15 +163,18 @@ def _drift_from_dict(spec, dim: int):
     raise UsageError(f"unknown drift type {spec.get('type')!r}")
 
 
-def _solver_config(cfg: dict) -> SolverConfig:
+def _solver_config(cfg: dict, horizon: float) -> SolverConfig:
+    """Solver config for a run to horizon, a whole number of time steps."""
     try:
-        return SolverConfig(
+        config = SolverConfig(
             time_step=float(cfg["time_step"]),
             mollifier_width=float(cfg.get("mollifier_width", 0.0)),
             picard_tol=float(cfg.get("picard_tol", 1e-10)),
             max_iterations=int(cfg.get("max_iterations", 50)))
+        step_count(horizon, config.time_step)
     except (KeyError, ValueError, LevylabError) as exc:
         raise UsageError(f"bad solver config: {exc}") from exc
+    return config
 
 
 def _out_dir(path) -> None:
@@ -235,7 +238,7 @@ def _cmd_evolve(args) -> int:
     drift = _drift_from_dict(spec.get("drift"), measure.dim)
     forcing = (load_trajectory(spec["forcing"])
                if spec.get("forcing") else None)
-    config = _solver_config(cfg)
+    config = _solver_config(cfg, horizon)
     solver = cfg.get("solver", "duhamel")
     problem = LinearProblem(measure, drift, lam, forcing, phi, horizon)
     if solver == "duhamel":
@@ -272,7 +275,8 @@ def _quasilinear_common(args, run, label: str) -> int:
     measure = (_load_measure(args.measure) if args.measure else
                levy.StableSpectral(1.0, levy.SphericalMeasure.isotropic(
                    phi.grid.dim, _iso_mass(phi.grid.dim))))
-    config = SolverConfig(time_step=args.dt, picard_tol=args.picard_tol)
+    config = _solver_config({"time_step": args.dt,
+                             "picard_tol": args.picard_tol}, args.T)
     traj = run(phi, measure, config)
     _out_dir(args.out)
     traj_path = f"{args.out}/solution.traj"

@@ -19,8 +19,11 @@ Conventions
   alpha/2-stable variable normalized by E e^{-sA} = e^{-s^{alpha/2}},
   Z a standard normal vector, and sigma = M c_alpha I_d(alpha) dt.
 
-Every path owns the counter-based stream Philox(key=(seed, path_index)),
-so ensembles are order-independent and bit-exactly reproducible.
+An ensemble reads one counter-based stream Philox(key=seed) in path-major
+order, k uniforms per increment (see sample_stable_increment).  Path i
+therefore reads the fixed block of n_steps * k uniforms that starts at
+i * n_steps * k: it does not change with the path count, and ensembles are
+bit-exactly reproducible.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .errors import (DomainExitWarning, DriftEvaluationFailure,
 from .fieldgrid import GridField, SpaceTimeField
 
 EXIT_FRACTION_LIMIT = 0.01
+PATH_BLOCK = 2048          # paths per uniform draw of sample_ensemble
 
 
 @dataclass(frozen=True)
@@ -68,35 +72,40 @@ class PathEnsemble:
         return self.states.shape[2]
 
 
-def path_rng(seed: int, path_index: int) -> np.random.Generator:
-    """Counter-based stream for one path, independent of generation order."""
-    key = np.array([seed, path_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 # ---------------------------------------------------------------------------
-# stable increments
+# stable increments: fixed transforms of uniforms on [0, 1), with
+# exponentials -log1p(-w) by inversion
 # ---------------------------------------------------------------------------
 
-def _cms_symmetric(alpha: float, rng, size) -> np.ndarray:
-    """Standard symmetric alpha-stable scalars, char. fn. e^{-|xi|^alpha}."""
-    u = rng.uniform(-np.pi / 2, np.pi / 2, size=size)
+def _cms_symmetric(alpha: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Standard symmetric alpha-stable scalars, char. fn. e^{-|xi|^alpha}
+    (Chambers-Mallows-Stuck)."""
+    v = np.pi * (u - 0.5)
     if alpha == 1.0:
-        return np.tan(u)
-    w = rng.standard_exponential(size=size)
-    return (np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
-            * (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha))
+        return np.tan(v)
+    return (np.sin(alpha * v) / np.cos(v) ** (1.0 / alpha)
+            * (np.cos((1.0 - alpha) * v) / -np.log1p(-w))
+            ** ((1.0 - alpha) / alpha))
 
 
-def _positive_stable(alpha_half: float, rng, size) -> np.ndarray:
+def _positive_stable(alpha_half: float, u: np.ndarray,
+                     w: np.ndarray) -> np.ndarray:
     """Positive alpha_half-stable variables with E e^{-sA} = e^{-s^alpha_half}
     (Kanter's method, alpha_half in (0,1))."""
-    u = rng.uniform(0.0, np.pi, size=size)
-    w = rng.standard_exponential(size=size)
-    a = (np.sin(alpha_half * u) ** alpha_half
-         * np.sin((1.0 - alpha_half) * u) ** (1.0 - alpha_half)
-         / np.sin(u)) ** (1.0 / (1.0 - alpha_half))
-    return (a / w) ** ((1.0 - alpha_half) / alpha_half)
+    v = np.pi * u
+    a = (np.sin(alpha_half * v) ** alpha_half
+         * np.sin((1.0 - alpha_half) * v) ** (1.0 - alpha_half)
+         / np.sin(v)) ** (1.0 / (1.0 - alpha_half))
+    return (a / -np.log1p(-w)) ** ((1.0 - alpha_half) / alpha_half)
+
+
+def _normals(u: np.ndarray, d: int) -> np.ndarray:
+    """d standard normals along the last axis from Box-Muller on the
+    consecutive pairs of the 2 ceil(d/2) uniforms there."""
+    r = np.sqrt(-2.0 * np.log1p(-u[..., 0::2]))
+    theta = 2.0 * np.pi * u[..., 1::2]
+    z = np.stack((r * np.cos(theta), r * np.sin(theta)), axis=-1)
+    return z.reshape(u.shape)[..., :d]
 
 
 def _require_symmetric_stable(measure):
@@ -128,65 +137,54 @@ def _atom_pairs(sigma: levy.SphericalMeasure):
 
 
 def sample_stable_increment(sigma: levy.SphericalMeasure, alpha: float,
-                            dt: float, rng, size: int = 1) -> np.ndarray:
-    """Increments of the stable process over time dt; shape (size, d)."""
+                            dt, rng, size=1) -> np.ndarray:
+    """Increments of the stable process over time dt; shape size + (d,).
+
+    One draw rng.random(size + (k,)) gives k uniforms per increment:
+    [Kanter U, Kanter W, 2 ceil(d/2) Box-Muller uniforms] for an isotropic
+    measure, [U_j, W_j] per atom pair otherwise.  dt may be an array that
+    broadcasts against size: by self-similarity the increment is
+    dt^{1/alpha} times the unit-time increment."""
     if not 0.0 < alpha < 2.0:
         raise InvalidArgument("alpha must lie in (0, 2)")
-    if not dt > 0:
+    dt = np.asarray(dt, dtype=float)
+    if not np.all(dt > 0):
         raise InvalidArgument("dt must be positive")
     if not sigma.is_symmetric:
         raise UnsupportedMeasure("increment sampling needs a symmetric measure")
+    size = (size,) if np.ndim(size) == 0 else tuple(size)
     d = sigma.dim
-    if sigma.is_isotropic:
-        scale = (sigma.total_mass * levy.radial_cosine_constant(alpha)
-                 * levy.isotropic_projection_moment(d, alpha) * dt)
-        sub = _positive_stable(alpha / 2.0, rng, size)
-        z = rng.standard_normal(size=(size, d))
-        return (scale ** (1.0 / alpha)) * np.sqrt(2.0 * sub)[:, None] * z
-    out = np.zeros((size, d))
     c_alpha = levy.radial_cosine_constant(alpha)
-    for direction, w in _atom_pairs(sigma):
-        s = _cms_symmetric(alpha, rng, size)
-        out += np.outer((2.0 * w * c_alpha * dt) ** (1.0 / alpha) * s,
-                        direction)
-    return out
+    if sigma.is_isotropic:
+        u = rng.random(size + (2 + 2 * ((d + 1) // 2),))
+        scale = (sigma.total_mass * c_alpha
+                 * levy.isotropic_projection_moment(d, alpha))
+        sub = _positive_stable(alpha / 2.0, u[..., 0], u[..., 1])
+        unit = (scale ** (1.0 / alpha) * np.sqrt(2.0 * sub)[..., None]
+                * _normals(u[..., 2:], d))
+    else:
+        pairs = _atom_pairs(sigma)
+        u = rng.random(size + (2 * len(pairs),))
+        unit = np.zeros(size + (d,))
+        for j, (direction, w) in enumerate(pairs):
+            s = _cms_symmetric(alpha, u[..., 2 * j], u[..., 2 * j + 1])
+            unit += (2.0 * w * c_alpha) ** (1.0 / alpha) * s[..., None] \
+                * direction
+    return dt[..., None] ** (1.0 / alpha) * unit
 
 
 # ---------------------------------------------------------------------------
 # paths
 # ---------------------------------------------------------------------------
 
-def euler_path(b, measure, x0, time_grid, rng) -> np.ndarray:
-    """One Euler-Maruyama path X_{k+1} = X_k + b(t_k, X_k) dt + dL_k;
-    b may be None (no drift).  Returns shape (n_times, d)."""
-    _require_symmetric_stable(measure)
-    tg = np.asarray(time_grid, dtype=float)
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    path = np.empty((tg.size, x0.size))
-    path[0] = x0
-    dts = np.diff(tg)
-    if not np.all(dts > 0):
-        raise InvalidArgument("time_grid must be strictly increasing")
-    for k, dt in enumerate(dts):
-        x = path[k]
-        step = np.zeros_like(x)
-        if b is not None:
-            bv = np.asarray(b(float(tg[k]), x), dtype=float)
-            if not np.all(np.isfinite(bv)):
-                raise DriftEvaluationFailure("non-finite drift",
-                                             t=float(tg[k]), x=x.copy())
-            step = bv * dt
-        dL = sample_stable_increment(measure.sigma, measure.alpha, float(dt),
-                                     rng, size=1)[0]
-        path[k + 1] = x + step + dL
-    return path
-
-
 def sample_ensemble(b, measure, x0, time_grid, n_paths: int,
                     seed: int) -> PathEnsemble:
-    """Ensemble of Euler paths with per-path Philox streams.  With uniform
-    steps and no drift the increments are generated in one vectorized draw
-    per path (the stream is consumed in a different but fixed order)."""
+    """Ensemble of Euler paths X_{k+1} = X_k + b(t_k, X_k) dt_k + dL_k.
+
+    The increments are read from one stream Philox(key=seed) in path-major
+    order, PATH_BLOCK paths per draw, so path i's increments do not depend
+    on n_paths.  b may be None (no drift); otherwise it receives the whole
+    batch of states at once, shape (n_paths, d)."""
     tg = np.asarray(time_grid, dtype=float)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     d = x0.size
@@ -194,21 +192,12 @@ def sample_ensemble(b, measure, x0, time_grid, n_paths: int,
     if not np.all(dts > 0):
         raise InvalidArgument("time_grid must be strictly increasing")
     _require_symmetric_stable(measure)
-    uniform = np.allclose(dts, dts[0])
-    # one vectorized draw per path (all steps at once), then an
-    # ensemble-vectorized Euler sweep; the drift callable receives the
-    # whole batch of states at once, shape (n_paths, d)
+    rng = np.random.Generator(np.random.Philox(key=seed))
     incs = np.empty((n_paths, dts.size, d))
-    for i in range(n_paths):
-        rng = path_rng(seed, i)
-        if uniform:
-            incs[i] = sample_stable_increment(measure.sigma, measure.alpha,
-                                              float(dts[0]), rng,
-                                              size=dts.size)
-        else:
-            for k, dt in enumerate(dts):
-                incs[i, k] = sample_stable_increment(
-                    measure.sigma, measure.alpha, float(dt), rng, size=1)[0]
+    for first in range(0, n_paths, PATH_BLOCK):
+        block = incs[first:first + PATH_BLOCK]
+        block[...] = sample_stable_increment(measure.sigma, measure.alpha,
+                                             dts, rng, size=block.shape[:2])
     states = np.empty((n_paths, tg.size, d))
     states[:, 0] = x0
     if b is None:
@@ -267,15 +256,12 @@ def exit_fraction(ensemble: PathEnsemble, x0, side_length: float) -> float:
                                 axis=(1, 2))))
 
 
-def _check_exits(states: np.ndarray, x0: np.ndarray, side_length: float):
-    disp = states - x0
-    exited = np.any(np.abs(disp) > side_length / 2.0, axis=(1, 2))
-    frac = float(np.mean(exited))
+def _check_exits(ensemble: PathEnsemble, x0, side_length: float):
+    frac = exit_fraction(ensemble, x0, side_length)
     if frac > EXIT_FRACTION_LIMIT:
         warnings.warn(DomainExitWarning(
             f"{100 * frac:.2f}% of paths left the half-period box; "
             f"widen the domain"))
-    return frac
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +285,7 @@ def feynman_kac(phi: GridField, f, b, measure, t: float, x,
     drift = None if b is None else (lambda s, y: np.asarray(b(t - s, y)))
     ens = sample_ensemble(drift, measure, np.atleast_1d(x), tg,
                           n_paths, rng_seed)
-    _check_exits(ens.states, np.atleast_1d(x), g.side_length)
+    _check_exits(ens, np.atleast_1d(x), g.side_length)
     wrapped = np.mod(ens.states, g.side_length)
 
     per_path = math.exp(-lam * t) * _interp_field(
@@ -330,7 +316,7 @@ def krylov_check(b, measure, f: SpaceTimeField, p: float,
     x0 = np.zeros(g.dim) if x0 is None else np.atleast_1d(np.asarray(x0, float))
     tg = np.linspace(0.0, T, n_steps + 1)
     ens = sample_ensemble(b, measure, x0, tg, n_paths, rng_seed)
-    _check_exits(ens.states, x0, g.side_length)
+    _check_exits(ens, x0, g.side_length)
     wrapped = np.mod(ens.states, g.side_length)
     dt = T / n_steps
     per_path = np.zeros(n_paths)

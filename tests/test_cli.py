@@ -150,6 +150,24 @@ def test_burgers_subcommand(phi_file, tmp_path):
     assert max(abs(float(fr.values.max())) for fr in traj.frames) <= 1 + 1e-6
 
 
+@pytest.mark.parametrize("dt", ["0.3", "0", "-0.125"])
+def test_burgers_horizon_not_whole_steps_exits_2(phi_file, tmp_path, dt):
+    assert cli.main(["burgers", "--phi", phi_file, "--T", "0.25",
+                     "--dt", dt, "--out", str(tmp_path / "run")]) == 2
+
+
+def test_evolve_horizon_not_whole_steps_exits_2(measure_file, phi_file,
+                                                tmp_path):
+    prob = tmp_path / "prob.json"
+    cfg = tmp_path / "cfg.json"
+    prob.write_text(json.dumps({
+        "measure": levy.to_dict(levy.load_measure(measure_file)),
+        "phi": phi_file, "horizon": 0.25}))
+    cfg.write_text(json.dumps({"time_step": 0.3}))
+    assert cli.main(["evolve", "--problem", str(prob), "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == 2
+
+
 def test_hj_unknown_hamiltonian(phi_file, tmp_path):
     assert cli.main(["hj", "--hamiltonian", "nope", "--phi", phi_file,
                      "--T", "0.25", "--dt", "0.01",

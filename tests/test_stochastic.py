@@ -2,6 +2,7 @@
 reproducibility, path ensembles, the probabilistic solution formula, and
 the occupation-time estimator."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +13,10 @@ from levylab import heatkernel, levy, stochastic
 from levylab.errors import (DomainExitWarning, DriftEvaluationFailure,
                             InvalidArgument, UnsupportedMeasure)
 from levylab.fieldgrid import Grid, GridField, SpaceTimeField
+
+
+def _philox(key):
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _iso1d(mass=2.0 / np.pi, alpha=1.0):
@@ -26,7 +31,7 @@ def _iso1d(mass=2.0 / np.pi, alpha=1.0):
 def test_cauchy_increment_char_function():
     # isotropic alpha=1 mass 2/pi: X_dt ~ Cauchy(scale dt); check the
     # characteristic function E cos(xi X) = e^{-dt |xi|}
-    rng = stochastic.path_rng(7, 0)
+    rng = _philox(7)
     sig = levy.SphericalMeasure.isotropic(1, 2.0 / np.pi)
     n = 200_000
     dt = 0.3
@@ -42,7 +47,7 @@ def test_atom_pair_increment_char_function():
     alpha, w, dt = 1.4, 0.6, 0.25
     sig = levy.SphericalMeasure.discrete([((1.0,), w), ((-1.0,), w)])
     m = levy.StableSpectral(alpha, sig)
-    rng = stochastic.path_rng(13, 0)
+    rng = _philox(13)
     n = 200_000
     x = stochastic.sample_stable_increment(sig, alpha, dt, rng, size=n)[:, 0]
     for xi in (0.5, 1.5):
@@ -54,7 +59,7 @@ def test_atom_pair_increment_char_function():
 def test_isotropic_2d_char_function():
     sig = levy.SphericalMeasure.isotropic(2, 1.0)
     m = levy.StableSpectral(1.0, sig)
-    rng = stochastic.path_rng(21, 0)
+    rng = _philox(21)
     n = 200_000
     x = stochastic.sample_stable_increment(sig, 1.0, 0.5, rng, size=n)
     xi = np.array([0.8, -0.6])
@@ -64,7 +69,7 @@ def test_isotropic_2d_char_function():
 
 
 def test_cauchy_law_kolmogorov_smirnov():
-    rng = stochastic.path_rng(99, 5)
+    rng = _philox([99, 5])
     sig = levy.SphericalMeasure.isotropic(1, 2.0 / np.pi)
     t = 0.7
     x = stochastic.sample_stable_increment(sig, 1.0, t, rng, size=50_000)
@@ -74,7 +79,7 @@ def test_cauchy_law_kolmogorov_smirnov():
 
 def test_asymmetric_measure_rejected():
     sig = levy.SphericalMeasure.discrete([((1.0,), 0.8), ((-1.0,), 0.2)])
-    rng = stochastic.path_rng(0, 0)
+    rng = _philox(0)
     with pytest.raises(UnsupportedMeasure):
         stochastic.sample_stable_increment(sig, 0.8, 0.1, rng)
 
@@ -100,13 +105,79 @@ def test_paths_are_stable_under_ensemble_growth():
     np.testing.assert_array_equal(small.states, large.states[:10])
 
 
-def test_euler_path_shape_and_start():
+def test_single_path_ensemble_shape_and_start():
     m = _iso1d()
     tg = np.linspace(0.0, 0.5, 11)
-    path = stochastic.euler_path(lambda t, x: -x, m, [2.0], tg,
-                                 stochastic.path_rng(1, 0))
-    assert path.shape == (11, 1)
-    assert path[0, 0] == 2.0
+    ens = stochastic.sample_ensemble(lambda t, x: -x, m, [2.0], tg,
+                                     n_paths=1, seed=1)
+    assert ens.states.shape == (1, 11, 1)
+    assert ens.states[0, 0, 0] == 2.0
+
+
+def test_ensemble_is_one_blocked_draw_from_one_stream():
+    # the blocks read the stream in order, so the ensemble equals one draw
+    # of every increment at once, and path i does not depend on n_paths
+    m = _iso1d()
+    tg = np.linspace(0.0, 0.5, 5)
+    n_paths = stochastic.PATH_BLOCK + 3
+    ens = stochastic.sample_ensemble(None, m, [1.0], tg, n_paths, seed=11)
+    incs = stochastic.sample_stable_increment(
+        m.sigma, m.alpha, np.diff(tg), _philox(11), size=(n_paths, 4))
+    np.testing.assert_array_equal(ens.states[:, 1:],
+                                  1.0 + np.cumsum(incs, axis=1))
+    small = stochastic.sample_ensemble(None, m, [1.0], tg, 10, seed=11)
+    np.testing.assert_array_equal(small.states, ens.states[:10])
+
+
+@pytest.mark.parametrize("sigma", [
+    levy.SphericalMeasure.isotropic(3, 1.0),
+    levy.SphericalMeasure.discrete([((1.0, 0.0), 0.4), ((-1.0, 0.0), 0.4),
+                                    ((0.0, 1.0), 0.7), ((0.0, -1.0), 0.7)]),
+], ids=["isotropic-3d", "atoms-2d"])
+def test_nonuniform_steps_scale_the_unit_time_draw(sigma):
+    # self-similarity: the time-dt_k increment is dt_k^{1/alpha} times the
+    # unit-time increment read from the same uniforms
+    alpha = 1.3
+    tg = np.array([0.0, 0.1, 0.15, 0.4, 0.45, 1.0])
+    dts = np.diff(tg)
+    unit = stochastic.sample_stable_increment(sigma, alpha, 1.0, _philox(4),
+                                              size=(6, dts.size))
+    incs = stochastic.sample_stable_increment(sigma, alpha, dts, _philox(4),
+                                              size=(6, dts.size))
+    np.testing.assert_array_equal(incs, dts[:, None] ** (1 / alpha) * unit)
+    x0 = np.zeros(sigma.dim)
+    ens = stochastic.sample_ensemble(None, levy.StableSpectral(alpha, sigma),
+                                     x0, tg, 6, seed=4)
+    np.testing.assert_array_equal(ens.states[:, 1:], x0 + np.cumsum(incs,
+                                                                    axis=1))
+
+
+def test_ensemble_peak_memory_is_bounded():
+    # blocks of PATH_BLOCK paths keep the uniforms (4 per increment here)
+    # from being held for the whole ensemble at once
+    tg = np.linspace(0.0, 0.5, 65)
+    tracemalloc.start()
+    try:
+        stochastic.sample_ensemble(None, _iso1d(), [0.0], tg, 30_000, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2 ** 20
+
+
+def test_ensemble_builds_one_bit_generator(monkeypatch):
+    # one keyed stream per ensemble, never one per path
+    built = []
+
+    class CountingPhilox(np.random.Philox):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", CountingPhilox)
+    tg = np.linspace(0.0, 0.5, 5)
+    stochastic.sample_ensemble(None, _iso1d(), [0.0], tg, 5000, seed=6)
+    assert len(built) == 1
 
 
 def test_drift_failure_reports_location():
