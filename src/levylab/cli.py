@@ -233,11 +233,11 @@ def _cmd_evolve(args) -> int:
         phi = _load_any_field(spec["phi"])
         lam = float(spec.get("lam", 0.0))
         horizon = float(spec["horizon"])
-    except (KeyError, ValueError, LevylabError) as exc:
+        forcing = (load_trajectory(spec["forcing"])
+                   if spec.get("forcing") else None)
+    except (KeyError, OSError, ValueError, LevylabError) as exc:
         raise UsageError(f"bad problem file {args.problem}: {exc}") from exc
     drift = _drift_from_dict(spec.get("drift"), measure.dim)
-    forcing = (load_trajectory(spec["forcing"])
-               if spec.get("forcing") else None)
     config = _solver_config(cfg, horizon)
     solver = cfg.get("solver", "duhamel")
     problem = LinearProblem(measure, drift, lam, forcing, phi, horizon)

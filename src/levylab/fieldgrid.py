@@ -156,9 +156,11 @@ class SpaceTimeField:
 # spectral core: transforms and multipliers
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def thread_count() -> int:
     """Worker cap from LEVYLAB_THREADS (default: all cores); also the FFT
-    worker count."""
+    worker count.  Read once per process: later changes to the variable
+    have no effect."""
     raw = os.environ.get("LEVYLAB_THREADS", "")
     try:
         n = int(raw)
@@ -267,11 +269,19 @@ def coarsen_samples(field: GridField, factor: int = 2) -> GridField:
     return GridField(coarse, field.values[sl])
 
 
+@lru_cache(maxsize=16)
+def gradient_symbol(grid: Grid) -> np.ndarray:
+    """i xi on the half spectrum, shape (*spectral_shape, dim), read-only."""
+    ik = resolve(grid, 1j * spectral_points(grid))
+    ik.flags.writeable = False
+    return ik
+
+
 def gradient(field: GridField) -> np.ndarray:
     """Spectral gradient, shape (m, dim, *grid shape)."""
     g = field.grid
     co = forward(field)
-    ik = resolve(g, 1j * spectral_points(g))
+    ik = gradient_symbol(g)
     out = np.empty((field.components, g.dim) + g.shape)
     for j in range(g.dim):
         out[:, j] = inverse(g, co * ik[..., j])
@@ -361,11 +371,18 @@ def _write_field(fh, field: GridField) -> None:
     fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
 
 
+def _read_exactly(fh, size: int) -> bytes:
+    data = fh.read(size)
+    if len(data) != size:
+        raise InvalidArgument(f"truncated file: {len(data)} of {size} bytes")
+    return data
+
+
 def _read_field(fh) -> GridField:
-    dim, n, length, m = _HEADER.unpack(fh.read(_HEADER.size))
+    dim, n, length, m = _HEADER.unpack(_read_exactly(fh, _HEADER.size))
     grid = Grid(dim, n, length)
     count = m * n ** dim
-    vals = np.frombuffer(fh.read(count * 8), dtype="<f8", count=count)
+    vals = np.frombuffer(_read_exactly(fh, count * 8), dtype="<f8")
     return GridField(grid, vals.reshape((m,) + grid.shape))
 
 
@@ -425,6 +442,6 @@ def save_trajectory(stf: SpaceTimeField, path) -> None:
 
 def load_trajectory(path) -> SpaceTimeField:
     with open(path, "rb") as fh:
-        n_frames, dt = struct.unpack("<qd", fh.read(16))
+        n_frames, dt = struct.unpack("<qd", _read_exactly(fh, 16))
         frames = tuple(_read_field(fh) for _ in range(n_frames))
     return SpaceTimeField(dt, frames)

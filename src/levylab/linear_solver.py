@@ -10,9 +10,10 @@ Two solvers:
   scalar ODE  u' = -(psi(xi) - i xi.theta(t) + lambda) u + f  and is stepped
   with a second-order exponential integrator that is exact for forcing that
   is linear in time within each step.
-* ``drift_solve`` -- x-dependent drift; fixed-point time stepping of the
-  integral equation  u(t) = P_t phi + int_0^t P_{t-s} (b.grad u + f)(s) ds
-  with trapezoidal treatment of the drift term and optional mollification.
+* ``drift_solve`` -- x-dependent drift, optionally mollified; the integral
+  equation  u(t) = P_t phi + int_0^t P_{t-s} (b.grad u + f)(s) ds  by
+  ``etd2_march``, the stepper (shared with the quasi-linear solvers) that
+  treats b.grad u trapezoidally with a fixed point inside each step.
 """
 
 from __future__ import annotations
@@ -22,10 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import levy
-from .errors import InvalidArgument, IterationFailure
+from .errors import (DriftEvaluationFailure, InvalidArgument,
+                     IterationFailure)
 from .fieldgrid import (Grid, GridField, SpaceTimeField, apply_multiplier,
-                        forward, inverse, lp_norm, periodic_samples,
-                        resolve, spectral_l2, spectral_points)
+                        forward, gradient_symbol, inverse, lp_norm,
+                        periodic_samples, resolve, spectral_l2,
+                        spectral_points)
 from .nonlocal_op import OperatorRoute, apply as op_apply, multiplier
 from .heatkernel import DriftSchedule
 
@@ -156,8 +159,7 @@ def duhamel_solve(problem: LinearProblem, config: SolverConfig) -> SpaceTimeFiel
     dt = config.time_step
     n_steps = step_count(problem.horizon, dt)
     times = np.arange(n_steps + 1) * dt
-    m = problem.phi.components
-    f_frames = _forcing_frames(problem.forcing, g, times, m)
+    f_frames = _forcing_frames(problem.forcing, g, times, problem.phi.components)
 
     gen = multiplier(problem.measure, g, OperatorRoute.multiplier())
     xi = spectral_points(g)
@@ -165,10 +167,14 @@ def duhamel_solve(problem: LinearProblem, config: SolverConfig) -> SpaceTimeFiel
     u_hat = forward(problem.phi)
     frames = [problem.phi]
     f_hat_next = forward(f_frames[0], g)
+    weights = {}                  # per distinct drift value, for this call
     for n in range(n_steps):
         theta = problem.drift.theta(times[n] + dt / 2.0)
-        z = (-gen - 1j * (xi @ theta) + problem.lam) * dt
-        decay, w_old, w_new = _etd2_weights(g, z, dt)
+        key = tuple(theta)
+        if key not in weights:
+            z = (-gen - 1j * (xi @ theta) + problem.lam) * dt
+            weights[key] = _etd2_weights(g, z, dt)
+        decay, w_old, w_new, _ = weights[key]
         f_hat = f_hat_next
         f_hat_next = forward(f_frames[n + 1], g)
         u_hat = decay * u_hat + w_old * f_hat + w_new * f_hat_next
@@ -177,27 +183,76 @@ def duhamel_solve(problem: LinearProblem, config: SolverConfig) -> SpaceTimeFiel
 
 
 def _etd2_weights(grid: Grid, z, dt: float):
-    """Propagator e^{-z} and the weights on g_n and g_{n+1} of the ETD2
-    step, each under the Nyquist rule."""
-    return (resolve(grid, np.exp(-z)),
-            resolve(grid, dt * (_phi1(z) - _phi2(z))),
-            resolve(grid, dt * _phi2(z)))
+    """Propagator e^{-z}, the ETD2 weights on g_n and g_{n+1} and the
+    first-order predictor's weight, each under the Nyquist rule."""
+    p1, p2 = _phi1(z), _phi2(z)
+    return (resolve(grid, np.exp(-z)), resolve(grid, dt * (p1 - p2)),
+            resolve(grid, dt * p2), resolve(grid, dt * p1))
 
 
 # ---------------------------------------------------------------------------
-# variable-drift solver
+# ETD2 march (variable drift, quasi-linear terms)
 # ---------------------------------------------------------------------------
+
+def advection(b, u_hat, grid: Grid) -> np.ndarray:
+    """b . grad u for every component of u_hat, in physical values; b has
+    shape (d, *grid)."""
+    ik = gradient_symbol(grid)
+    return sum(inverse(grid, u_hat * ik[..., j]) * b[j]
+               for j in range(grid.dim))
+
+
+def etd2_march(phi: GridField, measure, lam: float, dt: float, n_steps: int,
+               nonlinearity, config: SolverConfig,
+               dealias: bool = False) -> SpaceTimeField:
+    """ETD2 (Cox & Matthews 2002) of d/dt u = L^nu u - lambda u + G from
+    u(0) = phi, G at frame n being ``nonlinearity(n, u_hat)`` in physical
+    values.  From the first-order predictor, each step iterates
+    u_{n+1} = e^{-z} u_n + dt (phi_1 - phi_2)(z) G_n + dt phi_2(z) G_{n+1},
+    z = dt (psi + lambda), with G_{n+1} at the current iterate, until the
+    iterate moves less than picard_tol in L^2.  ``dealias``: 2/3 rule on G."""
+    g = phi.grid
+    gen = multiplier(measure, g, OperatorRoute.multiplier())
+    prop, w_old, w_new, w_pred = _etd2_weights(g, dt * (-gen + lam), dt)
+    mask = 1.0
+    if dealias:
+        keep = np.all(np.abs(spectral_points(g)) <= 2 * np.pi
+                      * g.points_per_axis / (3 * g.side_length), axis=-1)
+        mask = resolve(g, keep.astype(float))
+
+    u_hat = forward(phi)
+    frames = [phi]
+    for n in range(n_steps):
+        g_n_hat = forward(nonlinearity(n, u_hat), g) * mask
+        new_hat = prop * u_hat + w_pred * g_n_hat  # predictor
+        base = prop * u_hat + w_old * g_n_hat
+        residuals = []
+        for _ in range(config.max_iterations):
+            g_new_hat = forward(nonlinearity(n + 1, new_hat), g) * mask
+            cand_hat = base + w_new * g_new_hat
+            residuals.append(spectral_l2(g, cand_hat - new_hat))
+            new_hat = cand_hat
+            if residuals[-1] < config.picard_tol:
+                break
+        else:
+            raise IterationFailure(
+                f"step {n} did not contract to {config.picard_tol:.1e}",
+                residuals=residuals)
+        u_hat = new_hat
+        frames.append(GridField(g, inverse(g, u_hat)))
+    return SpaceTimeField(dt, tuple(frames))
+
 
 def _drift_frames(drift, grid: Grid, times):
-    """Drift vector values (*grid shape, d) per time frame."""
+    """Drift vector values (d, *grid shape) per time frame."""
     if isinstance(drift, DriftSchedule):
-        return [np.broadcast_to(drift.theta(t), grid.shape + (grid.dim,))
-                for t in times]
+        return [np.broadcast_to(
+            np.reshape(drift.theta(t), (grid.dim,) + (1,) * grid.dim),
+            (grid.dim,) + grid.shape) for t in times]
     if isinstance(drift, SpaceTimeField):
         if len(drift.frames) < len(times):
             raise InvalidArgument("drift has fewer frames than time steps")
-        return [np.moveaxis(drift.frames[i].values, 0, -1)
-                for i in range(len(times))]
+        return [drift.frames[i].values for i in range(len(times))]
     x = grid.coordinates()
     out = []
     for t in times:
@@ -205,28 +260,16 @@ def _drift_frames(drift, grid: Grid, times):
         if v.shape != grid.shape + (grid.dim,):
             raise InvalidArgument("drift callable must return shape (*grid, d)")
         if not np.all(np.isfinite(v)):
-            from .errors import DriftEvaluationFailure
             raise DriftEvaluationFailure("non-finite drift value", t=t)
-        out.append(v)
-    return out
-
-
-def _grad_dot(b_vals, u_hat, ik, grid):
-    """(b . grad u) for every component of u_hat; returns physical values."""
-    for j in range(b_vals.shape[-1]):
-        du = inverse(grid, u_hat * ik[..., j])
-        if j == 0:
-            out = du * b_vals[..., j]
-        else:
-            out += du * b_vals[..., j]
+        out.append(np.moveaxis(v, -1, 0))
     return out
 
 
 def drift_solve(problem: LinearProblem, config: SolverConfig,
                 dealias: bool = False) -> SpaceTimeField:
-    """Fixed-point time stepping of the integral equation with x-dependent
-    drift; within each step the drift term is treated trapezoidally and
-    iterated until the new frame moves less than picard_tol in L^2."""
+    """ETD2 march of the integral equation with x-dependent drift,
+    G = b(t_n) . grad u + f(t_n) from the drift and forcing frames, each
+    mollified with the initial data."""
     g = problem.phi.grid
     dt = config.time_step
     eps = config.mollifier_width
@@ -234,52 +277,17 @@ def drift_solve(problem: LinearProblem, config: SolverConfig,
     times = np.arange(n_steps + 1) * dt
 
     phi = mollify(problem.phi, eps)
-    m = phi.components
-    f_frames = _forcing_frames(problem.forcing, g, times, m)
-    if eps > 0:
-        f_frames = [mollify(GridField(g, v), eps).values for v in f_frames]
+    f_frames = _forcing_frames(problem.forcing, g, times, phi.components)
     b_frames = _drift_frames(problem.drift, g, times)
     if eps > 0:
-        b_frames = [np.moveaxis(
-            mollify(GridField(g, np.moveaxis(v, -1, 0)), eps).values, 0, -1)
-            for v in b_frames]
+        f_frames = [mollify(GridField(g, v), eps).values for v in f_frames]
+        b_frames = [mollify(GridField(g, v), eps).values for v in b_frames]
 
-    gen = multiplier(problem.measure, g, OperatorRoute.multiplier())
-    z = dt * (-gen + problem.lam)
-    prop, w_old, w_new = _etd2_weights(g, z, dt)
-    w_pred = resolve(g, dt * _phi1(z))
-    xi = spectral_points(g)
-    ik = resolve(g, 1j * xi)
-    # 2/3 rule for quadratic nonlinearities; 1 keeps every mode
-    keep = np.all(np.abs(xi) <= 2 * np.pi * g.points_per_axis
-                  / (3 * g.side_length), axis=-1)
-    mask = resolve(g, keep.astype(float)) if dealias else 1.0
+    def nonlinearity(n, u_hat):
+        return advection(b_frames[n], u_hat, g) + f_frames[n]
 
-    u_hat = forward(phi)
-    frames = [phi]
-    for n in range(n_steps):
-        g_n = _grad_dot(b_frames[n], u_hat, ik, g) + f_frames[n]
-        g_n_hat = forward(g_n, g) * mask
-        new_hat = prop * u_hat + w_pred * g_n_hat  # predictor
-        converged = False
-        residuals = []
-        for _ in range(config.max_iterations):
-            g_new = _grad_dot(b_frames[n + 1], new_hat, ik, g) + f_frames[n + 1]
-            g_new_hat = forward(g_new, g) * mask
-            cand_hat = prop * u_hat + w_old * g_n_hat + w_new * g_new_hat
-            res = spectral_l2(g, cand_hat - new_hat)
-            residuals.append(res)
-            new_hat = cand_hat
-            if res < config.picard_tol:
-                converged = True
-                break
-        if not converged:
-            raise IterationFailure(
-                f"drift step {n} did not contract to {config.picard_tol:.1e}",
-                residuals=residuals)
-        u_hat = new_hat
-        frames.append(GridField(g, inverse(g, u_hat)))
-    return SpaceTimeField(dt, tuple(frames))
+    return etd2_march(phi, problem.measure, problem.lam, dt, n_steps,
+                      nonlinearity, config, dealias)
 
 
 # ---------------------------------------------------------------------------

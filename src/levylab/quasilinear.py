@@ -1,12 +1,13 @@
-"""Quasi-linear critical solvers: Picard iteration with frozen coefficients,
-multidimensional critical Burgers, and the Hamilton-Jacobi reduction.
+"""Quasi-linear critical solvers: an ETD2 march with a fixed point inside
+each step, multidimensional critical Burgers, and the Hamilton-Jacobi
+reduction.
 
 Model system (m components, shared scalar generator L and shared drift):
 
     d/dt u = L u + b(t, x, u) . grad u + f(t, x, u),     u(0) = phi,
 
-solved by freezing b and f along the previous iterate and calling
-``linear_solver.drift_solve`` (u_0 identically 0).
+solved by ``linear_solver.etd2_march``: each step iterates u_{n+1} in the
+trapezoidal ETD2 relation with b and f evaluated at u_{n+1} itself.
 
 Critical Burgers  d/dt u + (-Delta)^{1/2} u + u . grad u = 0  is the case
 b(t,x,u) = -u, f = 0 (the minus sign moves u . grad u to the right side).
@@ -28,10 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import levy
-from .errors import (GradientAugmentationInconsistency, InvalidArgument,
-                     IterationFailure)
-from .fieldgrid import GridField, SpaceTimeField, gradient, lp_norm
-from .linear_solver import (LinearProblem, SolverConfig, drift_solve,
+from .errors import GradientAugmentationInconsistency, InvalidArgument
+from .fieldgrid import GridField, SpaceTimeField, gradient, inverse
+from .linear_solver import (SolverConfig, advection, etd2_march, mollify,
                             step_count)
 
 GRADIENT_CONSISTENCY_TOL = 1e-3
@@ -82,56 +82,33 @@ class QuasilinearProblem:
                     f"t={t}")
 
 
-def _freeze(problem: QuasilinearProblem, traj: SpaceTimeField,
-            times) -> tuple:
-    """Drift and forcing SpaceTimeFields along a frozen iterate."""
-    g = problem.phi.grid
-    x = g.coordinates()
-    b_frames = []
-    f_frames = []
-    for j, t in enumerate(times):
-        u = traj.frames[j].values
-        if problem.drift_b is None:
-            b_frames.append(GridField.zeros(g, g.dim))
-        else:
-            b_frames.append(GridField(
-                g, np.asarray(problem.drift_b(float(t), x, u), dtype=float)))
-        if problem.forcing_f is None:
-            f_frames.append(GridField.zeros(g, problem.components))
-        else:
-            f_frames.append(GridField(
-                g, np.asarray(problem.forcing_f(float(t), x, u), dtype=float)))
-    dt = float(times[1] - times[0])
-    return (SpaceTimeField(dt, tuple(b_frames)),
-            SpaceTimeField(dt, tuple(f_frames)))
-
-
 def picard_solve(problem: QuasilinearProblem, config: SolverConfig,
                  dealias: bool = False) -> SpaceTimeField:
-    """Freeze coefficients along the previous iterate, solve the linear
-    problem, repeat until successive trajectories are sup_t-L^2 close;
-    the first iterate starts from the zero trajectory."""
+    """One ETD2 march with G(u) = b(t, x, u) . grad u + f(t, x, u) taken at
+    the step's current iterate, so each step is a fixed point in u_{n+1};
+    phi, b and f are mollified with width config.mollifier_width."""
     if levy.nondegeneracy_of(problem.measure) <= 0:
         raise InvalidArgument("measure must be nondegenerate")
     g = problem.phi.grid
     dt = config.time_step
-    times = np.arange(step_count(problem.horizon, dt) + 1) * dt
-    zero = GridField.zeros(g, problem.components)
-    current = SpaceTimeField(dt, tuple(zero for _ in times))
-    residuals = []
-    for _ in range(config.max_iterations):
-        b_st, f_st = _freeze(problem, current, times)
-        lp = LinearProblem(problem.measure, b_st, 0.0, f_st, problem.phi,
-                           problem.horizon)
-        new = drift_solve(lp, config, dealias=dealias)
-        res = max(lp_norm(GridField(g, a.values - b.values), 2)
-                  for a, b in zip(new.frames, current.frames))
-        residuals.append(res)
-        current = new
-        if res < config.picard_tol:
-            return current
-    raise IterationFailure("Picard iteration did not converge",
-                           residuals=residuals)
+    eps = config.mollifier_width
+    x = g.coordinates()
+
+    def coefficient(fn, n, u):
+        v = np.asarray(fn(n * dt, x, u), dtype=float)
+        return mollify(GridField(g, v), eps).values if eps > 0 else v
+
+    def nonlinearity(n, u_hat):
+        u = inverse(g, u_hat)
+        out = (np.zeros_like(u) if problem.drift_b is None else
+               advection(coefficient(problem.drift_b, n, u), u_hat, g))
+        if problem.forcing_f is not None:
+            out = out + coefficient(problem.forcing_f, n, u)
+        return out
+
+    return etd2_march(mollify(problem.phi, eps), problem.measure, 0.0, dt,
+                      step_count(problem.horizon, dt), nonlinearity, config,
+                      dealias)
 
 
 def burgers_solve(phi: GridField, measure, horizon: float,
@@ -214,15 +191,12 @@ def hamilton_jacobi_solve(H: Hamiltonian, phi: GridField, measure,
     q0 = gradient(phi)[0]                      # (d, *grid)
     w0 = GridField(g, np.concatenate([phi.values, q0], axis=0))
 
-    def split(wv):
-        return wv[0], wv[1:]
-
     def drift_b(t, x, wv):
-        u, q = split(wv)
+        u, q = wv[0], wv[1:]
         return -np.asarray(H.dq(t, x, u, q), dtype=float)
 
     def forcing_f(t, x, wv):
-        u, q = split(wv)
+        u, q = wv[0], wv[1:]
         hv = np.asarray(H.value(t, x, u, q), dtype=float)
         dq = np.asarray(H.dq(t, x, u, q), dtype=float)
         dx = np.asarray(H.dx(t, x, u, q), dtype=float)

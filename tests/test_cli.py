@@ -8,8 +8,9 @@ import pytest
 
 from levylab import cli, levy
 from levylab.errors import InvalidArgument
-from levylab.fieldgrid import (Grid, GridField, load_field, load_field_csv,
-                               load_trajectory, save_field)
+from levylab.fieldgrid import (Grid, GridField, SpaceTimeField, load_field,
+                               load_field_csv, load_trajectory, save_field,
+                               save_trajectory)
 
 
 @pytest.fixture()
@@ -233,3 +234,41 @@ def test_malformed_csv_field_exits_2(tmp_path, rows):
         load_field_csv(path)
     assert cli.main(["burgers", "--phi", path, "--T", "0.25", "--dt",
                      "0.125", "--out", str(tmp_path / "run")]) == 2
+
+
+# ---------------------------------------------------------------------------
+# truncated binary files
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("keep", [10, 32 + 8 * 64],
+                         ids=["inside-header", "inside-values"])
+def test_truncated_field_exits_2(phi_file, tmp_path, keep):
+    path = tmp_path / "trunc.bin"
+    with open(phi_file, "rb") as fh:
+        path.write_bytes(fh.read()[:keep])
+    with pytest.raises(InvalidArgument):
+        load_field(path)
+    assert cli.main(["burgers", "--phi", str(path), "--T", "0.25", "--dt",
+                     "0.125", "--out", str(tmp_path / "run")]) == 2
+
+
+@pytest.mark.parametrize("keep", [10, 16 + 32 + 8 * 128 + 40],
+                         ids=["inside-count", "inside-second-frame"])
+def test_truncated_forcing_trajectory_exits_2(measure_file, phi_file,
+                                              tmp_path, keep):
+    g = Grid(1, 128, 2 * np.pi)
+    frames = tuple(GridField(g, np.full((1, 128), float(k))) for k in range(3))
+    full = tmp_path / "full.traj"
+    save_trajectory(SpaceTimeField(0.125, frames), full)
+    forcing = tmp_path / "forcing.traj"
+    forcing.write_bytes(full.read_bytes()[:keep])
+    with pytest.raises(InvalidArgument):
+        load_trajectory(forcing)
+    prob = tmp_path / "prob.json"
+    cfg = tmp_path / "cfg.json"
+    prob.write_text(json.dumps({
+        "measure": levy.to_dict(levy.load_measure(measure_file)),
+        "phi": phi_file, "horizon": 0.25, "forcing": str(forcing)}))
+    cfg.write_text(json.dumps({"time_step": 0.125}))
+    assert cli.main(["evolve", "--problem", str(prob), "--config", str(cfg),
+                     "--out", str(tmp_path / "run")]) == 2

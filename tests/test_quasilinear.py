@@ -1,11 +1,12 @@
-"""Quasi-linear critical solvers: Picard convergence, Burgers structure,
-and the gradient-augmented Hamilton-Jacobi route."""
+"""Quasi-linear critical solvers: the ETD2 march with a fixed point per
+step, Burgers structure in d = 1 and d = 3, and the gradient-augmented
+Hamilton-Jacobi route."""
 
 import numpy as np
 import pytest
 
 from levylab import levy, quasilinear
-from levylab.errors import InvalidArgument
+from levylab.errors import InvalidArgument, IterationFailure
 from levylab.fieldgrid import (Grid, GridField, gradient, lp_norm)
 from levylab.linear_solver import LinearProblem, SolverConfig, drift_solve
 from levylab.heatkernel import DriftSchedule
@@ -80,6 +81,70 @@ def test_picard_reduces_to_linear_solver():
     diff = max(lp_norm(GridField(G, a.values - b.values), 2)
                for a, b in zip(picard.frames, lin.frames))
     assert diff < 1e-9
+
+
+G256 = Grid(1, 256, 2 * np.pi)
+X256 = G256.coordinates()[..., 0]
+
+
+def test_march_steps_satisfy_trapezoidal_etd2_relation():
+    # u_{n+1} = e^{-z} u_n + dt (phi1 - phi2)(z) G(u_n) + dt phi2(z) G(u_{n+1})
+    # with z = dt |k| and G(u) = -u u_x under the 2/3 rule, built here
+    # from numpy's real FFT and checked on every returned step
+    dt, tol = 1 / 256, 1e-10
+    traj = burgers_solve(GridField(G256, np.sin(X256)[None]), _iso1d(), 0.5,
+                         SolverConfig(time_step=dt, picard_tol=tol))
+    n = G256.points_per_axis
+    k = np.arange(n // 2 + 1, dtype=float)
+    z = dt * k
+    zs = np.where(z == 0, 1.0, z)
+    phi1 = np.where(z == 0, 1.0, -np.expm1(-zs) / zs)
+    phi2 = np.where(z == 0, 0.5, (np.expm1(-zs) + zs) / zs ** 2)
+    keep = k <= n / 3
+    ik = 1j * k
+    ik[-1] = 0.0                 # the derivative's Nyquist mode is zero
+
+    def g_hat(u):
+        u_x = np.fft.irfft(ik * np.fft.rfft(u), n)
+        return np.fft.rfft(-u * u_x) * keep
+
+    worst = 0.0
+    for a, b in zip(traj.frames, traj.frames[1:]):
+        u0, u1 = a.values[0], b.values[0]
+        rhs = (np.exp(-z) * np.fft.rfft(u0) + dt * (phi1 - phi2) * g_hat(u0)
+               + dt * phi2 * g_hat(u1))
+        defect = u1 - np.fft.irfft(rhs, n)
+        worst = max(worst, float(np.sqrt(np.sum(defect ** 2)
+                                         * G256.cell_volume)))
+    assert len(traj.frames) == 129
+    assert worst < tol
+
+
+def test_march_evaluates_the_drift_a_few_times_per_step():
+    # burgers_solve's problem with a drift that counts its calls: one per
+    # evaluation of b . grad u, of which the whole-trajectory Picard
+    # nesting made over 5000 on this run
+    calls = [0]
+
+    def drift(t, x, u):
+        calls[0] += 1
+        return -u
+
+    phi = GridField(G256, np.sin(X256)[None])
+    problem = QuasilinearProblem(_iso1d(), 1, drift, None, phi, 0.5)
+    traj = picard_solve(problem, SolverConfig(time_step=1 / 256),
+                        dealias=True)
+    assert len(traj.frames) == 129
+    assert calls[0] <= 5195 // 5
+
+
+def test_march_reports_the_residuals_of_the_failing_step():
+    config = SolverConfig(time_step=1 / 256, max_iterations=1)
+    with pytest.raises(IterationFailure, match="step 0 ") as info:
+        burgers_solve(GridField(G256, np.sin(X256)[None]), _iso1d(), 0.5,
+                      config)
+    assert len(info.value.residuals) == 1
+    assert info.value.residuals[0] >= config.picard_tol
 
 
 # ---------------------------------------------------------------------------
@@ -170,3 +235,33 @@ def test_hj_quadratic_decreases_along_constants():
                                  _iso1d(), 0.5,
                                  SolverConfig(time_step=1 / 64))
     np.testing.assert_allclose(traj.final().values, 1.2, atol=1e-10)
+
+
+def _x1_data(x1):
+    return -0.1 + 0.6 * np.sin(x1) + 0.3 * np.sin(2 * x1 + 0.7)
+
+
+def test_burgers_3d_x1_only_data():
+    # the paper's multidimensional critical Burgers in d = 3: data
+    # (f(x1), 0, 0) stays x1-only, so every (x2, x3) column is the d = 1 run
+    mass = 1.0 / (levy.radial_cosine_constant(1.0)
+                  * levy.isotropic_projection_moment(3, 1.0))
+    m3 = levy.StableSpectral(1.0, levy.SphericalMeasure.isotropic(3, mass))
+    g3, g1 = Grid(3, 32, 2 * np.pi), Grid(1, 32, 2 * np.pi)
+    config = SolverConfig(time_step=1 / 128)
+    x1 = g3.coordinates()[..., 0]
+    phi = GridField(g3, np.stack([_x1_data(x1), np.zeros(g3.shape),
+                                  np.zeros(g3.shape)]))
+    traj = burgers_solve(phi, m3, 0.25, config)
+    line = burgers_solve(GridField(g1, _x1_data(g1.coordinates()[..., 0])),
+                         _iso1d(), 0.25, config)
+    frames = np.stack([fr.values for fr in traj.frames])
+    ref = np.stack([fr.values[0] for fr in line.frames])
+    assert frames.shape == (33, 3, 32, 32, 32)
+
+    means = frames.mean(axis=(2, 3, 4))
+    assert np.max(np.abs(means - means[0])) <= 1e-9
+    sup_phi = np.max(np.abs(_x1_data(np.linspace(0, 2 * np.pi, 1 << 16))))
+    assert np.max(np.abs(frames)) <= sup_phi
+    assert np.max(np.abs(frames[:, 0] - ref[:, :, None, None])) <= 1e-9
+    assert np.max(np.abs(frames[:, 1:])) <= 1e-9
