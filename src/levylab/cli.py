@@ -150,7 +150,7 @@ def _save_any_field(fieldv: GridField, path) -> None:
 
 def _drift_from_dict(spec, dim: int):
     if spec is None:
-        return None
+        return DriftSchedule.zero(dim)
     try:
         kind = spec["type"]
         if kind == "constant":

@@ -1,12 +1,13 @@
 """Levy measures of stable type and their characteristic exponents.
 
-Three measure families are modelled:
+Two measure families are modelled:
 
 * ``StableSpectral`` -- product measure r^{-1-alpha} dr x Sigma(dtheta) with a
   finite spherical part Sigma (discrete atoms or isotropic),
-* ``DensityKernel`` -- a(y) dy / |y|^{d+alpha} with bounded density a,
-* ``DirectSumAxes`` -- sum of independent one-dimensional stable measures
-  along the coordinate axes (singular: supported on the axes).
+* ``DensityKernel`` -- a(y) dy / |y|^{d+alpha} with bounded density a.
+
+``DirectSumAxes`` builds the singular sum of one-dimensional stable measures
+along the coordinate axes as a ``StableSpectral`` with atoms +/- e_i.
 
 The exponent is
 
@@ -147,21 +148,15 @@ class SphericalMeasure:
     @property
     def is_symmetric(self) -> bool:
         """True if atoms come in +/- pairs of equal weight (or isotropic)."""
-        if self.is_isotropic:
-            return True
-        pool = {}
-        for d, w in self.atoms:
-            pool[d] = pool.get(d, 0.0) + w
-        for d, w in pool.items():
-            neg = tuple(-c if c != 0.0 else 0.0 for c in d)
-            if abs(pool.get(neg, 0.0) - w) > 1e-12 * max(w, 1.0):
-                return False
-        return True
+        return self.is_isotropic or antipodal_pairs(*self.atom_arrays()) is not None
 
     def atom_arrays(self):
-        """Directions (n, dim) and weights (n,) for the discrete variant."""
+        """Directions (n, dim) and weights (n,): the atoms, or for dim == 1
+        the isotropic measure as the pair +/-1 with weight M/2 each."""
         if self.is_isotropic:
-            raise InvalidArgument("isotropic measure has no atoms")
+            if self.dim > 1:
+                raise InvalidArgument("isotropic measure has no atoms")
+            return np.array([[1.0], [-1.0]]), np.full(2, self.total_mass / 2.0)
         dirs = np.array([d for d, _ in self.atoms], dtype=float)
         wts = np.array([w for _, w in self.atoms], dtype=float)
         return dirs, wts
@@ -179,6 +174,29 @@ class SphericalMeasure:
         theta0 = np.asarray(theta0, dtype=float)
         dirs, wts = self.atom_arrays()
         return float(np.sum(wts * np.abs(dirs @ theta0) ** alpha))
+
+
+def antipodal_pairs(dirs, wts):
+    """The one +/- pairing rule: pool repeated directions, then match each
+    direction with its exact negative at equal weight (1e-12 relative).
+    Returns (representatives (m, dim), one-sided weights (m,)), a pair's
+    first-seen side representing it, or None if the set is not paired."""
+    pool = {}
+    for d, w in zip(dirs, wts):
+        key = tuple(map(float, d))          # -0.0 == 0.0, with equal hashes
+        pool[key] = pool.get(key, 0.0) + float(w)
+    kept, kept_w, seen = [], [], set()
+    for d, w in pool.items():
+        if d in seen:
+            continue
+        neg = tuple(-c for c in d)
+        w_neg = pool.get(neg)
+        if w_neg is None or abs(w_neg - w) > 1e-12 * max(w, w_neg):
+            return None
+        seen.add(neg)
+        kept.append(d)
+        kept_w.append(0.5 * (w + w_neg))
+    return np.array(kept), np.array(kept_w)
 
 
 # ---------------------------------------------------------------------------
@@ -252,40 +270,15 @@ class DensityKernel:
                              a_name=self.a_name + "(-)" if self.a_name else "")
 
 
-@dataclass(frozen=True)
-class DirectSumAxes:
-    """Sum of 1-d stable measures along the coordinate axes.
-
-    Each axis i carries the measure w_i |y_i|^{-1-alpha} dy_i concentrated on
-    that axis; the full measure is supported on the union of the axes and is
-    very singular as a d-dimensional measure.
-    """
-
-    alpha: float
-    axis_weights: tuple
-
-    def __post_init__(self):
-        _check_alpha(self.alpha)
-        weights = tuple(float(w) for w in self.axis_weights)   # hashable
-        object.__setattr__(self, "axis_weights", weights)
-        if not weights or any(not w > 0 for w in weights):
-            raise InvalidArgument("axis weights must be strictly positive")
-
-    @property
-    def dim(self) -> int:
-        return len(self.axis_weights)
-
-    @property
-    def is_symmetric(self) -> bool:
-        return True
-
-    def reflected(self) -> "DirectSumAxes":
-        return self
-
-    def axis_measures(self):
-        """The equivalent 1-d StableSpectral per axis (atoms +/-1, weight w)."""
-        return [StableSpectral(self.alpha, SphericalMeasure.discrete(
-            [((1.0,), w), ((-1.0,), w)])) for w in self.axis_weights]
+def DirectSumAxes(alpha: float, weights) -> StableSpectral:
+    """Sum of the 1-d stable measures w_i |y_i|^{-1-alpha} dy_i along the
+    coordinate axes: atoms +e_1..+e_d, then -e_1..-e_d, of weight w_i."""
+    weights = [float(w) for w in weights]
+    if not weights or any(not w > 0 for w in weights):
+        raise InvalidArgument("axis weights must be strictly positive")
+    eye = np.eye(len(weights))
+    return StableSpectral(alpha, SphericalMeasure.discrete(
+        list(zip(eye, weights)) + list(zip(0.0 - eye, weights))))
 
 
 def measure_digest(measure) -> str:
@@ -321,11 +314,6 @@ def symbol_array(measure, xi):
         raise InvalidArgument("xi must be finite")
     if isinstance(measure, StableSpectral):
         return _symbol_stable(measure, xi)
-    if isinstance(measure, DirectSumAxes):
-        c = radial_cosine_constant(measure.alpha)
-        w = np.asarray(measure.axis_weights)
-        return (2.0 * c * np.sum(w * np.abs(xi) ** measure.alpha, axis=-1)
-                ).astype(complex)
     if isinstance(measure, DensityKernel):
         return _symbol_density(measure, xi)
     raise InvalidArgument(f"unknown measure type {type(measure)!r}")
@@ -338,11 +326,7 @@ def _symbol_stable(measure: StableSpectral, xi):
     if sig.is_isotropic and sig.dim > 1:
         mom = sig.total_mass * isotropic_projection_moment(sig.dim, alpha)
         return (c * mom * np.linalg.norm(xi, axis=-1) ** alpha).astype(complex)
-    if sig.is_isotropic:  # dim == 1: equivalent +/- atom pair
-        dirs = np.array([[1.0], [-1.0]])
-        wts = np.array([sig.total_mass / 2.0] * 2)
-    else:
-        dirs, wts = sig.atom_arrays()
+    dirs, wts = sig.atom_arrays()
     s = xi @ dirs.T                                    # (..., n_atoms)
     re = c * np.sum(wts * np.abs(s) ** alpha, axis=-1)
     if measure.is_symmetric:
@@ -497,8 +481,8 @@ def nondegeneracy_constant(sigma: SphericalMeasure, alpha: float) -> float:
     """kappa_1 = c_alpha * min_{theta0} int |theta0.theta|^alpha Sigma(dtheta).
 
     The minimum over the sphere is taken on a dyadically refined grid (with a
-    local polish in 2d); a value below 1e-8 of the mass scale is reported as
-    exactly 0 (degenerate measure).
+    local polish in 2d and the cell vertices in 3d); a value below 1e-8 of
+    the mass scale is reported as exactly 0 (degenerate measure).
     """
     _check_alpha(alpha)
     c = radial_cosine_constant(alpha)
@@ -506,12 +490,8 @@ def nondegeneracy_constant(sigma: SphericalMeasure, alpha: float) -> float:
         mom = sigma.total_mass * isotropic_projection_moment(sigma.dim, alpha)
         return c * mom
     dirs, wts = sigma.atom_arrays()
-
-    def moment_of(theta0):
-        return float(np.sum(wts * np.abs(theta0 @ dirs.T) ** alpha))
-
     if sigma.dim == 1:
-        m = moment_of(np.array([1.0]))
+        m = float(np.sum(wts))                  # |theta0 . (+/-1)| = 1
     elif sigma.dim == 2:
         m = _min_on_circle(dirs, wts, alpha)
     else:
@@ -543,35 +523,44 @@ def _min_on_circle(dirs, wts, alpha):
 
 
 def _min_on_sphere3(dirs, wts, alpha):
+    """Minimum over Fibonacci grids and the vertices of the cells cut out by
+    the great circles theta0 . theta_j = 0: the normalised cross products
+    theta_i x theta_j, and one point with theta0 . theta_1 = 0 (the only
+    candidate when every atom is +/- theta_1).  On each cell the moment is
+    concave and homogeneous for alpha <= 1, so a vertex attains the minimum
+    there and the result is exact."""
+    def moments(pts):
+        return np.sum(wts * np.abs(pts @ dirs.T) ** alpha, axis=-1)
+
+    i, j = np.triu_indices(len(dirs), 1)
+    normal = np.cross(dirs[0], np.eye(3)[np.argmin(np.abs(dirs[0]))])
+    verts = np.concatenate([np.cross(dirs[i], dirs[j]), normal[None]])
+    norms = np.linalg.norm(verts, axis=-1)
+    keep = norms > 1e-12
+    m_verts = float(np.min(moments(verts[keep] / norms[keep, None])))
+
     def vals_on(n):
         # Fibonacci sphere grid
-        i = np.arange(n) + 0.5
-        z = 1.0 - 2.0 * i / n
-        phi = math.pi * (1.0 + math.sqrt(5.0)) * i
+        k = np.arange(n) + 0.5
+        z = 1.0 - 2.0 * k / n
+        phi = math.pi * (1.0 + math.sqrt(5.0)) * k
         rho = np.sqrt(1.0 - z ** 2)
         pts = np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=-1)
-        return float(np.min(np.sum(wts * np.abs(pts @ dirs.T) ** alpha, axis=-1)))
+        return float(np.min(moments(pts)))
 
+    # the grids refine until their own minimum settles
     n, prev = 512, None
     while True:
         m = vals_on(n)
-        if prev is not None and abs(m - prev) < 1e-6:
-            return m
+        if (prev is not None and abs(m - prev) < 1e-6) or 4 * n > 600000:
+            return min(m, m_verts)
         prev, n = m, 4 * n
-        if n > 600000:
-            return m
 
 
 def nondegeneracy_of(measure) -> float:
     """kappa_1 for the stable lower bound of a measure (0 if degenerate)."""
     if isinstance(measure, StableSpectral):
         return nondegeneracy_constant(measure.sigma, measure.alpha)
-    if isinstance(measure, DirectSumAxes):
-        # Re psi = 2 c_a sum_i w_i |xi_i|^a >= 2 c_a min_i w_i d^{-a/2} |xi|^a
-        c = radial_cosine_constant(measure.alpha)
-        w = np.asarray(measure.axis_weights)
-        d = measure.dim
-        return float(2.0 * c * np.min(w) * d ** (-measure.alpha / 2.0))
     if isinstance(measure, DensityKernel):
         # bounded below by c1 times the isotropic surface kernel
         iso = SphericalMeasure.isotropic(measure.dim, measure.c1 * _sphere_area(measure.dim))
@@ -623,9 +612,6 @@ def to_dict(measure) -> dict:
         else:
             d["atoms"] = [[*dd, w] for dd, w in sig.atoms]
         return d
-    if isinstance(measure, DirectSumAxes):
-        return {"variant": "direct_sum_axes", "alpha": measure.alpha,
-                "axes_weights": list(measure.axis_weights)}
     if isinstance(measure, DensityKernel):
         if not measure.a_name or measure.a_name not in DENSITY_REGISTRY:
             raise InvalidArgument("only registry densities can be serialized")
@@ -647,7 +633,7 @@ def from_dict(d: dict):
                 [(row[:-1], row[-1]) for row in d["atoms"]], dim=d["dim"])
         return StableSpectral(d["alpha"], sig)
     if variant == "direct_sum_axes":
-        return DirectSumAxes(d["alpha"], tuple(d["axes_weights"]))
+        return DirectSumAxes(d["alpha"], d["axes_weights"])
     if variant == "density_kernel":
         params = d.get("a_params", {})
         a = DENSITY_REGISTRY[d["a_name"]](params)

@@ -124,13 +124,19 @@ def _phi2(z):
     return np.where(small, 0.5 - z / 6.0 + z * z / 24.0, out)
 
 
+def _trajectory_frames(field: SpaceTimeField, times, name: str):
+    """The frame values of a drift or forcing trajectory at the solver times,
+    which must be its own time grid."""
+    if len(field.frames) < len(times):
+        raise InvalidArgument(f"{name} has fewer frames than time steps")
+    if len(times) > 1 and abs(field.time_step - (times[1] - times[0])) > 1e-12:
+        raise InvalidArgument(f"{name} time step must match solver time step")
+    return [field.frames[i].values for i in range(len(times))]
+
+
 def _forcing_frames(forcing, grid: Grid, times, components: int):
     if isinstance(forcing, SpaceTimeField):
-        if len(forcing.frames) < len(times):
-            raise InvalidArgument("forcing has fewer frames than time steps")
-        if len(times) > 1 and abs(forcing.time_step - (times[1] - times[0])) > 1e-12:
-            raise InvalidArgument("forcing time step must match solver time step")
-        return [forcing.frames[i].values for i in range(len(times))]
+        return _trajectory_frames(forcing, times, "forcing")
     if forcing is None:
         z = np.zeros((components,) + grid.shape)
         return [z] * len(times)
@@ -250,9 +256,7 @@ def _drift_frames(drift, grid: Grid, times):
             np.reshape(drift.theta(t), (grid.dim,) + (1,) * grid.dim),
             (grid.dim,) + grid.shape) for t in times]
     if isinstance(drift, SpaceTimeField):
-        if len(drift.frames) < len(times):
-            raise InvalidArgument("drift has fewer frames than time steps")
-        return [drift.frames[i].values for i in range(len(times))]
+        return _trajectory_frames(drift, times, "drift")
     x = grid.coordinates()
     out = []
     for t in times:

@@ -66,48 +66,15 @@ def _direction_rule(measure):
     (excluding the radial kernel and any radial density factor)."""
     if isinstance(measure, levy.StableSpectral):
         sig = measure.sigma
-        if sig.is_isotropic:
-            if sig.dim == 1:
-                dirs = np.array([[1.0], [-1.0]])
-                wts = np.full(2, sig.total_mass / 2.0)
-            else:
-                n = {2: 128, 3: 24}[sig.dim]
-                dirs, wts = levy._sphere_rule(sig.dim, n)
-                wts = wts * (sig.total_mass / levy._sphere_area(sig.dim))
-        else:
-            dirs, wts = sig.atom_arrays()
-        return dirs, wts
-    if isinstance(measure, levy.DirectSumAxes):
-        d = measure.dim
-        eye = np.eye(d)
-        dirs = np.concatenate([eye, -eye], axis=0)
-        wts = np.concatenate([measure.axis_weights, measure.axis_weights])
-        return dirs, np.asarray(wts, dtype=float)
+        if sig.is_isotropic and sig.dim > 1:
+            n = {2: 128, 3: 24}[sig.dim]
+            dirs, wts = levy._sphere_rule(sig.dim, n)
+            return dirs, wts * (sig.total_mass / levy._sphere_area(sig.dim))
+        return sig.atom_arrays()
     if isinstance(measure, levy.DensityKernel):
         n = {1: 2, 2: 128, 3: 24}[measure.dim]
-        dirs, wts = levy._sphere_rule(measure.dim, n)
-        return dirs, wts
+        return levy._sphere_rule(measure.dim, n)
     raise InvalidArgument(f"unknown measure type {type(measure)!r}")
-
-
-def _pair_directions(dirs, wts):
-    """Collapse an exactly +/- symmetric direction set to one representative
-    per pair with doubled weight; returns None if the set is not paired."""
-    pool = {}
-    for d, w in zip(dirs, wts):
-        pool[tuple(d)] = pool.get(tuple(d), 0.0) + w
-    kept, kept_w = [], []
-    seen = set()
-    for d, w in pool.items():
-        if d in seen:
-            continue
-        neg = tuple(-c if c != 0.0 else 0.0 for c in d)
-        if neg == d or neg not in pool or abs(pool[neg] - w) > 1e-14 * max(w, 1.0):
-            return None
-        seen.add(neg)
-        kept.append(d)
-        kept_w.append(2.0 * w)
-    return np.array(kept), np.array(kept_w)
 
 
 def _radial_rule(alpha: float, r_min: float, r_max: float, n_nodes: int):
@@ -223,11 +190,11 @@ def _quadrature_multiplier(measure, grid, route, xi):
 
     mult = np.zeros(xi.shape[:-1], dtype=complex)
     is_density = isinstance(measure, levy.DensityKernel)
-    paired = _pair_directions(dirs, dir_wts) if measure.is_symmetric else None
+    paired = levy.antipodal_pairs(dirs, dir_wts) if measure.is_symmetric else None
     if paired is not None:
         # symmetric fast path: the +/- pair sums to 2 (cos(s r) - 1), the
         # odd compensation and first-order terms cancel exactly
-        dirs, dir_wts = paired
+        dirs, dir_wts = paired[0], 2.0 * paired[1]
     chunk = 64
     for theta, wt in zip(dirs, dir_wts):
         s = xi @ theta                                          # (*shape)
@@ -276,8 +243,6 @@ def quadrature_tail_estimate(measure, field: GridField,
     alpha = measure.alpha
     if isinstance(measure, levy.StableSpectral):
         mass = measure.sigma.mass
-    elif isinstance(measure, levy.DirectSumAxes):
-        mass = 2.0 * float(np.sum(measure.axis_weights))
     elif isinstance(measure, levy.DensityKernel):
         mass = measure.c2 * levy._sphere_area(measure.dim)
     else:

@@ -115,27 +115,6 @@ def _require_symmetric_stable(measure):
         raise UnsupportedMeasure("simulation needs a symmetric spherical part")
 
 
-def _atom_pairs(sigma: levy.SphericalMeasure):
-    """Collapse a symmetric discrete measure into one representative per
-    {+theta, -theta} pair with the pair's one-sided weight."""
-    dirs, weights = sigma.atom_arrays()
-    used = np.zeros(len(weights), dtype=bool)
-    pairs = []
-    for i in range(len(weights)):
-        if used[i]:
-            continue
-        partner = None
-        for j in range(i + 1, len(weights)):
-            if not used[j] and np.allclose(dirs[j], -dirs[i], atol=1e-12):
-                partner = j
-                break
-        if partner is None:
-            raise UnsupportedMeasure("atoms do not form symmetric pairs")
-        used[i] = used[partner] = True
-        pairs.append((dirs[i], 0.5 * (weights[i] + weights[partner])))
-    return pairs
-
-
 def sample_stable_increment(sigma: levy.SphericalMeasure, alpha: float,
                             dt, rng, size=1) -> np.ndarray:
     """Increments of the stable process over time dt; shape size + (d,).
@@ -150,8 +129,6 @@ def sample_stable_increment(sigma: levy.SphericalMeasure, alpha: float,
     dt = np.asarray(dt, dtype=float)
     if not np.all(dt > 0):
         raise InvalidArgument("dt must be positive")
-    if not sigma.is_symmetric:
-        raise UnsupportedMeasure("increment sampling needs a symmetric measure")
     size = (size,) if np.ndim(size) == 0 else tuple(size)
     d = sigma.dim
     c_alpha = levy.radial_cosine_constant(alpha)
@@ -163,10 +140,12 @@ def sample_stable_increment(sigma: levy.SphericalMeasure, alpha: float,
         unit = (scale ** (1.0 / alpha) * np.sqrt(2.0 * sub)[..., None]
                 * _normals(u[..., 2:], d))
     else:
-        pairs = _atom_pairs(sigma)
-        u = rng.random(size + (2 * len(pairs),))
+        pairs = levy.antipodal_pairs(*sigma.atom_arrays())
+        if pairs is None:
+            raise UnsupportedMeasure("increment sampling needs a symmetric measure")
+        u = rng.random(size + (2 * len(pairs[1]),))
         unit = np.zeros(size + (d,))
-        for j, (direction, w) in enumerate(pairs):
+        for j, (direction, w) in enumerate(zip(*pairs)):
             s = _cms_symmetric(alpha, u[..., 2 * j], u[..., 2 * j + 1])
             unit += (2.0 * w * c_alpha) ** (1.0 / alpha) * s[..., None] \
                 * direction

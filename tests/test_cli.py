@@ -132,6 +132,25 @@ def test_evolve_round_trip(measure_file, phi_file, tmp_path):
     assert (out / "manifest.txt").exists()
 
 
+@pytest.mark.parametrize("solver", ["duhamel", "drift"])
+@pytest.mark.parametrize("drift", [None, "missing"])
+def test_evolve_without_drift(measure_file, phi_file, tmp_path, solver,
+                              drift):
+    # "drift": null and no "drift" both mean zero drift
+    spec = {"measure": levy.to_dict(levy.load_measure(measure_file)),
+            "phi": phi_file, "horizon": 0.25}
+    if drift is None:
+        spec["drift"] = None
+    prob = tmp_path / "prob.json"
+    cfg = tmp_path / "cfg.json"
+    prob.write_text(json.dumps(spec))
+    cfg.write_text(json.dumps({"time_step": 0.0625, "solver": solver}))
+    out = tmp_path / "run"
+    assert cli.main(["evolve", "--problem", str(prob), "--config", str(cfg),
+                     "--out", str(out)]) == 0
+    assert len(load_trajectory(out / "solution.traj").frames) == 5
+
+
 def test_evolve_unknown_solver(measure_file, phi_file, tmp_path):
     prob = tmp_path / "prob.json"
     cfg = tmp_path / "cfg.json"

@@ -66,6 +66,15 @@ def test_kernel_rejects_bad_inputs():
         kernel(degenerate, 1.0, Grid(2, 32, 10.0))
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_kernel_rejects_single_axis_pair_in_3d(alpha):
+    # jumps along +/- e_3 only: psi vanishes on the plane xi_3 = 0
+    degenerate = levy.StableSpectral(alpha, levy.SphericalMeasure.discrete(
+        [((0.0, 0.0, 1.0), 1.0), ((0.0, 0.0, -1.0), 1.0)]))
+    with pytest.raises(PreconditionFailure):
+        kernel(degenerate, 1.0, Grid(3, 8, 10.0))
+
+
 def test_kernel_resolution_failure_carries_suggestions():
     # a light-tailed (alpha near 2) near-delta kernel on a coarse grid
     # rings below zero

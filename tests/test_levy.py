@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from levylab import levy
 from levylab.errors import InvalidArgument
@@ -106,20 +107,23 @@ def test_isotropic_projection_moment_oracle(dim, alpha):
 # ---------------------------------------------------------------------------
 
 def _sample_measures():
-    return [
-        levy.StableSpectral(1.0, levy.SphericalMeasure.isotropic(1, 1.0)),
-        levy.StableSpectral(0.6, levy.SphericalMeasure.isotropic(2, 0.7)),
-        levy.StableSpectral(1.4, levy.SphericalMeasure.discrete(
-            [((1.0, 0.0), 0.5), ((-1.0, 0.0), 0.5),
-             ((0.0, 1.0), 0.3), ((0.0, -1.0), 0.3)])),
-        levy.StableSpectral(0.7, levy.SphericalMeasure.discrete(
-            [((1.0,), 0.8), ((-1.0,), 0.2)])),       # asymmetric
-        levy.DirectSumAxes(1.2, (0.5, 1.5)),
-    ]
+    return [pytest.param(m, id=name) for name, m in [
+        ("StableSpectral1.0", levy.StableSpectral(
+            1.0, levy.SphericalMeasure.isotropic(1, 1.0))),
+        ("StableSpectral0.6", levy.StableSpectral(
+            0.6, levy.SphericalMeasure.isotropic(2, 0.7))),
+        ("StableSpectral1.4", levy.StableSpectral(
+            1.4, levy.SphericalMeasure.discrete(
+                [((1.0, 0.0), 0.5), ((-1.0, 0.0), 0.5),
+                 ((0.0, 1.0), 0.3), ((0.0, -1.0), 0.3)]))),
+        ("StableSpectral0.7", levy.StableSpectral(
+            0.7, levy.SphericalMeasure.discrete(
+                [((1.0,), 0.8), ((-1.0,), 0.2)]))),       # asymmetric
+        ("DirectSumAxes1.2", levy.DirectSumAxes(1.2, (0.5, 1.5))),
+    ]]
 
 
-@pytest.mark.parametrize("measure", _sample_measures(),
-                         ids=lambda m: type(m).__name__ + str(m.alpha))
+@pytest.mark.parametrize("measure", _sample_measures())
 def test_symbol_conjugate_symmetry_and_positivity(measure):
     rng = np.random.default_rng(0)
     xi = rng.normal(size=(40, measure.dim)) * 10
@@ -129,8 +133,7 @@ def test_symbol_conjugate_symmetry_and_positivity(measure):
     assert np.all(psi.real >= -1e-12)
 
 
-@pytest.mark.parametrize("measure", _sample_measures(),
-                         ids=lambda m: type(m).__name__ + str(m.alpha))
+@pytest.mark.parametrize("measure", _sample_measures())
 def test_symbol_vanishes_at_origin(measure):
     assert levy.symbol(measure, np.zeros(measure.dim)) == 0.0
 
@@ -157,8 +160,7 @@ def test_symbol_homogeneity_asymmetric_noncritical(c, xi0):
     assert abs(a - b) <= 1e-9 * abs(b)
 
 
-@pytest.mark.parametrize("measure", _sample_measures(),
-                         ids=lambda m: type(m).__name__ + str(m.alpha))
+@pytest.mark.parametrize("measure", _sample_measures())
 def test_symbol_nondegeneracy_sandwich(measure):
     rng = np.random.default_rng(1)
     dirs = rng.normal(size=(60, measure.dim))
@@ -200,13 +202,81 @@ def test_density_kernel_matches_spectral():
 
 
 def test_direct_sum_axes_additivity():
-    m = levy.DirectSumAxes(1.3, (0.4, 1.1))
-    parts = m.axis_measures()
+    weights = (0.4, 1.1)
+    m = levy.DirectSumAxes(1.3, weights)
+    parts = [levy.StableSpectral(1.3, levy.SphericalMeasure.discrete(
+        [((1.0,), w), ((-1.0,), w)])) for w in weights]
     xi = np.array([2.0, -3.0])
     total = levy.symbol(m, xi)
     split = sum(levy.symbol(p, np.array([xi[i]]))
                 for i, p in enumerate(parts) if xi[i] != 0)
     assert total == pytest.approx(split, rel=1e-10)
+
+
+def test_direct_sum_axes_is_axis_atoms():
+    m = levy.DirectSumAxes(0.9, (0.3, 0.7, 1.2))
+    assert isinstance(m, levy.StableSpectral)
+    assert m.sigma.atoms == (
+        ((1.0, 0.0, 0.0), 0.3), ((0.0, 1.0, 0.0), 0.7), ((0.0, 0.0, 1.0), 1.2),
+        ((-1.0, 0.0, 0.0), 0.3), ((0.0, -1.0, 0.0), 0.7),
+        ((0.0, 0.0, -1.0), 1.2))
+    assert m.is_symmetric
+    for bad in ((), (0.5, 0.0)):
+        with pytest.raises(InvalidArgument):
+            levy.DirectSumAxes(1.0, bad)
+
+
+def test_direct_sum_axes_variant_is_still_read():
+    m = levy.from_dict({"variant": "direct_sum_axes", "alpha": 1.3,
+                        "axes_weights": [0.4, 1.1]})
+    assert m == levy.DirectSumAxes(1.3, (0.4, 1.1))
+    assert levy.to_dict(m)["variant"] == "stable_spectral"
+
+
+# ---------------------------------------------------------------------------
+# nondegeneracy
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_nondegeneracy_of_three_axes_is_exact(alpha):
+    # Re psi = 2 c sum_i w_i |xi_i|^alpha, least on the axis of least weight
+    m = levy.DirectSumAxes(alpha, (0.3, 0.7, 1.2))
+    expected = 2.0 * levy.radial_cosine_constant(alpha) * 0.3
+    assert levy.nondegeneracy_of(m) == pytest.approx(expected, rel=1e-12)
+    equal = levy.DirectSumAxes(alpha, (1.0, 1.0, 1.0))
+    assert levy.nondegeneracy_of(equal) == pytest.approx(
+        2.0 * levy.radial_cosine_constant(alpha), rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha, rel", [(0.7, 1e-9), (1.5, 1e-2)])
+def test_nondegeneracy_3d_against_local_minimisation(alpha, rel):
+    # three generic +/- pairs: kappa_1 / c_alpha against the least
+    # projection moment found from 8 Nelder-Mead starts
+    d = np.array([[0.169, 0.969, -0.179], [-0.747, 0.471, 0.47],
+                  [-0.255, -0.928, 0.272]])
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    sigma = levy.SphericalMeasure.discrete(
+        [(tuple(s * x), w) for s in (1.0, -1.0)
+         for x, w in zip(d, (0.69, 0.357, 0.344))])
+    dirs, wts = sigma.atom_arrays()
+
+    def moment(v):
+        return np.sum(wts * np.abs(dirs @ (v / np.linalg.norm(v))) ** alpha)
+
+    starts = np.random.default_rng(0).normal(size=(8, 3))
+    best = min(minimize(moment, x0, method="Nelder-Mead",
+                        options={"xatol": 1e-12, "fatol": 1e-15,
+                                 "maxiter": 4000}).fun for x0 in starts)
+    kappa = (levy.nondegeneracy_constant(sigma, alpha)
+             / levy.radial_cosine_constant(alpha))
+    assert best * (1 - 1e-9) <= kappa <= best * (1 + rel)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_nondegeneracy_of_one_pair_in_3d_is_zero(alpha):
+    sigma = levy.SphericalMeasure.discrete(
+        [((0.0, 0.0, 1.0), 1.0), ((0.0, 0.0, -1.0), 1.0)])
+    assert levy.nondegeneracy_constant(sigma, alpha) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +302,26 @@ def test_reflection_and_symmetry():
     assert asym.mass == pytest.approx(refl.mass)
 
 
+def test_antipodal_pairs_pools_and_matches_negatives():
+    dirs = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [-1.0, -0.0],
+                     [0.0, -1.0]])
+    wts = np.array([0.25, 0.4, 0.25, 0.5, 0.4])
+    reps, one_side = levy.antipodal_pairs(dirs, wts)
+    np.testing.assert_array_equal(reps, [[1.0, 0.0], [0.0, 1.0]])
+    np.testing.assert_array_equal(one_side, [0.5, 0.4])
+    assert levy.antipodal_pairs(dirs[:4], wts[:4]) is None      # 0,-1 missing
+    unequal = wts * np.array([1, 1, 1, 1, 1 + 1e-9])
+    assert levy.antipodal_pairs(dirs, unequal) is None
+
+
+def test_isotropic_1d_atoms_are_the_unit_pair():
+    dirs, wts = levy.SphericalMeasure.isotropic(1, 3.0).atom_arrays()
+    np.testing.assert_array_equal(dirs, [[1.0], [-1.0]])
+    np.testing.assert_array_equal(wts, [1.5, 1.5])
+    with pytest.raises(InvalidArgument):
+        levy.SphericalMeasure.isotropic(2, 1.0).atom_arrays()
+
+
 def test_alpha_validation():
     for bad in (0.0, 2.0, -0.3, 2.5):
         with pytest.raises(InvalidArgument):
@@ -242,8 +332,7 @@ def test_alpha_validation():
 # serialization
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("measure", _sample_measures(),
-                         ids=lambda m: type(m).__name__ + str(m.alpha))
+@pytest.mark.parametrize("measure", _sample_measures())
 def test_dict_round_trip(measure):
     back = levy.from_dict(levy.to_dict(measure))
     xi = np.full(measure.dim, 1.7)

@@ -170,6 +170,17 @@ def test_forcing_time_step_mismatch_rejected():
         duhamel_solve(problem, SolverConfig(time_step=0.05))
 
 
+def test_drift_time_step_mismatch_rejected():
+    # a 5-frame drift sampled every 0.5 covers a solver run of 4 steps of
+    # 1/16 by frame count, but its frame j is at t = j/2, not j/16
+    phi = GridField(G, np.sin(X)[None])
+    frames = tuple(GridField(G, np.ones((1, 256))) for _ in range(5))
+    drift = SpaceTimeField(0.5, frames)
+    problem = LinearProblem(_iso1d(), drift, 0.0, None, phi, 0.25)
+    with pytest.raises(InvalidArgument, match="drift time step"):
+        drift_solve(problem, SolverConfig(time_step=1.0 / 16))
+
+
 # ---------------------------------------------------------------------------
 # mollifier
 # ---------------------------------------------------------------------------

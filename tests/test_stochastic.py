@@ -84,6 +84,45 @@ def test_asymmetric_measure_rejected():
         stochastic.sample_stable_increment(sig, 0.8, 0.1, rng)
 
 
+def test_duplicate_atoms_sample_as_the_pooled_measure():
+    dup = levy.SphericalMeasure.discrete(
+        [((1.0,), 0.5), ((1.0,), 0.5), ((-1.0,), 1.0)])
+    pooled = levy.SphericalMeasure.discrete([((1.0,), 1.0), ((-1.0,), 1.0)])
+    a = stochastic.sample_stable_increment(dup, 1.2, 0.3, _philox(6), size=64)
+    b = stochastic.sample_stable_increment(pooled, 1.2, 0.3, _philox(6),
+                                           size=64)
+    np.testing.assert_array_equal(a, b)
+
+
+_E1, _E2 = (1.0, 0.0), (0.0, 1.0)
+_M1, _M2 = (-1.0, 0.0), (0.0, -1.0)
+_U, _MU = (0.6, 0.8), (-0.6, -0.8)
+
+
+@pytest.mark.parametrize("atoms, symmetric", [
+    ([(_M1, 0.4), (_E2, 0.7), (_E1, 0.4), (_M2, 0.7)], True),   # shuffled
+    ([(_E1, 0.2), (_U, 0.5), (_M1, 0.2), (_E1, 0.3), (_MU, 0.5),
+      (_M1, 0.3)], True),                                         # duplicated
+    ([(_E1, 0.2), (_E1, 0.2), (_M1, 0.4)], True),                 # pooled
+    ([(_U, 0.5), (_MU, 0.5 * (1 + 1e-13))], True),                # perturbed
+    ([(_U, 0.5), (_MU, 0.5 * (1 + 1e-9))], False),
+    ([(_E1, 0.4), (_E2, 0.7), (_M1, 0.4)], False),                # unpaired
+    ([(_U, 0.5), (_MU, 0.5), (_E1, 0.1)], False),
+    ([(_E1, 0.2), (_E1, 0.2), (_M1, 0.2)], False),
+], ids=["shuffled", "duplicated", "pooled", "perturbed-1e-13",
+        "perturbed-1e-9", "unpaired", "odd-atom", "duplicate-unpaired"])
+def test_sampler_accepts_exactly_the_symmetric_atom_sets(atoms, symmetric):
+    sigma = levy.SphericalMeasure.discrete(atoms)
+    assert sigma.is_symmetric is symmetric
+    if symmetric:
+        x = stochastic.sample_stable_increment(sigma, 0.9, 0.1, _philox(2),
+                                               size=8)
+        assert x.shape == (8, 2) and np.all(np.isfinite(x))
+    else:
+        with pytest.raises(UnsupportedMeasure):
+            stochastic.sample_stable_increment(sigma, 0.9, 0.1, _philox(2))
+
+
 # ---------------------------------------------------------------------------
 # reproducibility
 # ---------------------------------------------------------------------------
@@ -216,6 +255,24 @@ def test_feynman_kac_matches_semigroup():
     est, se = stochastic.feynman_kac(phi, None, None, m, t, [x0],
                                      n_paths=40_000, rng_seed=5, n_steps=4)
     assert abs(est - exact.values[0, probe_idx]) < max(4 * se, 5e-3)
+
+
+def test_feynman_kac_matches_semigroup_for_axes_measure_2d():
+    # the singular direct sum along the axes: Monte Carlo over its atom
+    # pairs against the spectral semigroup e^{-t psi}
+    g = Grid(2, 256, 32.0)
+    x = g.coordinates()
+    phi = GridField(g, np.exp(-0.5 * np.sum((x - 16.0) ** 2, axis=-1))[None])
+    m = levy.DirectSumAxes(1.5, (0.5, 0.8))
+    t = 0.25
+    exact = heatkernel.semigroup_apply(m, t, phi).values[0, 128, 132]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DomainExitWarning)
+        est, se = stochastic.feynman_kac(phi, None, None, m, t,
+                                         [128 * g.spacing, 132 * g.spacing],
+                                         n_paths=20_000, rng_seed=21,
+                                         n_steps=4)
+    assert abs(est - exact) < 4 * se
 
 
 def test_feynman_kac_damping_factor():
