@@ -313,50 +313,6 @@ def bessel_norm(field: GridField, alpha: float, p: float) -> float:
     return lp_norm(apply_multiplier(field, weight), p)
 
 
-def _displaced_differences(field: GridField, max_dist: float):
-    """|u(x + d) - u(x)| and |d| for every nonzero grid displacement d with
-    periodic (minimum-image) length in (0, max_dist]."""
-    g = field.grid
-    N, h, L = g.points_per_axis, g.spacing, g.side_length
-    k = np.arange(N)
-    km = np.minimum(k, N - k) * h          # per-axis min-image distance
-    mesh = np.meshgrid(*([km] * g.dim), indexing="ij")
-    dist = np.sqrt(sum(m ** 2 for m in mesh))
-    axes = tuple(range(1, g.dim + 1))
-    for idx in np.argwhere((dist > 0) & (dist <= max_dist + 1e-12 * L)):
-        shifted = np.roll(field.values, shift=[-i for i in idx], axis=axes)
-        yield np.abs(shifted - field.values), dist[tuple(idx)]
-
-
-def slobodeckij_norm(field: GridField, beta: float, p: float) -> float:
-    """L^p norm plus the discrete double-integral seminorm
-
-        ( h^{2d} sum_{x, 0<|x-y|<=L/2} |u(x)-u(y)|^p / |x-y|^{d+beta p} )^{1/p}
-
-    with periodic minimum-image distances and the diagonal excluded."""
-    if not 0.0 < beta < 1.0:
-        raise InvalidArgument("beta must lie in (0,1)")
-    if p < 1:
-        raise InvalidArgument("p must be >= 1")
-    g = field.grid
-    acc = 0.0
-    for diff, dist in _displaced_differences(field, g.side_length / 2.0):
-        acc += float(np.sum(diff ** p)) / dist ** (g.dim + beta * p)
-    semi = (g.cell_volume ** 2 * acc) ** (1.0 / p)
-    return lp_norm(field, p) + semi
-
-
-def holder_norm(field: GridField, beta: float) -> float:
-    """Sup norm plus sup_{0<|x-y|<=1} |u(x)-u(y)| / |x-y|^beta."""
-    if not 0.0 < beta <= 1.0:
-        raise InvalidArgument("beta must lie in (0,1]")
-    semi = 0.0
-    max_dist = min(1.0, field.grid.side_length / 2.0)
-    for diff, dist in _displaced_differences(field, max_dist):
-        semi = max(semi, float(np.max(diff)) / dist ** beta)
-    return lp_norm(field, np.inf) + semi
-
-
 # ---------------------------------------------------------------------------
 # serialization: flat binary and CSV (layouts documented in docs/formats.md)
 # ---------------------------------------------------------------------------

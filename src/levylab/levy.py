@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.optimize import minimize, minimize_scalar
 from scipy.special import gamma as Gamma
 
 from .errors import InvalidArgument, QuadratureFailure
@@ -167,14 +167,6 @@ class SphericalMeasure:
         return SphericalMeasure.discrete(
             [(tuple(-c for c in d), w) for d, w in self.atoms], dim=self.dim)
 
-    def projection_moment(self, theta0, alpha: float) -> float:
-        """integral |theta0 . theta|^alpha Sigma(dtheta)."""
-        if self.is_isotropic:
-            return self.total_mass * isotropic_projection_moment(self.dim, alpha)
-        theta0 = np.asarray(theta0, dtype=float)
-        dirs, wts = self.atom_arrays()
-        return float(np.sum(wts * np.abs(dirs @ theta0) ** alpha))
-
 
 def antipodal_pairs(dirs, wts):
     """The one +/- pairing rule: pool repeated directions, then match each
@@ -242,8 +234,6 @@ class DensityKernel:
     symmetric: bool = True
     a_name: str = ""                # registry key for serialization, optional
     a_params: tuple = ()            # ((key, value), ...) for the registry entry
-    n_dirs: int = 0                 # angular nodes (0 = per-dimension default);
-                                    # angular error dominates for dim >= 2
 
     def __post_init__(self):
         _check_alpha(self.alpha)
@@ -362,19 +352,19 @@ def _sphere_rule(dim: int, n: int):
     return dirs, np.concatenate([wts, wts])
 
 
-def _symbol_density(measure: DensityKernel, xi, rel_tol: float = 1e-8):
+def _symbol_density(measure: DensityKernel, xi):
     """Compensated polar quadrature of the symbol for a density kernel.
 
     Per direction theta the radial integral is rescaled by u = |xi.theta| r,
     so the oscillation has unit period; Gauss-Legendre panels in log u cover
     [u_min, U], the origin is handled by Taylor compensation and the tail
     beyond U by a two-term integration-by-parts asymptotic with a frozen at
-    the last node.  Panels are refined until the relative change is < rel_tol.
+    the last node.  Panels are refined until the relative change is < 1e-8.
     """
     alpha = measure.alpha
     flat = xi.reshape(-1, measure.dim)
-    n_dirs = measure.n_dirs or {1: 2, 2: 64, 3: 16}[measure.dim]
-    dirs, dir_wts = _sphere_rule(measure.dim, n_dirs)
+    # the angular error dominates for dim >= 2
+    dirs, dir_wts = _sphere_rule(measure.dim, {1: 2, 2: 64, 3: 16}[measure.dim])
 
     prev = None
     for panels_per_decade in (16, 32, 64, 128):
@@ -382,7 +372,7 @@ def _symbol_density(measure: DensityKernel, xi, rel_tol: float = 1e-8):
         if prev is not None:
             scale = np.maximum(np.abs(val), 1e-300)
             err = float(np.max(np.abs(val - prev) / scale))
-            if err < rel_tol:
+            if err < 1e-8:
                 return val.reshape(xi.shape[:-1])
         prev = val
     raise QuadratureFailure("density-kernel symbol quadrature did not converge",
@@ -474,15 +464,22 @@ def _density_quad_once(measure, flat, dirs, dir_wts, panels_per_decade):
 
 
 # ---------------------------------------------------------------------------
-# nondegeneracy and upper constants
+# nondegeneracy constant
 # ---------------------------------------------------------------------------
 
-def nondegeneracy_constant(sigma: SphericalMeasure, alpha: float) -> float:
-    """kappa_1 = c_alpha * min_{theta0} int |theta0.theta|^alpha Sigma(dtheta).
+CIRCLE_GRID = 128             # half-circle angles of the d = 2 minimiser
+SPHERE_GRID = 2048            # Fibonacci points of the d = 3 minimiser
 
-    The minimum over the sphere is taken on a dyadically refined grid (with a
-    local polish in 2d and the cell vertices in 3d); a value below 1e-8 of
-    the mass scale is reported as exactly 0 (degenerate measure).
+
+def nondegeneracy_constant(sigma: SphericalMeasure, alpha: float) -> float:
+    """kappa_1 = c_alpha * min_{|theta0|=1} int |theta0.theta|^alpha Sigma(dtheta).
+
+    Closed form for isotropic Sigma and the mass in d = 1.  For atoms in
+    d = 2, 3 the minimum is taken over the cell vertices of the great circles
+    theta0 . theta_j = 0, which is exact for alpha <= 1, and for alpha > 1
+    also over a local polish inside the cells (``_min_projection_moment``).
+    A value below 1e-8 of the mass is reported as exactly 0 (degenerate
+    measure).
     """
     _check_alpha(alpha)
     c = radial_cosine_constant(alpha)
@@ -492,69 +489,99 @@ def nondegeneracy_constant(sigma: SphericalMeasure, alpha: float) -> float:
     dirs, wts = sigma.atom_arrays()
     if sigma.dim == 1:
         m = float(np.sum(wts))                  # |theta0 . (+/-1)| = 1
-    elif sigma.dim == 2:
-        m = _min_on_circle(dirs, wts, alpha)
     else:
-        m = _min_on_sphere3(dirs, wts, alpha)
+        m = _min_projection_moment(dirs, wts, alpha)
     if m < 1e-8 * sigma.mass:
         return 0.0
     return c * m
 
 
-def _min_on_circle(dirs, wts, alpha):
-    def f(phi):
-        theta0 = np.array([math.cos(phi), math.sin(phi)])
-        return float(np.sum(wts * np.abs(dirs @ theta0) ** alpha))
+def _min_projection_moment(dirs, wts, alpha):
+    """min over the unit sphere (d = 2, 3) of F(x) = sum_j w_j |x.theta_j|^alpha.
 
-    n, prev = 64, None
-    while True:
-        phi = np.arange(n) * (math.pi / n)       # antipodal symmetry
-        vals = [f(p) for p in phi]
-        i = int(np.argmin(vals))
-        lo, hi = phi[i] - math.pi / n, phi[i] + math.pi / n
-        res = minimize_scalar(f, bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-10})
-        m = min(min(vals), float(res.fun))
-        if prev is not None and abs(m - prev) < 1e-6:
-            return m
-        prev, n = m, 2 * n
-        if n > 16384:
-            return m
-
-
-def _min_on_sphere3(dirs, wts, alpha):
-    """Minimum over Fibonacci grids and the vertices of the cells cut out by
-    the great circles theta0 . theta_j = 0: the normalised cross products
-    theta_i x theta_j, and one point with theta0 . theta_1 = 0 (the only
-    candidate when every atom is +/- theta_1).  On each cell the moment is
-    concave and homogeneous for alpha <= 1, so a vertex attains the minimum
-    there and the result is exact."""
-    def moments(pts):
-        return np.sum(wts * np.abs(pts @ dirs.T) ** alpha, axis=-1)
-
-    i, j = np.triu_indices(len(dirs), 1)
-    normal = np.cross(dirs[0], np.eye(3)[np.argmin(np.abs(dirs[0]))])
-    verts = np.concatenate([np.cross(dirs[i], dirs[j]), normal[None]])
-    norms = np.linalg.norm(verts, axis=-1)
-    keep = norms > 1e-12
-    m_verts = float(np.min(moments(verts[keep] / norms[keep, None])))
-
-    def vals_on(n):
-        # Fibonacci sphere grid
-        k = np.arange(n) + 0.5
-        z = 1.0 - 2.0 * k / n
+    F depends on the lines +/-theta_j only, so the atoms are pooled into
+    lines l_k.  The great circles x . l_k = 0 cut the sphere into cells.  On
+    each cell F is smooth, and for alpha <= 1 it is concave and homogeneous,
+    so its least value there sits at a vertex and the vertex values are
+    exact.  The vertices are l_k turned by 90 degrees (d = 2), or the
+    normalised l_k x l_m and one point of the circle x . l_0 = 0 (d = 3);
+    their projections onto the lines whose circles they lie on are exactly
+    0.  A fixed grid adds interior points: half-circle angles (d = 2) or a
+    Fibonacci sphere (d = 3).  For alpha > 1 the minimum may lie inside a
+    cell, so the best point of every cell is polished (``_polish``) when it
+    is also a local minimum of the candidates: no point within 1.5 grid
+    steps is lower.
+    """
+    lead = dirs[np.arange(len(dirs)), np.argmax(dirs != 0.0, axis=1)]
+    lines, inv = np.unique(dirs * np.sign(lead)[:, None] + 0.0, axis=0,
+                           return_inverse=True)
+    lw = np.bincount(inv.ravel(), weights=wts)
+    if lines.shape[1] == 2:
+        verts = lines @ np.array([[0.0, 1.0], [-1.0, 0.0]])
+        on = np.arange(len(lines))[:, None]
+        step = math.pi / CIRCLE_GRID
+        phi = np.arange(CIRCLE_GRID) * step
+        grid = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+    else:
+        i, j = np.triu_indices(len(lines), 1)
+        normal = np.cross(lines[0], np.eye(3)[np.argmin(np.abs(lines[0]))])
+        verts = np.concatenate([np.cross(lines[i], lines[j]), normal[None]])
+        on = np.concatenate([np.stack([i, j], axis=-1), [[0, 0]]])
+        norms = np.linalg.norm(verts, axis=-1)
+        keep = norms > 1e-12
+        verts, on = verts[keep] / norms[keep, None], on[keep]
+        step = math.sqrt(4.0 * math.pi / SPHERE_GRID)   # mean point spacing
+        k = np.arange(SPHERE_GRID) + 0.5
+        z = 1.0 - 2.0 * k / SPHERE_GRID
         phi = math.pi * (1.0 + math.sqrt(5.0)) * k
         rho = np.sqrt(1.0 - z ** 2)
-        pts = np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=-1)
-        return float(np.min(moments(pts)))
+        grid = np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=-1)
+    proj_verts = verts @ lines.T
+    np.put_along_axis(proj_verts, on, 0.0, axis=1)
+    pts = np.concatenate([verts, grid])
+    proj = np.concatenate([proj_verts, grid @ lines.T])
+    vals = np.abs(proj) ** alpha @ lw
+    best = float(np.min(vals))
+    if alpha <= 1.0:
+        return best
+    # a cell is keyed by the signs of the projections, taken on the side
+    # x . l_0 >= 0 so that antipodal cells coincide; "near" counts the
+    # antipodes too, since F(-x) = F(x)
+    order = np.argsort(vals)
+    side = np.where(proj[:, :1] < 0.0, -1.0, 1.0)
+    _, first = np.unique((side * proj)[order, 1:] > 0.0, axis=0,
+                         return_index=True)
+    starts = order[first]
+    near = np.abs(pts[starts] @ pts.T) > math.cos(1.5 * step)
+    starts = starts[~np.any(near & (vals < vals[starts, None]), axis=1)]
+    return min([best] + [_polish(p, lines, lw, alpha) for p in pts[starts]])
 
-    # the grids refine until their own minimum settles
-    n, prev = 512, None
-    while True:
-        m = vals_on(n)
-        if (prev is not None and abs(m - prev) < 1e-6) or 4 * n > 600000:
-            return min(m, m_verts)
-        prev, n = m, 4 * n
+
+def _polish(p, lines, lw, alpha):
+    """A local minimum of F near the unit vector p: a bounded search in the
+    angle within one grid step (d = 2), or BFGS in the plane tangent at p
+    (d = 3).  F is C^1 for alpha > 1."""
+    if len(p) == 2:
+        def value(t):
+            return float(np.abs(lines @ (math.cos(t), math.sin(t))) ** alpha @ lw)
+
+        phi0, h = math.atan2(p[1], p[0]), math.pi / CIRCLE_GRID
+        return float(minimize_scalar(value, bounds=(phi0 - h, phi0 + h),
+                                     method="bounded",
+                                     options={"xatol": 1e-10}).fun)
+    basis = np.linalg.svd(p[None])[2][1:]          # orthonormal, normal to p
+
+    def value_and_gradient(t):
+        v = p + t @ basis
+        r = np.linalg.norm(v)
+        x = v / r
+        proj = lines @ x
+        a = lw * np.abs(proj) ** (alpha - 1.0)
+        grad = alpha * (a * np.sign(proj)) @ lines           # of F at x
+        return float(a @ np.abs(proj)), basis @ (grad - (grad @ x) * x) / r
+
+    return float(minimize(value_and_gradient, np.zeros(2), jac=True,
+                          method="BFGS").fun)
 
 
 def nondegeneracy_of(measure) -> float:
@@ -570,23 +597,6 @@ def nondegeneracy_of(measure) -> float:
 
 def _sphere_area(dim):
     return {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}[dim]
-
-
-def symbol_upper_constant(measure, alpha: float, xi_grid) -> float:
-    """Empirical sup of |psi(xi)| / |xi|^alpha over a grid of frequencies.
-
-    A lower estimate of the true kappa_0 (the sup over all of R^d).
-    """
-    xi_grid = np.asarray(xi_grid, dtype=float)
-    if xi_grid.ndim == 1:
-        xi_grid = xi_grid[:, None]
-    if xi_grid.size == 0:
-        raise InvalidArgument("xi grid is empty")
-    norms = np.linalg.norm(xi_grid, axis=-1)
-    if np.any(norms == 0.0):
-        raise InvalidArgument("xi grid must exclude 0")
-    psi = symbol_array(measure, xi_grid)
-    return float(np.max(np.abs(psi) / norms ** alpha))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from scipy.integrate import cumulative_simpson
 from . import levy
 from .errors import ConsistencyFailure, InvalidArgument
 from .fieldgrid import (GridField, apply_multiplier, coarsen_samples,
-                        forward, inverse, lp_norm, refine, resolve,
+                        forward, inverse, refine, resolve,
                         spectral_points)
 
 COMMUTATOR_TOL = 1e-6
@@ -35,11 +35,10 @@ MULTIPLIER_CACHE_SIZE = 16
 @dataclass(frozen=True)
 class OperatorRoute:
     """How to apply L^nu: exact symbol multiplier, or compensated quadrature
-    with ``radial_nodes`` log-spaced radii up to ``truncation_radius``."""
+    with ``radial_nodes`` log-spaced radii up to half the box side L/2."""
 
     variant: str                          # "multiplier" | "quadrature"
     radial_nodes: int = 0
-    truncation_radius: float = 0.0        # 0 -> L/2 at application time
 
     def __post_init__(self):
         if self.variant not in ("multiplier", "quadrature"):
@@ -52,9 +51,8 @@ class OperatorRoute:
         return cls("multiplier")
 
     @classmethod
-    def quadrature(cls, radial_nodes: int = 512,
-                   truncation_radius: float = 0.0) -> "OperatorRoute":
-        return cls("quadrature", radial_nodes, truncation_radius)
+    def quadrature(cls, radial_nodes: int = 512) -> "OperatorRoute":
+        return cls("quadrature", radial_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -143,13 +141,13 @@ def _oscillatory_tail_profile(alpha: float):
     return v_ext, g_ext, h_ext
 
 
-def _tail_multiplier(measure, grid, route, xi):
-    """Analytic correction for jumps beyond the truncation radius R:
+def _tail_multiplier(measure, grid, xi):
+    """Analytic correction for jumps beyond the truncation radius R = L/2:
     per direction, int_R^inf (e^{i s r} - 1 - comp) r^{-1-alpha} dr with the
     density (if any) frozen at R theta, at frequencies xi (n, dim).
     Diagonal in frequency."""
     alpha = measure.alpha
-    r_max = route.truncation_radius or grid.side_length / 2.0
+    r_max = grid.side_length / 2.0
     dirs, dir_wts = _direction_rule(measure)
     v_tab, g_tab, h_tab = _oscillatory_tail_profile(alpha)
     mult = np.zeros(xi.shape[:-1], dtype=complex)
@@ -173,7 +171,7 @@ def _quadrature_multiplier(measure, grid, route, xi):
     alpha = measure.alpha
     h = grid.spacing
     r_min = h / 2.0
-    r_max = route.truncation_radius or grid.side_length / 2.0
+    r_max = grid.side_length / 2.0
     if r_max < h:
         raise InvalidArgument("truncation radius below grid spacing")
     if alpha == 1.0 and r_max < 1.0:
@@ -232,22 +230,8 @@ def _quadrature_multiplier(measure, grid, route, xi):
         mult += acc
     # jumps beyond the truncation radius (includes the alpha > 1
     # compensation tail), diagonal in frequency
-    mult += _tail_multiplier(measure, grid, route, xi)
+    mult += _tail_multiplier(measure, grid, xi)
     return mult
-
-
-def quadrature_tail_estimate(measure, field: GridField,
-                             truncation_radius: float = 0.0) -> float:
-    """Bound 2 ||f||_inf nu(B_R^c) on the dropped jump tail beyond R."""
-    r_max = truncation_radius or field.grid.side_length / 2.0
-    alpha = measure.alpha
-    if isinstance(measure, levy.StableSpectral):
-        mass = measure.sigma.mass
-    elif isinstance(measure, levy.DensityKernel):
-        mass = measure.c2 * levy._sphere_area(measure.dim)
-    else:
-        raise InvalidArgument(f"unknown measure type {type(measure)!r}")
-    return 2.0 * lp_norm(field, np.inf) * mass * r_max ** (-alpha) / alpha
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +264,11 @@ def apply(measure, field: GridField,
 def adjoint_apply(measure, field: GridField,
                   route: OperatorRoute = OperatorRoute.multiplier()) -> GridField:
     """L^{nu*} f = L^{nu(-)} f (reflected measure), so that
-    <L f, g> = <f, L* g> on the grid."""
-    return apply(measure.reflected(), field, route)
+    <L f, g> = <f, L* g> on the grid.  A symmetric measure is its own
+    reflection, so it keeps its own multiplier-cache entry."""
+    if not measure.is_symmetric:
+        measure = measure.reflected()
+    return apply(measure, field, route)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +321,7 @@ def _direct_commutator(measure, f, zeta, route):
     alpha = measure.alpha
     h = g.spacing
     r_min = h / 2.0
-    r_max = route.truncation_radius or g.side_length / 2.0
+    r_max = g.side_length / 2.0
     dirs, dir_wts = _direction_rule(measure)
     radii, rad_wts = _radial_rule(alpha, r_min, r_max, route.radial_nodes)
 
@@ -374,7 +361,7 @@ def _direct_commutator(measure, f, zeta, route):
     # Delta(f zeta) - (Delta f) zeta - f (Delta zeta) and apply the same
     # analytic tail correction as the composed route (exact cancellation of
     # the shared approximation in the consistency comparison)
-    tail = _tail_multiplier(measure, g, route, xi)
+    tail = _tail_multiplier(measure, g, xi)
     p_hat = forward(GridField(g, f.values * zeta.values))
     t_p, t_f, t_z = (spatial(co, tail) for co in (p_hat, f_hat, z_hat))
     out += t_p - t_f * zeta.values - f.values * t_z

@@ -99,20 +99,6 @@ def test_bessel_norm_single_mode_closed_form():
         (1 + 9.0) ** (alpha / 2) * fg.lp_norm(f, 2), rel=1e-10)
 
 
-def test_seminorms_vanish_on_constants():
-    g = Grid(1, 64, 2 * np.pi)
-    c = GridField(g, np.full((1, 64), 2.5))
-    assert fg.slobodeckij_norm(c, 0.5, 2) == pytest.approx(
-        fg.lp_norm(c, 2), rel=1e-12)
-    assert fg.holder_norm(c, 0.5) == pytest.approx(2.5, rel=1e-12)
-
-
-def test_holder_norm_lipschitz_mode():
-    # |sin x - sin y| <= |x-y|, so the beta=1 seminorm is at most 1
-    f = _sin_field(256)
-    assert 1.0 <= fg.holder_norm(f, 1.0) <= 2.0 + 1e-9
-
-
 # ---------------------------------------------------------------------------
 # transforms
 # ---------------------------------------------------------------------------

@@ -168,9 +168,9 @@ def test_symbol_nondegeneracy_sandwich(measure):
     xi = dirs * rng.uniform(0.5, 30, size=(60, 1))
     norms = np.linalg.norm(xi, axis=-1)
     lower = levy.nondegeneracy_of(measure)
-    # by homogeneity the upper constant fitted on unit frequencies bounds
-    # |psi| at every radius
-    upper = levy.symbol_upper_constant(measure, measure.alpha, dirs)
+    # by homogeneity the sup of |psi| over unit frequencies bounds
+    # |psi| / |xi|^alpha at every radius
+    upper = float(np.max(np.abs(levy.symbol_array(measure, dirs))))
     assert lower > 0
     psi = levy.symbol_array(measure, xi)
     if measure.alpha != 1.0 or measure.is_symmetric:
@@ -248,16 +248,20 @@ def test_nondegeneracy_of_three_axes_is_exact(alpha):
         2.0 * levy.radial_cosine_constant(alpha), rel=1e-12)
 
 
-@pytest.mark.parametrize("alpha, rel", [(0.7, 1e-9), (1.5, 1e-2)])
+GENERIC_DIRS_3D = [[0.169, 0.969, -0.179], [-0.747, 0.471, 0.47],
+                   [-0.255, -0.928, 0.272]]
+GENERIC_WTS_3D = [0.69, 0.357, 0.344]
+
+
+@pytest.mark.parametrize("alpha, rel", [(0.7, 1e-9), (1.5, 1e-8)])
 def test_nondegeneracy_3d_against_local_minimisation(alpha, rel):
     # three generic +/- pairs: kappa_1 / c_alpha against the least
     # projection moment found from 8 Nelder-Mead starts
-    d = np.array([[0.169, 0.969, -0.179], [-0.747, 0.471, 0.47],
-                  [-0.255, -0.928, 0.272]])
+    d = np.array(GENERIC_DIRS_3D)
     d /= np.linalg.norm(d, axis=1, keepdims=True)
     sigma = levy.SphericalMeasure.discrete(
         [(tuple(s * x), w) for s in (1.0, -1.0)
-         for x, w in zip(d, (0.69, 0.357, 0.344))])
+         for x, w in zip(d, GENERIC_WTS_3D)])
     dirs, wts = sigma.atom_arrays()
 
     def moment(v):
@@ -270,6 +274,84 @@ def test_nondegeneracy_3d_against_local_minimisation(alpha, rel):
     kappa = (levy.nondegeneracy_constant(sigma, alpha)
              / levy.radial_cosine_constant(alpha))
     assert best * (1 - 1e-9) <= kappa <= best * (1 + rel)
+
+
+def _pairs(dirs, wts):
+    """Lines (n, dim) with their weights, and the +/- atoms of weight w."""
+    dirs = np.asarray(dirs, dtype=float)
+    dirs = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+    atoms = [(tuple(s * d), w) for s in (1.0, -1.0) for d, w in zip(dirs, wts)]
+    return dirs, 2.0 * np.asarray(wts), atoms
+
+
+def _on_circle(angles):
+    angles = np.asarray(angles, dtype=float)
+    return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+
+
+def _kappa_cases():
+    cases = {"3d-generic": _pairs(GENERIC_DIRS_3D, GENERIC_WTS_3D)}
+    rng = np.random.default_rng(3)
+    for k in range(5):
+        cases[f"3d-random{k}"] = _pairs(rng.normal(size=(3, 3)),
+                                        rng.uniform(0.2, 1.0, size=3))
+    cases["2d-two-pairs"] = _pairs(_on_circle([0.3, 1.1]), (0.6, 0.4))
+    cases["2d-three-pairs"] = _pairs(_on_circle([0.3, 1.1, 2.0]),
+                                     (0.6, 0.4, 0.5))
+    dirs = _on_circle(0.4 + np.arange(3) * (2.0 * np.pi / 3.0))
+    wts = np.array([0.35, 0.6, 0.45])
+    cases["2d-three-atoms"] = (dirs, wts, list(zip(map(tuple, dirs), wts)))
+    return cases
+
+
+KAPPA_CASES = _kappa_cases()
+
+
+def _vertex_values(lines, weights, alpha):
+    """The moment at each cell vertex, the lines through it left out."""
+    if lines.shape[1] == 2:
+        verts = [(np.array([-l[1], l[0]]), {k}) for k, l in enumerate(lines)]
+    else:
+        verts = []
+        for a in range(len(lines)):
+            for b in range(a + 1, len(lines)):
+                v = np.cross(lines[a], lines[b])
+                verts.append((v / np.linalg.norm(v), {a, b}))
+    return [sum(w * abs(v @ l) ** alpha for k, (l, w)
+                in enumerate(zip(lines, weights)) if k not in on)
+            for v, on in verts]
+
+
+def _nelder_mead_minimum(lines, weights, alpha, starts=32):
+    """Least moment from Nelder-Mead in spherical angles."""
+    def unit(t):
+        if len(t) == 1:
+            return np.array([np.cos(t[0]), np.sin(t[0])])
+        return np.array([np.sin(t[0]) * np.cos(t[1]),
+                         np.sin(t[0]) * np.sin(t[1]), np.cos(t[0])])
+
+    def moment(t):
+        return np.sum(weights * np.abs(lines @ unit(t)) ** alpha)
+
+    x0s = np.random.default_rng(0).uniform(0.0, np.pi,
+                                           size=(starts, lines.shape[1] - 1))
+    return min(minimize(moment, x0, method="Nelder-Mead",
+                        options={"xatol": 1e-12, "fatol": 1e-15}).fun
+               for x0 in x0s)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0, 1.5, 1.9])
+@pytest.mark.parametrize("case", list(KAPPA_CASES))
+def test_nondegeneracy_against_vertices_and_nelder_mead(case, alpha):
+    # kappa_1 / c_alpha is the least projection moment: for alpha <= 1 a
+    # cell vertex value, for alpha > 1 possibly inside a cell
+    lines, weights, atoms = KAPPA_CASES[case]
+    sigma = levy.SphericalMeasure.discrete(atoms)
+    best = min(min(_vertex_values(lines, weights, alpha)),
+               _nelder_mead_minimum(lines, weights, alpha))
+    kappa = (levy.nondegeneracy_constant(sigma, alpha)
+             / levy.radial_cosine_constant(alpha))
+    assert kappa == pytest.approx(best, rel=1e-8)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])

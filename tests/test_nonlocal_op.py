@@ -121,6 +121,20 @@ def test_adjoint_pairing():
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
+@pytest.mark.parametrize("measure", [
+    levy.DensityKernel(1.5, 1, lambda y: np.full(np.asarray(y).shape[:-1], 1.0),
+                       1.0, 1.0),
+    levy.DirectSumAxes(1.5, (0.4, 1.1))], ids=["constant-density", "axes"])
+def test_adjoint_of_symmetric_measure_is_apply(measure):
+    # nu* = nu: the adjoint reuses the cached multiplier of nu itself
+    g = Grid(measure.dim, 64, 10.0)
+    f = _bump(g, [5.0] * measure.dim)
+    out = apply(measure, f)
+    misses = nonlocal_op.multiplier.cache_info().misses
+    np.testing.assert_array_equal(adjoint_apply(measure, f).values, out.values)
+    assert nonlocal_op.multiplier.cache_info().misses == misses
+
+
 def test_translation_equivariance():
     m = _iso1d(alpha=1.3)
     g = Grid(1, 128, 10.0)
@@ -161,12 +175,3 @@ def test_commutator_defect_requires_quadrature_route():
     f = _bump(g, [5.0])
     with pytest.raises(InvalidArgument):
         nonlocal_op.commutator_defect(m, f, f, OperatorRoute.multiplier())
-
-
-def test_tail_estimate_monotone_in_radius():
-    m = _iso1d(alpha=0.5, mass=1.0)
-    g = Grid(1, 128, 40.0)
-    f = _bump(g, [20.0])
-    t1 = nonlocal_op.quadrature_tail_estimate(m, f, truncation_radius=5.0)
-    t2 = nonlocal_op.quadrature_tail_estimate(m, f, truncation_radius=10.0)
-    assert t1 > t2 > 0
