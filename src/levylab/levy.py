@@ -32,6 +32,7 @@ from .errors import InvalidArgument, QuadratureFailure
 
 EULER_GAMMA = 0.5772156649015328606
 DENSITY_FREQ_CHUNK = 64      # frequencies per block of the density quadrature
+NONDEGENERACY_CACHE_SIZE = 16
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +255,20 @@ class DensityKernel:
         return self.symmetric
 
     def reflected(self) -> "DensityKernel":
-        inner = self.a
-        return DensityKernel(self.alpha, self.dim, lambda y: inner(-np.asarray(y)),
+        return DensityKernel(self.alpha, self.dim, _Reflected(self.a),
                              self.c1, self.c2, self.symmetric,
                              a_name=self.a_name + "(-)" if self.a_name else "")
+
+
+@dataclass(frozen=True)
+class _Reflected:
+    """y -> inner(-y); equal (and hashing equal) whenever the inner
+    densities are, so a reflected measure is one multiplier-cache key."""
+
+    inner: object
+
+    def __call__(self, y):
+        return self.inner(-np.asarray(y))
 
 
 def DirectSumAxes(alpha: float, weights) -> StableSpectral:
@@ -584,8 +595,10 @@ def _polish(p, lines, lw, alpha):
                           method="BFGS").fun)
 
 
+@lru_cache(maxsize=NONDEGENERACY_CACHE_SIZE)
 def nondegeneracy_of(measure) -> float:
-    """kappa_1 for the stable lower bound of a measure (0 if degenerate)."""
+    """kappa_1 for the stable lower bound of a measure (0 if degenerate),
+    cached per (frozen) measure."""
     if isinstance(measure, StableSpectral):
         return nondegeneracy_constant(measure.sigma, measure.alpha)
     if isinstance(measure, DensityKernel):

@@ -4,10 +4,11 @@
 * Quadrature route: compensated node sums over spherical directions times
   log-spaced radii.  Each node displaces the field by r*theta, which on a
   periodic grid is an exact spectral phase shift; the node sums are therefore
-  accumulated as a quadrature-built multiplier.  The singular region
-  r < h/2 is handled by a second-order Taylor expansion with spectral
-  derivatives, and for alpha > 1 the compensation tail beyond the truncation
-  radius is added analytically.
+  a quadrature-built multiplier, assembled at every frequency at once by the
+  type-1 NUFFT of ``fieldgrid``.  The singular region r < h/2 is handled by
+  a Taylor expansion to fourth order with spectral derivatives, and the
+  jumps beyond the truncation radius (for alpha > 1 with their
+  compensation) are added analytically.
 
 The two routes share no symbol formulas, so their agreement cross-validates
 both implementations.
@@ -25,11 +26,12 @@ from scipy.integrate import cumulative_simpson
 from . import levy
 from .errors import ConsistencyFailure, InvalidArgument
 from .fieldgrid import (GridField, apply_multiplier, coarsen_samples,
-                        forward, inverse, refine, resolve,
+                        forward, inverse, nufft_type1, refine, resolve,
                         spectral_points)
 
 COMMUTATOR_TOL = 1e-6
 MULTIPLIER_CACHE_SIZE = 16
+TAIL_PROFILE_CACHE_SIZE = 8         # profiles of ~340 KB, one per alpha
 
 
 @dataclass(frozen=True)
@@ -98,7 +100,7 @@ def _radial_rule(alpha: float, r_min: float, r_max: float, n_nodes: int):
     return r, w
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TAIL_PROFILE_CACHE_SIZE)
 def _oscillatory_tail_profile(alpha: float):
     """Regularized tail profiles on a dense grid, extended through v = 0.
 
@@ -166,8 +168,10 @@ def _tail_multiplier(measure, grid, xi):
 
 
 def _quadrature_multiplier(measure, grid, route, xi):
-    """-psi_quadrature at frequencies xi (n, dim), built from compensated
-    node sums on the grid's scales (no closed-form symbol involved)."""
+    """-psi_quadrature at lattice frequencies xi (n, dim), built from
+    compensated node sums on the grid's scales (no closed-form symbol
+    involved).  The nodes y = r theta, weights c and frequencies make the
+    sum of c (e^{i xi.y} - 1 - i xi.y 1_comp) one type-1 NUFFT."""
     alpha = measure.alpha
     h = grid.spacing
     r_min = h / 2.0
@@ -179,59 +183,42 @@ def _quadrature_multiplier(measure, grid, route, xi):
                               "(unit-ball compensation)")
     dirs, dir_wts = _direction_rule(measure)
     radii, rad_wts = _radial_rule(alpha, r_min, r_max, route.radial_nodes)
-    if alpha > 1.0:
-        comp = np.ones_like(radii, dtype=bool)
-    elif alpha == 1.0:
-        comp = radii <= 1.0
-    else:
-        comp = np.zeros_like(radii, dtype=bool)
-
-    mult = np.zeros(xi.shape[:-1], dtype=complex)
-    is_density = isinstance(measure, levy.DensityKernel)
     paired = levy.antipodal_pairs(dirs, dir_wts) if measure.is_symmetric else None
     if paired is not None:
-        # symmetric fast path: the +/- pair sums to 2 (cos(s r) - 1), the
-        # odd compensation and first-order terms cancel exactly
+        # symmetric: each +/- pair sums to 2 (cos(xi.y) - 1); the odd
+        # compensation and Taylor orders cancel, so only the real part stays
         dirs, dir_wts = paired[0], 2.0 * paired[1]
-    chunk = 64
-    for theta, wt in zip(dirs, dir_wts):
-        s = xi @ theta                                          # (*shape)
-        node_w = wt * rad_wts
-        if is_density:
-            node_w = node_w * measure._eval_a(radii[:, None] * theta)
-        a0 = float(measure._eval_a(r_min * theta)) if is_density else 1.0
-        if paired is not None:
-            acc = np.zeros(xi.shape[:-1])
-            for k0 in range(0, len(radii), chunk):
-                r_c = radii[k0:k0 + chunk]
-                term = np.cos(s[..., None] * r_c) - 1.0
-                acc += term @ node_w[k0:k0 + chunk]
-            # singular region r < h/2: even Taylor orders (odd cancel in
-            # the +/- pair): sum_k (is)^k r_min^{k-a} / (k! (k-a))
-            for k in (2, 4):
-                acc += (wt * a0) * ((1j * s) ** k).real \
-                    * r_min ** (k - alpha) / (math.factorial(k) * (k - alpha))
-            mult += acc
-            continue
-        acc = np.zeros(xi.shape[:-1], dtype=complex)
-        for k0 in range(0, len(radii), chunk):
-            r_c = radii[k0:k0 + chunk]
-            w_c = node_w[k0:k0 + chunk]
-            c_c = comp[k0:k0 + chunk]
-            phase = np.exp(1j * s[..., None] * r_c)             # f(x + r theta)
-            term = phase - 1.0 - np.where(c_c, 1.0, 0.0) * (1j * s[..., None] * r_c)
-            acc += term @ w_c
-        # singular region r < h/2 by Taylor with spectral derivatives:
-        # sum_k (is)^k r_min^{k-a} / (k! (k-a)); k=1 only when uncompensated
-        orders = (2, 3, 4) if alpha >= 1.0 else (1, 2, 3, 4)
-        for k in orders:
-            acc += (wt * a0) * (1j * s) ** k \
-                * r_min ** (k - alpha) / (math.factorial(k) * (k - alpha))
-        mult += acc
+    is_density = isinstance(measure, levy.DensityKernel)
+
+    nodes = (dirs[:, None, :] * radii[:, None]).reshape(-1, measure.dim)
+    weights = (dir_wts[:, None] * rad_wts).ravel()
+    if is_density:
+        weights = weights * measure._eval_a(nodes)
+    mult = nufft_type1(grid.side_length, nodes, weights, xi) - weights.sum()
+    # first-order compensation: every radius for alpha > 1, r <= 1 for
+    # alpha = 1, none for alpha < 1
+    comp_radius = np.inf if alpha > 1.0 else (1.0 if alpha == 1.0 else 0.0)
+    comp = np.tile(radii <= comp_radius, len(dirs))
+    mult -= 1j * (xi @ ((weights * comp) @ nodes))
+
+    # singular region r < h/2 by Taylor with spectral derivatives:
+    # sum_k (i xi.theta)^k r_min^{k-a} / (k! (k-a)); k = 1 only when
+    # uncompensated.  The sum over directions of w (xi.theta)^k is the
+    # contraction of xi^{(x)k} with the moment tensor sum w theta^{(x)k}.
+    a0 = measure._eval_a(r_min * dirs) if is_density else 1.0
+    xi_pow = np.ones((len(xi), 1))                 # xi^{(x)k}, flattened
+    moment = (dir_wts * a0)[:, None]               # w theta^{(x)k}, flattened
+    for k in range(1, 5):
+        xi_pow = (xi_pow[:, :, None] * xi[:, None, :]).reshape(len(xi), -1)
+        moment = (moment[:, :, None] * dirs[:, None, :]).reshape(len(dirs), -1)
+        if k >= 2 or alpha < 1.0:
+            mult += (1j ** k * r_min ** (k - alpha) / (
+                math.factorial(k) * (k - alpha))) * (xi_pow @ moment.sum(axis=0))
+    if paired is not None:
+        mult = mult.real
     # jumps beyond the truncation radius (includes the alpha > 1
     # compensation tail), diagonal in frequency
-    mult += _tail_multiplier(measure, grid, xi)
-    return mult
+    return mult + _tail_multiplier(measure, grid, xi)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,27 @@ def _iso1d(mass=2.0 / np.pi, alpha=1.0):
 # kernels
 # ---------------------------------------------------------------------------
 
+def test_kernel_computes_kappa_once_per_measure(monkeypatch):
+    calls = []
+    constant = levy.nondegeneracy_constant
+
+    def counted(sigma, alpha):
+        calls.append(alpha)
+        return constant(sigma, alpha)
+
+    monkeypatch.setattr(levy, "nondegeneracy_constant", counted)
+    m = levy.StableSpectral(1.5, levy.SphericalMeasure.discrete(
+        [((1.0, 0.0), 0.7), ((0.6, 0.8), 0.45), ((-0.28, -0.96), 0.9)]))
+    g = Grid(2, 64, 40.0)
+    first = kernel(m, 1.0, g)
+    again = [kernel(m, 1.0, g) for _ in range(3)]
+    assert len(calls) == 1
+    for p in again:
+        np.testing.assert_array_equal(p.values, first.values)
+    assert levy.nondegeneracy_of(m) == levy.nondegeneracy_of.__wrapped__(m)
+    assert len(calls) == 2                  # the uncached call above
+
+
 def test_kernel_mass_and_positivity():
     g = Grid(1, 512, 100.0)
     p = kernel(_iso1d(), 1.0, g)

@@ -1,12 +1,17 @@
 """Nonlocal operator tests: eigenfunction exactness, route agreement,
-adjointness, translation equivariance, and the commutator identity."""
+the NUFFT-assembled quadrature against a direct node sum, adjointness,
+translation equivariance, and the commutator identity."""
+
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from levylab import levy, nonlocal_op
 from levylab.errors import ConsistencyFailure, InvalidArgument
-from levylab.fieldgrid import Grid, GridField, forward, lp_norm
+from levylab.fieldgrid import (Grid, GridField, forward, lp_norm, nufft_type1,
+                               spectral_points)
 from levylab.nonlocal_op import OperatorRoute, adjoint_apply, apply
 
 
@@ -105,6 +110,110 @@ def test_quadrature_matches_multiplier_2d_axes():
 
 
 # ---------------------------------------------------------------------------
+# quadrature multiplier against the direct node sum
+# ---------------------------------------------------------------------------
+
+def _direct_quadrature(measure, grid, route, xi):
+    """The quadrature multiplier as one cos/exp sum per direction, unpaired."""
+    alpha, r_min = measure.alpha, grid.spacing / 2.0
+    dirs, wts = nonlocal_op._direction_rule(measure)
+    radii, rad_w = nonlocal_op._radial_rule(alpha, r_min, grid.side_length / 2.0,
+                                            route.radial_nodes)
+    comp = radii <= (np.inf if alpha > 1 else (1.0 if alpha == 1 else 0.0))
+    density = isinstance(measure, levy.DensityKernel)
+    out = nonlocal_op._tail_multiplier(measure, grid, xi)
+    for theta, wt in zip(dirs, wts):
+        s = xi @ theta
+        sr = np.outer(s, radii)
+        a = measure._eval_a(radii[:, None] * theta) if density else 1.0
+        out += (np.exp(1j * sr) - 1.0 - 1j * sr * comp) @ (wt * rad_w * a)
+        a0 = float(measure._eval_a(r_min * theta)) if density else 1.0
+        for k in range(1 if alpha < 1 else 2, 5):
+            out += wt * a0 * (1j * s) ** k * r_min ** (k - alpha) / (
+                math.factorial(k) * (k - alpha))
+    return out
+
+
+def _skew_density(alpha):
+    return levy.DensityKernel(alpha, 1, lambda y: 1.0 + 0.5 * np.tanh(y[..., 0]),
+                              0.5, 1.5, symmetric=False)
+
+
+_SKEW_ATOMS = {      # non-symmetric; in d = 2 one +/- pair of unequal weight
+    1: [((1.0,), 0.7), ((-1.0,), 0.2)],
+    2: [((1.0, 0.0), 0.7), ((0.6, -0.8), 0.4), ((-0.6, 0.8), 0.9)],
+    3: [((1.0, 0.0, 0.0), 0.7), ((0.6, -0.8, 0.0), 0.4), ((-0.6, 0.0, 0.8), 0.9)],
+}
+_NUFFT_MEASURES = {
+    "isotropic": lambda a, d: levy.StableSpectral(
+        a, levy.SphericalMeasure.isotropic(d, 1.3)),
+    "atoms": lambda a, d: levy.StableSpectral(
+        a, levy.SphericalMeasure.discrete(_SKEW_ATOMS[d])),
+    "axes": lambda a, d: levy.DirectSumAxes(a, (0.7, 0.3, 0.5)[:d]),
+}
+_NUFFT_CASES = [(fam, d) for fam in _NUFFT_MEASURES for d in (1, 2, 3)] + [
+    ("density", 1)]
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("family,dim", _NUFFT_CASES)
+def test_quadrature_multiplier_matches_direct_sum(family, dim, alpha):
+    measure = (_skew_density(alpha) if family == "density"
+               else _NUFFT_MEASURES[family](alpha, dim))
+    g = Grid(dim, {1: 64, 2: 16, 3: 8}[dim], 10.0)
+    route = OperatorRoute.quadrature(512 if dim < 3 else 40)
+    xi = spectral_points(g)
+    got = nonlocal_op._quadrature_multiplier(measure, g, route, xi)
+    want = _direct_quadrature(measure, g, route, xi)
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_nufft_rejects_frequencies_off_the_lattice():
+    nodes, weights = np.array([[0.3], [1.7]]), np.array([1.0, 2.0])
+    xi = 2 * np.pi / 10.0 * np.array([[1.0], [2.0]])
+    want = np.exp(1j * xi @ nodes.T) @ weights
+    np.testing.assert_allclose(nufft_type1(10.0, nodes, weights, xi), want,
+                               rtol=0, atol=1e-12)
+    with pytest.raises(InvalidArgument):
+        nufft_type1(10.0, nodes, weights, xi + 1e-6)
+
+
+def test_quadrature_route_never_calls_the_symbol(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature route called the closed-form symbol")
+
+    monkeypatch.setattr(levy, "symbol_array", refuse)
+    g = Grid(2, 16, 10.0)
+    for family in _NUFFT_MEASURES:
+        measure = _NUFFT_MEASURES[family](1.5, 2)
+        nonlocal_op._quadrature_multiplier(measure, g, OperatorRoute.quadrature(),
+                                           spectral_points(g))
+
+
+def test_quadrature_multiplier_memory_is_bounded():
+    g = Grid(2, 64, 40.0)
+    m = levy.StableSpectral(1.5, levy.SphericalMeasure.isotropic(2, 1.0))
+    xi = spectral_points(g)
+    nonlocal_op._oscillatory_tail_profile(1.5)            # cached table
+    tracemalloc.start()
+    try:
+        nonlocal_op._quadrature_multiplier(m, g, OperatorRoute.quadrature(), xi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
+def test_tail_profile_cache_is_bounded():
+    bound = nonlocal_op.TAIL_PROFILE_CACHE_SIZE
+    for alpha in np.linspace(0.2, 1.9, bound + 4):
+        nonlocal_op._oscillatory_tail_profile(float(alpha))
+        info = nonlocal_op._oscillatory_tail_profile.cache_info()
+        assert info.currsize <= bound
+    assert info.maxsize == bound
+
+
+# ---------------------------------------------------------------------------
 # structural identities
 # ---------------------------------------------------------------------------
 
@@ -133,6 +242,19 @@ def test_adjoint_of_symmetric_measure_is_apply(measure):
     misses = nonlocal_op.multiplier.cache_info().misses
     np.testing.assert_array_equal(adjoint_apply(measure, f).values, out.values)
     assert nonlocal_op.multiplier.cache_info().misses == misses
+
+
+def test_adjoint_of_skew_density_reuses_its_multiplier():
+    # the reflected density is one cache key however often it is built
+    m = _skew_density(1.5)
+    g = Grid(1, 64, 10.0)
+    f = _bump(g, [5.0])
+    misses = nonlocal_op.multiplier.cache_info().misses
+    outs = [adjoint_apply(m, f).values for _ in range(3)]
+    assert nonlocal_op.multiplier.cache_info().misses == misses + 1
+    np.testing.assert_array_equal(outs[0], outs[2])
+    assert m.reflected() == m.reflected()
+    assert m.reflected().a(np.array([[0.7]])) == m.a(np.array([[-0.7]]))
 
 
 def test_translation_equivariance():
@@ -165,6 +287,16 @@ def test_commutator_defect_consistency():
     f = _bump(g, [9.0], width=1.5)
     zeta = _bump(g, [11.0], width=2.0)
     defect = nonlocal_op.commutator_defect(m, f, zeta)
+    assert defect.grid == g
+    assert lp_norm(defect, 2) > 1e-6
+
+
+def test_commutator_defect_consistency_2d_skew_atoms():
+    m = _NUFFT_MEASURES["atoms"](1.5, 2)
+    g = Grid(2, 16, 10.0)
+    f = _bump(g, [4.5, 5.0], width=1.5)
+    zeta = _bump(g, [5.5, 5.5], width=2.0)
+    defect = nonlocal_op.commutator_defect(m, f, zeta, OperatorRoute.quadrature(40))
     assert defect.grid == g
     assert lp_norm(defect, 2) > 1e-6
 
