@@ -235,6 +235,14 @@ NUFFT_BETA = 2.30 * NUFFT_WIDTH   # exponential-of-semicircle shape parameter
 NUFFT_BLOCK = 1 << 16             # (node, kernel point) pairs per spreading block
 
 
+@lru_cache(maxsize=16)
+def gauss_legendre(n: int):
+    """The n-point Gauss-Legendre nodes and weights on [-1, 1], read-only."""
+    z, w = np.polynomial.legendre.leggauss(n)
+    z.flags.writeable = w.flags.writeable = False
+    return z, w
+
+
 def _es_kernel(z):
     """exp(beta (sqrt(1 - z^2) - 1)) on [-1, 1]."""
     return np.exp(NUFFT_BETA * (np.sqrt(np.maximum(1.0 - z * z, 0.0)) - 1.0))
@@ -290,7 +298,7 @@ def nufft_type1(side_length: float, nodes, weights, xi) -> np.ndarray:
 
     # deconvolve: the kernel's transform at mode k is
     # w int_0^1 phi(z) cos(pi w k z / n_f) dz, by Gauss-Legendre
-    z, zw = np.polynomial.legendre.leggauss(4 * w)
+    z, zw = gauss_legendre(4 * w)
     z, zw = 0.5 * (z + 1.0), 0.5 * zw
     phi_hat = w * np.cos(np.outer(np.arange(k_max + 1), z)
                          * (np.pi * w / n_f)) @ (zw * _es_kernel(z))

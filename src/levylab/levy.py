@@ -29,6 +29,7 @@ from scipy.optimize import minimize, minimize_scalar
 from scipy.special import gamma as Gamma
 
 from .errors import InvalidArgument, QuadratureFailure
+from .fieldgrid import gauss_legendre
 
 EULER_GAMMA = 0.5772156649015328606
 DENSITY_FREQ_CHUNK = 64      # frequencies per block of the density quadrature
@@ -350,7 +351,7 @@ def _sphere_rule(dim: int, n: int):
         return dirs, np.full(2 * m, math.pi / m)
     # dim == 3: Gauss-Legendre in cos(polar) x uniform azimuth, upper
     # hemisphere mirrored so +/- pairs are exact bitwise
-    z, wz = np.polynomial.legendre.leggauss(2 * n)
+    z, wz = gauss_legendre(2 * n)
     keep = z > 0
     z, wz = z[keep], wz[keep]
     phi = (np.arange(2 * n) + 0.5) * (math.pi / n)
@@ -371,8 +372,9 @@ def _symbol_density(measure: DensityKernel, xi):
     [u_min, U], the origin is handled by Taylor compensation and the tail
     beyond U by a two-term integration-by-parts asymptotic with a frozen at
     the last node.  Panels are refined until the relative change is < 1e-8.
+    Per direction, blocks of DENSITY_FREQ_CHUNK frequencies with xi.theta
+    != 0 write their radii and points into two buffers that all reuse.
     """
-    alpha = measure.alpha
     flat = xi.reshape(-1, measure.dim)
     # the angular error dominates for dim >= 2
     dirs, dir_wts = _sphere_rule(measure.dim, {1: 2, 2: 64, 3: 16}[measure.dim])
@@ -391,13 +393,6 @@ def _symbol_density(measure: DensityKernel, xi):
 
 
 def _density_quad_once(measure, flat, dirs, dir_wts, panels_per_decade):
-    if flat.shape[0] > DENSITY_FREQ_CHUNK:
-        # blocks of frequencies bound the (frequencies x nodes) work arrays;
-        # every sum runs per frequency, so blocking leaves psi unchanged
-        return np.concatenate([
-            _density_quad_once(measure, flat[k0:k0 + DENSITY_FREQ_CHUNK],
-                               dirs, dir_wts, panels_per_decade)
-            for k0 in range(0, flat.shape[0], DENSITY_FREQ_CHUNK)])
     alpha = measure.alpha
     u_min, u_max = 1e-6, 300.0
     # log-spaced panel edges with u = 1 always an edge (the alpha = 1
@@ -407,70 +402,57 @@ def _density_quad_once(measure, flat, dirs, dir_wts, panels_per_decade):
     edges = np.concatenate([
         np.exp(np.linspace(math.log(u_min), 0.0, n_lo + 1)),
         np.exp(np.linspace(0.0, math.log(u_max), n_hi + 1))[1:]])
-    gx, gw = np.polynomial.legendre.leggauss(10)
+    gx, gw = gauss_legendre(10)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     u = (mid[:, None] + half[:, None] * gx[None, :]).ravel()     # (n_u,)
-    wu = (half[:, None] * gw[None, :]).ravel()
+    ker = u ** (-1.0 - alpha) * (half[:, None] * gw[None, :]).ravel()
+    sin_u, cos_u = math.sin(u_max), math.cos(u_max)
+
+    # even part 1 - cos u.  Odd part with the sign of s factored out:
+    # sr 1_comp - sin(sr) = sign(s) * (u 1_comp - sin u); for alpha = 1 the
+    # cutoff r <= 1 (i.e. u <= |s|) is recast as a fixed jump at u = 1
+    # plus the smooth correction int_1^|s| a(u theta/|s|)/u du
+    comp_radius = np.inf if alpha > 1.0 else (1.0 if alpha == 1.0 else 0.0)
+    even = (1.0 - np.cos(u)) * ker
+    odd = (np.where(u <= comp_radius, u, 0.0) - np.sin(u)) * ker
+    # origin, a frozen at the first node: 1 - cos u ~ u^2/2, and the odd
+    # integrand ~ u^3/6 compensated (alpha >= 1, negligible) or -sin u ~ -u
+    even_origin = u_min ** (2.0 - alpha) / (2.0 * (2.0 - alpha))
+    odd_origin = (u_min ** (3.0 - alpha) / (6.0 * (3.0 - alpha)) if alpha >= 1.0
+                  else -u_min ** (1.0 - alpha) / (1.0 - alpha))
+    # tail beyond U, a frozen at the last node, by integration by parts;
+    # for alpha > 1 plus the compensation tail int_U^inf u^{-a} du
+    even_tail = (u_max ** (-alpha) / alpha + sin_u * u_max ** (-1.0 - alpha)
+                 - (1.0 + alpha) * cos_u * u_max ** (-2.0 - alpha))
+    odd_tail = (-cos_u * u_max ** (-1.0 - alpha)
+                + (1.0 + alpha) * sin_u * u_max ** (-2.0 - alpha)
+                + (u_max ** (1.0 - alpha) / (alpha - 1.0) if alpha > 1.0 else 0.0))
 
     out = np.zeros(flat.shape[0], dtype=complex)
-    comp_full = alpha > 1.0
-    comp_ball = alpha == 1.0
+    rows = min(DENSITY_FREQ_CHUNK, flat.shape[0])
+    r_buf, y_buf = np.empty((rows, u.size)), np.empty((rows, u.size, flat.shape[1]))
     for theta, wt in zip(dirs, dir_wts):
         s = flat @ theta                                          # (n_xi,)
-        mag = np.abs(s)
-        sgn = np.sign(s)
-        nz = mag > 0
-        if not np.any(nz):
-            continue
-        m = mag[nz][:, None]                                      # (n_xi, 1)
-        r = u[None, :] / m                                        # radius grid
-        a_vals = measure._eval_a(r[..., None] * theta)            # (n_xi, n_u)
-        ker = u[None, :] ** (-1.0 - alpha) * wu[None, :]
-        cos_part = (1.0 - np.cos(u))[None, :]
-        re = np.sum(a_vals * cos_part * ker, axis=1)
-        # origin: 1 - cos u ~ u^2/2 below u_min, a frozen at the first node
-        a0 = a_vals[:, 0]
-        re += a0 * u_min ** (2.0 - alpha) / (2.0 * (2.0 - alpha))
-        # tail: int_U^inf a (1 - cos u) u^{-1-a} du, a frozen at the last node
-        a_inf = a_vals[:, -1]
-        re += a_inf * (u_max ** (-alpha) / alpha
-                       + math.sin(u_max) * u_max ** (-1.0 - alpha)
-                       - (1.0 + alpha) * math.cos(u_max) * u_max ** (-2.0 - alpha))
-        if measure.symmetric:
-            out[nz] += wt * mag[nz] ** alpha * re
-            continue
-        # odd part with the sign of s factored out: sr 1_comp - sin(sr)
-        # = sign(s) * (u 1_comp - sin u)
-        if comp_full:
-            odd = u[None, :] - np.sin(u)[None, :]
-        elif comp_ball:
-            # recast the cutoff r <= 1 (i.e. u <= |s|) as a fixed jump at
-            # u = 1 plus the smooth correction int_1^|s| a(u theta/|s|)/u du
-            odd = np.where(u <= 1.0, u, 0.0)[None, :] - np.sin(u)[None, :]
-        else:
-            odd = -np.sin(u)[None, :]
-        im = np.sum(a_vals * odd * ker, axis=1)
-        # origin: compensated integrand ~ u^3/6 (alpha >= 1, negligible) or
-        # uncompensated -sin u ~ -u (alpha < 1)
-        if comp_full or comp_ball:
-            im += a0 * u_min ** (3.0 - alpha) / (6.0 * (3.0 - alpha))
-        else:
-            im -= a0 * u_min ** (1.0 - alpha) / (1.0 - alpha)
-        # oscillatory tail of -sin u by integration by parts
-        im += a_inf * (-math.cos(u_max) * u_max ** (-1.0 - alpha)
-                       + (1.0 + alpha) * math.sin(u_max) * u_max ** (-2.0 - alpha))
-        if comp_full:
-            # compensation tail: int_U^inf u^{-a} du (converges, alpha > 1)
-            im += a_inf * u_max ** (1.0 - alpha) / (alpha - 1.0)
-        if comp_ball:
-            # int_1^|s| a((u/|s|) theta) du/u via v = exp((w-1) log|s|)
-            logm = np.log(m[:, 0])
-            w_nodes = 0.5 * (gx + 1.0)
-            v = np.exp((w_nodes[None, :] - 1.0) * logm[:, None])
-            a_ray = measure._eval_a(v[..., None] * theta)
-            im += logm * np.sum(a_ray * (0.5 * gw)[None, :], axis=1)
-        out[nz] += wt * mag[nz] ** alpha * (re + sgn[nz] * 1j * im)
+        nz = np.flatnonzero(s)
+        for k0 in range(0, nz.size, DENSITY_FREQ_CHUNK):
+            blk = nz[k0:k0 + DENSITY_FREQ_CHUNK]
+            mag = np.abs(s[blk])
+            r = np.divide(u, mag[:, None], out=r_buf[:blk.size])  # radius grid
+            a_vals = measure._eval_a(np.multiply(
+                r[..., None], theta, out=y_buf[:blk.size]))       # (b, n_u)
+            a0, a_inf = a_vals[:, 0], a_vals[:, -1]
+            val = a_vals @ even + a0 * even_origin + a_inf * even_tail
+            if not measure.symmetric:
+                im = a_vals @ odd + a0 * odd_origin + a_inf * odd_tail
+                if alpha == 1.0:
+                    # int_1^|s| a((u/|s|) theta) du/u via v = exp((w-1) log|s|)
+                    logm = np.log(mag)
+                    v = np.exp((0.5 * (gx + 1.0) - 1.0) * logm[:, None])
+                    im += logm * (measure._eval_a(v[..., None] * theta)
+                                  @ (0.5 * gw))
+                val = val + np.sign(s[blk]) * 1j * im
+            out[blk] += wt * mag ** alpha * val
     return out
 
 

@@ -26,12 +26,13 @@ from scipy.integrate import cumulative_simpson
 from . import levy
 from .errors import ConsistencyFailure, InvalidArgument
 from .fieldgrid import (GridField, apply_multiplier, coarsen_samples,
-                        forward, inverse, nufft_type1, refine, resolve,
-                        spectral_points)
+                        forward, gauss_legendre, inverse, nufft_type1, refine,
+                        resolve, spectral_points)
 
 COMMUTATOR_TOL = 1e-6
 MULTIPLIER_CACHE_SIZE = 16
 TAIL_PROFILE_CACHE_SIZE = 8         # profiles of ~340 KB, one per alpha
+TAIL_BLOCK = 1 << 16                # (frequency, direction) entries per tail block
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,7 @@ def _radial_rule(alpha: float, r_min: float, r_max: float, n_nodes: int):
     else:
         edges = np.exp(np.linspace(math.log(r_min), math.log(r_max),
                                    n_panels + 1))
-    gx, gw = np.polynomial.legendre.leggauss(pts_per_panel)
+    gx, gw = gauss_legendre(pts_per_panel)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     r = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
@@ -147,23 +148,30 @@ def _tail_multiplier(measure, grid, xi):
     """Analytic correction for jumps beyond the truncation radius R = L/2:
     per direction, int_R^inf (e^{i s r} - 1 - comp) r^{-1-alpha} dr with the
     density (if any) frozen at R theta, at frequencies xi (n, dim).
-    Diagonal in frequency."""
+    Diagonal in frequency.  A symmetric measure keeps one side of each +/-
+    pair (``levy.antipodal_pairs``) at doubled weight and the even part only;
+    s = xi.theta is formed TAIL_BLOCK (frequency, direction) entries at a time."""
     alpha = measure.alpha
     r_max = grid.side_length / 2.0
     dirs, dir_wts = _direction_rule(measure)
+    paired = levy.antipodal_pairs(dirs, dir_wts) if measure.is_symmetric else None
+    if paired is not None:
+        dirs, dir_wts = paired[0], 2.0 * paired[1]
+    if isinstance(measure, levy.DensityKernel):
+        dir_wts = dir_wts * measure._eval_a(r_max * dirs)
     v_tab, g_tab, h_tab = _oscillatory_tail_profile(alpha)
-    mult = np.zeros(xi.shape[:-1], dtype=complex)
-    is_density = isinstance(measure, levy.DensityKernel)
-    for theta, wt in zip(dirs, dir_wts):
-        s = xi @ theta
+    mult = np.empty(len(xi), dtype=float if paired is not None else complex)
+    per_block = max(1, TAIL_BLOCK // len(dirs))
+    for k0 in range(0, len(xi), per_block):
+        s = xi[k0:k0 + per_block] @ dirs.T
         v = np.abs(s) * r_max
         # even part: int_R^inf (cos(s r) - 1) r^{-1-alpha} dr = |s|^a G(|s| R)
         # and odd part (compensated beyond R when alpha > 1), which cancels
         # in +/- pairs: |s|^a sign(s) H(|s| R)
-        tail = np.abs(s) ** alpha * (np.interp(v, v_tab, g_tab) + 1j
-                                     * np.sign(s) * np.interp(v, v_tab, h_tab))
-        a_inf = float(measure._eval_a(r_max * theta)) if is_density else 1.0
-        mult += (wt * a_inf) * tail
+        tail = np.interp(v, v_tab, g_tab)
+        if paired is None:
+            tail = tail + 1j * np.sign(s) * np.interp(v, v_tab, h_tab)
+        mult[k0:k0 + per_block] = (np.abs(s) ** alpha * tail) @ dir_wts
     return mult
 
 

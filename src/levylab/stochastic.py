@@ -101,11 +101,13 @@ def _positive_stable(alpha_half: float, u: np.ndarray,
 
 def _normals(u: np.ndarray, d: int) -> np.ndarray:
     """d standard normals along the last axis from Box-Muller on the
-    consecutive pairs of the 2 ceil(d/2) uniforms there."""
+    consecutive pairs of the 2 ceil(d/2) uniforms there; odd d skips a sine."""
     r = np.sqrt(-2.0 * np.log1p(-u[..., 0::2]))
     theta = 2.0 * np.pi * u[..., 1::2]
-    z = np.stack((r * np.cos(theta), r * np.sin(theta)), axis=-1)
-    return z.reshape(u.shape)[..., :d]
+    z = np.empty(u.shape[:-1] + (d,))
+    z[..., 0::2] = r * np.cos(theta)
+    z[..., 1::2] = r[..., :d // 2] * np.sin(theta[..., :d // 2])
+    return z
 
 
 def _require_symmetric_stable(measure):

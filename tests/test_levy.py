@@ -188,17 +188,21 @@ def test_isotropic_alpha1_closed_form():
     np.testing.assert_allclose(psi.imag, 0.0, atol=1e-12)
 
 
-def test_density_kernel_matches_spectral():
+@pytest.mark.parametrize("alpha", [0.8, 1.0, 1.5])
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_density_kernel_matches_spectral(symmetric, alpha):
     # constant density a == 1 in d=1 equals the isotropic spectral measure
-    # with total mass 2 (two unit atoms of weight 1)
-    alpha = 0.8
+    # with total mass 2 (two unit atoms of weight 1).  75 frequencies, with
+    # xi = 0, more than one block of DENSITY_FREQ_CHUNK and a partial one;
+    # symmetric=False runs the odd part, which cancels between +/-1
     dk = levy.DensityKernel(alpha, 1, lambda y: np.ones(y.shape[:-1]),
-                            1.0, 1.0, True, a_name="constant",
+                            1.0, 1.0, symmetric, a_name="constant",
                             a_params=(("value", 1.0),))
     ss = levy.StableSpectral(alpha, levy.SphericalMeasure.isotropic(1, 2.0))
-    xi = np.array([[0.5], [3.0], [-7.0]])
+    freqs = np.fft.fftfreq(1024, 40 / 1024)
+    xi = np.concatenate([freqs[:70], freqs[-5:]])[:, None]
     np.testing.assert_allclose(levy.symbol_array(dk, xi),
-                               levy.symbol_array(ss, xi), rtol=1e-6)
+                               levy.symbol_array(ss, xi), rtol=1e-8, atol=0)
 
 
 def test_direct_sum_axes_additivity():

@@ -114,16 +114,21 @@ def test_quadrature_matches_multiplier_2d_axes():
 # ---------------------------------------------------------------------------
 
 def _direct_quadrature(measure, grid, route, xi):
-    """The quadrature multiplier as one cos/exp sum per direction, unpaired."""
-    alpha, r_min = measure.alpha, grid.spacing / 2.0
+    """The quadrature multiplier as one cos/exp sum per direction, unpaired,
+    and the tail beyond R = L/2 per direction, unpaired, with both the even
+    (G) and the odd (H) table read.  s = xi.theta comes from the same matrix
+    product as in the route: for alpha < 1 the tail's |s|^alpha turns a
+    rounding of 1e-16 in an s that should be 0 (xi normal to (0.6, -0.8))
+    into 1e-8."""
+    alpha, r_min, r_max = measure.alpha, grid.spacing / 2.0, grid.side_length / 2.0
     dirs, wts = nonlocal_op._direction_rule(measure)
-    radii, rad_w = nonlocal_op._radial_rule(alpha, r_min, grid.side_length / 2.0,
+    radii, rad_w = nonlocal_op._radial_rule(alpha, r_min, r_max,
                                             route.radial_nodes)
+    v_tab, g_tab, h_tab = nonlocal_op._oscillatory_tail_profile(alpha)
     comp = radii <= (np.inf if alpha > 1 else (1.0 if alpha == 1 else 0.0))
     density = isinstance(measure, levy.DensityKernel)
-    out = nonlocal_op._tail_multiplier(measure, grid, xi)
-    for theta, wt in zip(dirs, wts):
-        s = xi @ theta
+    out = np.zeros(len(xi), dtype=complex)
+    for theta, wt, s in zip(dirs, wts, (xi @ dirs.T).T):
         sr = np.outer(s, radii)
         a = measure._eval_a(radii[:, None] * theta) if density else 1.0
         out += (np.exp(1j * sr) - 1.0 - 1j * sr * comp) @ (wt * rad_w * a)
@@ -131,6 +136,10 @@ def _direct_quadrature(measure, grid, route, xi):
         for k in range(1 if alpha < 1 else 2, 5):
             out += wt * a0 * (1j * s) ** k * r_min ** (k - alpha) / (
                 math.factorial(k) * (k - alpha))
+        v = np.abs(s) * r_max
+        a_inf = float(measure._eval_a(r_max * theta)) if density else 1.0
+        out += wt * a_inf * np.abs(s) ** alpha * (
+            np.interp(v, v_tab, g_tab) + 1j * np.sign(s) * np.interp(v, v_tab, h_tab))
     return out
 
 

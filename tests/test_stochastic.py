@@ -123,6 +123,27 @@ def test_sampler_accepts_exactly_the_symmetric_atom_sets(atoms, symmetric):
             stochastic.sample_stable_increment(sigma, 0.9, 0.1, _philox(2))
 
 
+def _stacked_normals(u, d):
+    """Box-Muller on every pair of uniforms, stacked, then cut to d."""
+    r = np.sqrt(-2.0 * np.log1p(-u[..., 0::2]))
+    theta = 2.0 * np.pi * u[..., 1::2]
+    z = np.stack((r * np.cos(theta), r * np.sin(theta)), axis=-1)
+    return z.reshape(u.shape)[..., :d]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_isotropic_increments_match_stacked_box_muller(dim, monkeypatch):
+    # the sampler computes only the d normals it returns; the increments
+    # drawn from one stream stay equal, bit for bit
+    sig = levy.SphericalMeasure.isotropic(dim, 1.7)
+    got = stochastic.sample_stable_increment(sig, 1.3, 0.25, _philox(11),
+                                             size=(512, 16))
+    monkeypatch.setattr(stochastic, "_normals", _stacked_normals)
+    want = stochastic.sample_stable_increment(sig, 1.3, 0.25, _philox(11),
+                                              size=(512, 16))
+    assert np.array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # reproducibility
 # ---------------------------------------------------------------------------
