@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -86,8 +87,15 @@ def _digest(obj) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _measure_digest(measure) -> str:
-    return _digest(levy.measure_digest(measure))
+def _manifest(measure, grid: Grid, **fields) -> RunManifest:
+    """A run's manifest with its command line, measure digest and grid."""
+    return RunManifest(
+        command_line=" ".join(sys.argv),
+        measure_digests=(_digest(levy.measure_digest(measure)),),
+        grid_parameters={"dim": grid.dim,
+                         "points_per_axis": grid.points_per_axis,
+                         "side_length": grid.side_length},
+        **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -148,19 +156,30 @@ def _save_any_field(fieldv: GridField, path) -> None:
         save_field(fieldv, path)
 
 
+def _reject_unknown_keys(spec: dict, allowed, path) -> None:
+    for key in spec:
+        if key not in allowed:
+            raise UsageError(f"unknown key {key!r} in {path}")
+
+
 def _drift_from_dict(spec, dim: int):
     if spec is None:
         return DriftSchedule.zero(dim)
     try:
         kind = spec["type"]
         if kind == "constant":
-            return DriftSchedule.constant(np.asarray(spec["value"], float))
-        if kind == "schedule":
-            return DriftSchedule(tuple(spec["breakpoints"]),
-                                 tuple(tuple(v) for v in spec["values"]))
+            drift = DriftSchedule.constant(np.asarray(spec["value"], float))
+        elif kind == "schedule":
+            drift = DriftSchedule(tuple(spec["breakpoints"]),
+                                  tuple(tuple(v) for v in spec["values"]))
+        else:
+            raise UsageError(f"unknown drift type {kind!r}")
     except (KeyError, TypeError, LevylabError) as exc:
         raise UsageError(f"bad drift specification: {exc}") from exc
-    raise UsageError(f"unknown drift type {spec.get('type')!r}")
+    if drift.dim != dim:
+        raise UsageError(f"drift has {drift.dim} components but the measure "
+                         f"lives in R^{dim}")
+    return drift
 
 
 def _solver_config(cfg: dict, horizon: float) -> SolverConfig:
@@ -177,9 +196,24 @@ def _solver_config(cfg: dict, horizon: float) -> SolverConfig:
     return config
 
 
-def _out_dir(path) -> None:
-    import os
-    os.makedirs(path, exist_ok=True)
+def _write_trajectory_run(out, traj: SpaceTimeField, measure, cfg: dict,
+                          config: SolverConfig, label: str, t0: float) -> int:
+    """DIR/solution.traj and DIR/manifest.txt of an evolve, burgers or hj
+    run started at perf_counter() time t0."""
+    os.makedirs(out, exist_ok=True)
+    traj_path = f"{out}/solution.traj"
+    save_trajectory(traj, traj_path)
+    manifest = _manifest(
+        measure, traj.grid,
+        config_digest=_digest(cfg),
+        tolerances={"picard_tol": config.picard_tol},
+        fitted_constants={
+            "final_sup": float(np.max(np.abs(traj.final().values)))},
+        timings={label: time.perf_counter() - t0},
+        artifacts=(traj_path,))
+    manifest.write(f"{out}/manifest.txt")
+    print(f"wrote {traj_path} ({len(traj.frames)} frames)")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +244,9 @@ def _cmd_kernel(args) -> int:
     g = Grid(dim, n, length)
     p_t = heatkernel.kernel(measure, args.t, g)
     _save_any_field(p_t, args.out)
-    manifest = RunManifest(
-        command_line=" ".join(sys.argv),
+    manifest = _manifest(
+        measure, g,
         config_digest=_digest({"t": args.t, "grid": args.grid}),
-        measure_digests=(_measure_digest(measure),),
-        grid_parameters={"dim": dim, "points_per_axis": n,
-                         "side_length": length},
         timings={"kernel": time.perf_counter() - t0},
         artifacts=(str(args.out),))
     manifest.write(str(args.out) + ".manifest")
@@ -228,6 +259,11 @@ def _cmd_evolve(args) -> int:
     t0 = time.perf_counter()
     spec = _load_json(args.problem)
     cfg = _load_json(args.config)
+    _reject_unknown_keys(spec, ("measure", "phi", "horizon", "lam", "drift",
+                                "forcing"), args.problem)
+    _reject_unknown_keys(cfg, ("time_step", "mollifier_width", "picard_tol",
+                               "max_iterations", "solver", "dealias"),
+                         args.config)
     try:
         measure = levy.from_dict(spec["measure"])
         phi = _load_any_field(spec["phi"])
@@ -240,6 +276,9 @@ def _cmd_evolve(args) -> int:
     drift = _drift_from_dict(spec.get("drift"), measure.dim)
     config = _solver_config(cfg, horizon)
     solver = cfg.get("solver", "duhamel")
+    if "dealias" in cfg and solver != "drift":
+        raise UsageError(f"key 'dealias' in {args.config} needs solver "
+                         f"'drift'")
     problem = LinearProblem(measure, drift, lam, forcing, phi, horizon)
     if solver == "duhamel":
         traj = duhamel_solve(problem, config)
@@ -248,55 +287,34 @@ def _cmd_evolve(args) -> int:
                            dealias=bool(cfg.get("dealias", False)))
     else:
         raise UsageError(f"unknown solver {solver!r} (duhamel or drift)")
-    _out_dir(args.out)
-    traj_path = f"{args.out}/solution.traj"
-    save_trajectory(traj, traj_path)
-    final = traj.final()
-    manifest = RunManifest(
-        command_line=" ".join(sys.argv),
-        config_digest=_digest(cfg),
-        measure_digests=(_measure_digest(measure),),
-        grid_parameters={"dim": phi.grid.dim,
-                         "points_per_axis": phi.grid.points_per_axis,
-                         "side_length": phi.grid.side_length},
-        tolerances={"picard_tol": config.picard_tol},
-        fitted_constants={"final_sup": float(np.max(np.abs(final.values)))},
-        timings={"evolve": time.perf_counter() - t0},
-        artifacts=(traj_path,))
-    manifest.write(f"{args.out}/manifest.txt")
-    print(f"wrote {traj_path} ({len(traj.frames)} frames)")
-    return 0
+    return _write_trajectory_run(args.out, traj, measure, cfg, config,
+                                 "evolve", t0)
 
 
-def _quasilinear_common(args, run, label: str) -> int:
-    """Shared artifact plumbing for the burgers and hj subcommands."""
+def _cmd_quasilinear(args) -> int:
+    """The burgers and hj subcommands."""
     t0 = time.perf_counter()
+    if (args.subcommand == "hj"
+            and args.hamiltonian not in quasilinear.HAMILTONIANS):
+        raise UsageError(
+            f"unknown hamiltonian {args.hamiltonian!r}; choices: "
+            + ", ".join(sorted(quasilinear.HAMILTONIANS)))
     phi = _load_any_field(args.phi)
     measure = (_load_measure(args.measure) if args.measure else
                levy.StableSpectral(1.0, levy.SphericalMeasure.isotropic(
                    phi.grid.dim, _iso_mass(phi.grid.dim))))
     config = _solver_config({"time_step": args.dt,
                              "picard_tol": args.picard_tol}, args.T)
-    traj = run(phi, measure, config)
-    _out_dir(args.out)
-    traj_path = f"{args.out}/solution.traj"
-    save_trajectory(traj, traj_path)
-    manifest = RunManifest(
-        command_line=" ".join(sys.argv),
-        config_digest=_digest({"dt": args.dt, "T": args.T,
-                               "picard_tol": args.picard_tol}),
-        measure_digests=(_measure_digest(measure),),
-        grid_parameters={"dim": phi.grid.dim,
-                         "points_per_axis": phi.grid.points_per_axis,
-                         "side_length": phi.grid.side_length},
-        tolerances={"picard_tol": args.picard_tol},
-        fitted_constants={
-            "final_sup": float(np.max(np.abs(traj.final().values)))},
-        timings={label: time.perf_counter() - t0},
-        artifacts=(traj_path,))
-    manifest.write(f"{args.out}/manifest.txt")
-    print(f"wrote {traj_path} ({len(traj.frames)} frames)")
-    return 0
+    if args.subcommand == "burgers":
+        traj = quasilinear.burgers_solve(phi, measure, args.T, config)
+    else:
+        H = quasilinear.HAMILTONIANS[args.hamiltonian]()
+        traj = quasilinear.hamilton_jacobi_solve(H, phi, measure, args.T,
+                                                 config)
+    return _write_trajectory_run(
+        args.out, traj, measure,
+        {"dt": args.dt, "T": args.T, "picard_tol": args.picard_tol},
+        config, args.subcommand, t0)
 
 
 def _iso_mass(dim: int) -> float:
@@ -305,28 +323,11 @@ def _iso_mass(dim: int) -> float:
     return 1.0 / (c1 * levy.isotropic_projection_moment(dim, 1.0))
 
 
-def _cmd_burgers(args) -> int:
-    def run(phi, measure, config):
-        return quasilinear.burgers_solve(phi, measure, args.T, config)
-    return _quasilinear_common(args, run, "burgers")
-
-
-def _cmd_hj(args) -> int:
-    if args.hamiltonian not in quasilinear.HAMILTONIANS:
-        raise UsageError(
-            f"unknown hamiltonian {args.hamiltonian!r}; choices: "
-            + ", ".join(sorted(quasilinear.HAMILTONIANS)))
-    H = quasilinear.HAMILTONIANS[args.hamiltonian]()
-
-    def run(phi, measure, config):
-        return quasilinear.hamilton_jacobi_solve(H, phi, measure, args.T,
-                                                 config)
-    return _quasilinear_common(args, run, "hj")
-
-
 def _cmd_sde(args) -> int:
     t0 = time.perf_counter()
     spec = _load_json(args.problem)
+    _reject_unknown_keys(spec, ("measure", "phi", "t", "x", "lam", "n_steps",
+                                "drift"), args.problem)
     try:
         measure = levy.from_dict(spec["measure"])
         phi = _load_any_field(spec["phi"])
@@ -348,13 +349,9 @@ def _cmd_sde(args) -> int:
             raise UsageError(f"bad drift specification: {exc}") from exc
         b = lambda t, y: np.broadcast_to(b_vec, np.shape(y))
 
-    estimate, std_error = stochastic.feynman_kac(
-        phi, None, b, measure, t_final, x, args.paths, args.seed,
-        lam=lam, n_steps=n_steps)
-
-    time_grid = np.linspace(0.0, t_final, n_steps + 1)
-    ensemble = stochastic.sample_ensemble(b, measure, x, time_grid,
-                                          min(args.paths, 2000), args.seed)
+    estimate, std_error, ensemble = stochastic._feynman_kac(
+        phi, None, b, measure, t_final, x, args.paths, args.seed, lam,
+        n_steps)
     exits = stochastic.exit_fraction(ensemble, x, phi.grid.side_length)
     elapsed = time.perf_counter() - t0
 
@@ -367,14 +364,10 @@ def _cmd_sde(args) -> int:
     with open(args.out, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     if args.dump_paths:
-        np.save(args.dump_paths, ensemble.states)
-    manifest = RunManifest(
-        command_line=" ".join(sys.argv),
+        np.save(args.dump_paths, ensemble.states[:2000])
+    manifest = _manifest(
+        measure, phi.grid,
         config_digest=_digest(spec),
-        measure_digests=(_measure_digest(measure),),
-        grid_parameters={"dim": phi.grid.dim,
-                         "points_per_axis": phi.grid.points_per_axis,
-                         "side_length": phi.grid.side_length},
         fitted_constants={"estimate": estimate, "std_error": std_error,
                           "exit_fraction": exits},
         rng_seeds=(args.seed,),
@@ -449,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dt", type=float, required=True, help="time step")
         p.add_argument("--picard-tol", type=float, default=1e-10)
         p.add_argument("--out", required=True, help="output directory")
-        p.set_defaults(run=_cmd_burgers if name == "burgers" else _cmd_hj)
+        p.set_defaults(run=_cmd_quasilinear)
 
     p = sub.add_parser("sde", help="Monte Carlo probabilistic solution")
     p.add_argument("--problem", required=True, help="problem JSON file")

@@ -1,12 +1,6 @@
-"""Heat kernels p_t, the semigroup P_t, and the drift-shifted propagator.
-
-All operators are Fourier multipliers on the periodic grid:
-
-    P_t f    = F^{-1}[ e^{-t psi(xi)} F f ],
-    T_{t,s}f = P_{t-s} f( . - Theta_{t,s}),   Theta_{t,s} = int_s^t theta(r) dr,
-
-with Theta accumulated by exact piecewise-constant summation.
-"""
+"""Heat kernels p_t and the semigroup P_t f = F^{-1}[e^{-t psi} F f] on the
+periodic grid, and the piecewise-constant drift schedules theta(t) that
+``linear_solver.duhamel_solve`` takes."""
 
 from __future__ import annotations
 
@@ -16,8 +10,7 @@ import numpy as np
 
 from . import levy
 from .errors import InvalidArgument, PreconditionFailure, ResolutionTooCoarse
-from .fieldgrid import (Grid, GridField, apply_multiplier, inverse, resolve,
-                        spectral_points)
+from .fieldgrid import Grid, GridField, apply_multiplier, inverse, resolve
 from .nonlocal_op import OperatorRoute, multiplier
 
 KERNEL_MASS_TOL = 1e-6
@@ -66,16 +59,6 @@ class DriftSchedule:
         j = int(np.searchsorted(self.breakpoints, t, side="right"))
         return np.array(self.values[j])
 
-    def cumulative(self, s: float, t: float) -> np.ndarray:
-        """Theta_{t,s} = int_s^t theta(r) dr by exact summation."""
-        if t < s:
-            raise InvalidArgument("need t >= s")
-        edges = [s] + [b for b in self.breakpoints if s < b < t] + [t]
-        total = np.zeros(self.dim)
-        for a, b in zip(edges, edges[1:]):
-            total += (b - a) * self.theta(a)
-        return total
-
 
 # ---------------------------------------------------------------------------
 
@@ -115,17 +98,3 @@ def semigroup_apply(measure, t: float, field: GridField) -> GridField:
         return field
     gen = multiplier(measure, field.grid, OperatorRoute.multiplier())
     return apply_multiplier(field, np.exp(t * gen))
-
-
-def shifted_propagator(measure, drift: DriftSchedule, t: float, s: float,
-                       field: GridField) -> GridField:
-    """T_{t,s} f(x) = P_{t-s} f(x - Theta_{t,s})."""
-    if t < s:
-        raise InvalidArgument("need t >= s")
-    g = field.grid
-    if drift.dim != g.dim:
-        raise InvalidArgument("drift and field dimensions differ")
-    theta_cum = drift.cumulative(s, t)
-    gen = multiplier(measure, g, OperatorRoute.multiplier())
-    phase = spectral_points(g) @ theta_cum
-    return apply_multiplier(field, np.exp((t - s) * gen - 1j * phase))

@@ -55,6 +55,11 @@ class LinearProblem:
             raise InvalidArgument("lambda must be nonnegative")
         if not self.horizon > 0:
             raise InvalidArgument("horizon must be positive")
+        d = self.phi.grid.dim
+        if (isinstance(self.drift, DriftSchedule) and self.drift.dim != d
+                or isinstance(self.drift, SpaceTimeField)
+                and self.drift.frames[0].components != d):
+            raise InvalidArgument(f"drift dimension differs from the grid's {d}")
 
 
 @dataclass(frozen=True)
@@ -134,20 +139,28 @@ def _trajectory_frames(field: SpaceTimeField, times, name: str):
     return [field.frames[i].values for i in range(len(times))]
 
 
-def _forcing_frames(forcing, grid: Grid, times, components: int):
+def _solver_data(problem: LinearProblem, config: SolverConfig):
+    """The initial data, the solver times and the forcing frames that both
+    solvers start from, the data mollified to ``config.mollifier_width``."""
+    g = problem.phi.grid
+    eps = config.mollifier_width
+    n_steps = step_count(problem.horizon, config.time_step)
+    times = np.arange(n_steps + 1) * config.time_step
+    phi = mollify(problem.phi, eps)
+    forcing = problem.forcing
     if isinstance(forcing, SpaceTimeField):
-        return _trajectory_frames(forcing, times, "forcing")
-    if forcing is None:
-        z = np.zeros((components,) + grid.shape)
-        return [z] * len(times)
-    x = grid.coordinates()
-    out = []
-    for t in times:
-        v = np.asarray(forcing(t, x), dtype=float)
-        if v.shape == grid.shape:
-            v = v[None]
-        out.append(v)
-    return out
+        f_frames = _trajectory_frames(forcing, times, "forcing")
+    elif forcing is None:
+        f_frames = [np.zeros((phi.components,) + g.shape)] * len(times)
+    else:
+        x = g.coordinates()
+        f_frames = []
+        for t in times:
+            v = np.asarray(forcing(t, x), dtype=float)
+            f_frames.append(v[None] if v.shape == g.shape else v)
+    if eps > 0:
+        f_frames = [mollify(GridField(g, v), eps).values for v in f_frames]
+    return phi, times, f_frames
 
 
 # ---------------------------------------------------------------------------
@@ -163,18 +176,16 @@ def duhamel_solve(problem: LinearProblem, config: SolverConfig) -> SpaceTimeFiel
         raise InvalidArgument("duhamel_solve needs an x-independent drift")
     g = problem.phi.grid
     dt = config.time_step
-    n_steps = step_count(problem.horizon, dt)
-    times = np.arange(n_steps + 1) * dt
-    f_frames = _forcing_frames(problem.forcing, g, times, problem.phi.components)
+    phi, times, f_frames = _solver_data(problem, config)
 
     gen = multiplier(problem.measure, g, OperatorRoute.multiplier())
     xi = spectral_points(g)
 
-    u_hat = forward(problem.phi)
-    frames = [problem.phi]
+    u_hat = forward(phi)
+    frames = [phi]
     f_hat_next = forward(f_frames[0], g)
     weights = {}                  # per distinct drift value, for this call
-    for n in range(n_steps):
+    for n in range(len(times) - 1):
         theta = problem.drift.theta(times[n] + dt / 2.0)
         key = tuple(theta)
         if key not in weights:
@@ -275,23 +286,17 @@ def drift_solve(problem: LinearProblem, config: SolverConfig,
     G = b(t_n) . grad u + f(t_n) from the drift and forcing frames, each
     mollified with the initial data."""
     g = problem.phi.grid
-    dt = config.time_step
     eps = config.mollifier_width
-    n_steps = step_count(problem.horizon, dt)
-    times = np.arange(n_steps + 1) * dt
-
-    phi = mollify(problem.phi, eps)
-    f_frames = _forcing_frames(problem.forcing, g, times, phi.components)
+    phi, times, f_frames = _solver_data(problem, config)
     b_frames = _drift_frames(problem.drift, g, times)
     if eps > 0:
-        f_frames = [mollify(GridField(g, v), eps).values for v in f_frames]
         b_frames = [mollify(GridField(g, v), eps).values for v in b_frames]
 
     def nonlinearity(n, u_hat):
         return advection(b_frames[n], u_hat, g) + f_frames[n]
 
-    return etd2_march(phi, problem.measure, problem.lam, dt, n_steps,
-                      nonlinearity, config, dealias)
+    return etd2_march(phi, problem.measure, problem.lam, config.time_step,
+                      len(times) - 1, nonlinearity, config, dealias)
 
 
 # ---------------------------------------------------------------------------
@@ -324,15 +329,3 @@ def regularity_ratio(nu1, nu2, lam: float, f: SpaceTimeField,
         lhs += lp_norm(op_apply(nu2, u.frames[i]), p) ** q * w
         rhs += lp_norm(f.frames[i], p) ** q * w
     return (lhs / rhs) ** (1.0 / q)
-
-
-def comparison_ratio(nu1, nu2, lam1: float, lam2: float, u: GridField,
-                     p: float = 2.0) -> float:
-    """|| (L^{nu2} - lam2) u ||_p / ((1 + lam2/lam1) || (L^{nu1} - lam1) u ||_p)."""
-    if lam1 <= 0 or lam2 <= 0:
-        raise InvalidArgument("lambdas must be positive")
-    if float(np.max(np.abs(u.values))) == 0.0:
-        raise InvalidArgument("u is identically zero")
-    num = lp_norm(GridField(u.grid, op_apply(nu2, u).values - lam2 * u.values), p)
-    den = lp_norm(GridField(u.grid, op_apply(nu1, u).values - lam1 * u.values), p)
-    return num / ((1.0 + lam2 / lam1) * den)

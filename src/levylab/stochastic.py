@@ -259,6 +259,13 @@ def feynman_kac(phi: GridField, f, b, measure, t: float, x,
 
     where X starts at x with time-reversed drift b(t-s, .).  Returns
     (estimate, standard_error)."""
+    return _feynman_kac(phi, f, b, measure, t, x, n_paths, rng_seed, lam,
+                        n_steps)[:2]
+
+
+def _feynman_kac(phi, f, b, measure, t, x, n_paths, rng_seed, lam, n_steps):
+    """feynman_kac's (estimate, standard_error) and the path ensemble it
+    averaged over."""
     if not t > 0:
         raise InvalidArgument("t must be positive")
     g = phi.grid
@@ -280,7 +287,7 @@ def feynman_kac(phi: GridField, f, b, measure, t: float, x,
                                    * _interp_field(frame, wrapped[:, k, :]))
     est = float(np.mean(per_path))
     sterr = float(np.std(per_path, ddof=1) / math.sqrt(n_paths))
-    return est, sterr
+    return est, sterr, ens
 
 
 def krylov_check(b, measure, f: SpaceTimeField, p: float,

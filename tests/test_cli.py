@@ -6,8 +6,8 @@ import struct
 import numpy as np
 import pytest
 
-from levylab import cli, levy
-from levylab.errors import InvalidArgument
+from levylab import cli, levy, stochastic
+from levylab.errors import DomainExitWarning, InvalidArgument
 from levylab.fieldgrid import (Grid, GridField, SpaceTimeField, load_field,
                                load_field_csv, load_trajectory, save_field,
                                save_trajectory)
@@ -151,6 +151,78 @@ def test_evolve_without_drift(measure_file, phi_file, tmp_path, solver,
     assert len(load_trajectory(out / "solution.traj").frames) == 5
 
 
+def _evolve(tmp_path, measure_file, phi_file, cfg, **problem):
+    prob = tmp_path / "prob.json"
+    cfg_path = tmp_path / "cfg.json"
+    prob.write_text(json.dumps({
+        "measure": levy.to_dict(levy.load_measure(measure_file)),
+        "phi": phi_file, "horizon": 0.25, **problem}))
+    cfg_path.write_text(json.dumps(cfg))
+    return cli.main(["evolve", "--problem", str(prob), "--config",
+                     str(cfg_path), "--out", str(tmp_path / "run")])
+
+
+def test_evolve_drift_of_wrong_dimension_exits_2(measure_file, phi_file,
+                                                 tmp_path, capsys):
+    assert _evolve(tmp_path, measure_file, phi_file, {"time_step": 0.0625},
+                   drift={"type": "constant", "value": [0.3, 0.4]}) == 2
+    assert "drift has 2 components" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg,key", [
+    ({"time_step": 0.0625, "mollifer_width": 0.1}, "mollifer_width"),
+    ({"time_step": 0.0625, "dealias": True}, "dealias"),
+    ({"time_step": 0.0625, "solver": "duhamel", "dealias": False}, "dealias"),
+], ids=["misspelt-key", "dealias-default-solver", "dealias-duhamel"])
+def test_evolve_config_keys_it_would_ignore_exit_2(measure_file, phi_file,
+                                                   tmp_path, capsys, cfg,
+                                                   key):
+    assert _evolve(tmp_path, measure_file, phi_file, cfg) == 2
+    assert repr(key) in capsys.readouterr().err
+
+
+def test_evolve_unknown_problem_key_exits_2(measure_file, phi_file, tmp_path,
+                                           capsys):
+    assert _evolve(tmp_path, measure_file, phi_file, {"time_step": 0.0625},
+                   forcng="f.traj") == 2
+    assert "'forcng'" in capsys.readouterr().err
+
+
+def test_evolve_dealias_with_drift_solver(measure_file, phi_file, tmp_path):
+    assert _evolve(tmp_path, measure_file, phi_file,
+                   {"time_step": 0.0625, "solver": "drift",
+                    "dealias": True}) == 0
+
+
+@pytest.mark.parametrize("subcommand", ["evolve", "burgers", "hj"])
+def test_trajectory_run_manifest(measure_file, phi_file, tmp_path,
+                                 subcommand):
+    out = tmp_path / "run"
+    if subcommand == "evolve":
+        assert _evolve(tmp_path, measure_file, phi_file,
+                       {"time_step": 0.03125, "picard_tol": 1e-9}) == 0
+        measure = levy.load_measure(measure_file)
+    else:
+        extra = ["--hamiltonian", "quadratic"] if subcommand == "hj" else []
+        assert cli.main([subcommand, *extra, "--phi", phi_file, "--T", "0.25",
+                         "--dt", "0.03125", "--picard-tol", "1e-9",
+                         "--out", str(out)]) == 0
+        # the default measure, psi(xi) = |xi| in d = 1
+        measure = levy.StableSpectral(
+            1.0, levy.SphericalMeasure.isotropic(1, 2 / np.pi))
+    lines = (out / "manifest.txt").read_text().splitlines()
+    traj = load_trajectory(out / "solution.traj")
+    final_sup = float(np.max(np.abs(traj.final().values)))
+    for want in ("grid.dim: 1", "grid.points_per_axis: 128",
+                 f"grid.side_length: {2 * np.pi}",
+                 f"measure-digest: {cli._digest(levy.measure_digest(measure))}",
+                 "tolerance.picard_tol: 1e-09",
+                 f"constant.final_sup: {final_sup!r}",
+                 f"artifact: {out}/solution.traj"):
+        assert want in lines
+    assert any(line.startswith(f"seconds.{subcommand}: ") for line in lines)
+
+
 def test_evolve_unknown_solver(measure_file, phi_file, tmp_path):
     prob = tmp_path / "prob.json"
     cfg = tmp_path / "cfg.json"
@@ -211,6 +283,55 @@ def test_sde_summary_schema(measure_file, tmp_path):
                 "exit-fraction:", "seconds:"):
         assert key in text
     assert (tmp_path / "summary.txt.manifest").exists()
+
+
+def test_sde_unknown_problem_key_exits_2(measure_file, tmp_path, capsys):
+    g = Grid(1, 64, 8.0)
+    phi_path = tmp_path / "phi.bin"
+    save_field(GridField(g, np.ones((1, 64))), phi_path)
+    prob = tmp_path / "sde.json"
+    prob.write_text(json.dumps({
+        "measure": levy.to_dict(levy.load_measure(measure_file)),
+        "phi": str(phi_path), "t": 0.5, "x": [4.0], "nsteps": 8}))
+    assert cli.main(["sde", "--problem", str(prob), "--paths", "10",
+                     "--seed", "1", "--out", str(tmp_path / "s.txt")]) == 2
+    assert "'nsteps'" in capsys.readouterr().err
+
+
+def test_sde_reuses_the_estimator_ensemble(measure_file, tmp_path,
+                                          monkeypatch):
+    # a box of half-width 4 that about a tenth of the Cauchy paths leave
+    g = Grid(1, 64, 8.0)
+    x = g.coordinates()[..., 0]
+    phi_path = tmp_path / "phi.bin"
+    save_field(GridField(g, np.cos(np.pi * x / 4.0)[None]), phi_path)
+    prob = tmp_path / "sde.json"
+    prob.write_text(json.dumps({
+        "measure": levy.to_dict(levy.load_measure(measure_file)),
+        "phi": str(phi_path), "t": 0.5, "x": [4.0], "n_steps": 8}))
+    ensembles = []
+    sample = stochastic.sample_ensemble
+
+    def recording(*args, **kwargs):
+        ensembles.append(sample(*args, **kwargs))
+        return ensembles[-1]
+
+    monkeypatch.setattr(stochastic, "sample_ensemble", recording)
+    out = tmp_path / "summary.txt"
+    dump = tmp_path / "paths.npy"
+    with pytest.warns(DomainExitWarning):
+        assert cli.main(["sde", "--problem", str(prob), "--paths", "3000",
+                         "--seed", "7", "--out", str(out),
+                         "--dump-paths", str(dump)]) == 0
+    assert len(ensembles) == 1
+    ens = ensembles[0]
+    assert ens.n_paths == 3000
+    frac = stochastic.exit_fraction(ens, [4.0], 8.0)
+    assert 0.0 < frac < 1.0
+    assert f"exit-fraction: {frac:.4f}" in out.read_text()
+    manifest = (tmp_path / "summary.txt.manifest").read_text()
+    assert f"constant.exit_fraction: {frac!r}" in manifest
+    np.testing.assert_array_equal(np.load(dump), ens.states[:2000])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Heat kernel and propagator tests: closed-form Cauchy comparison,
+"""Heat kernel and semigroup tests: closed-form Cauchy comparison,
 semigroup structure, drift schedules, and failure modes."""
 
 import numpy as np
@@ -8,8 +8,7 @@ from levylab import heatkernel, levy
 from levylab.errors import (InvalidArgument, PreconditionFailure,
                             ResolutionTooCoarse)
 from levylab.fieldgrid import Grid, GridField, lp_norm
-from levylab.heatkernel import (DriftSchedule, kernel, semigroup_apply,
-                                shifted_propagator)
+from levylab.heatkernel import DriftSchedule, kernel, semigroup_apply
 
 
 def _iso1d(mass=2.0 / np.pi, alpha=1.0):
@@ -145,7 +144,7 @@ def test_semigroup_contracts_sup_norm():
 
 
 # ---------------------------------------------------------------------------
-# drift schedules and propagators
+# drift schedules
 # ---------------------------------------------------------------------------
 
 def test_drift_schedule_validation():
@@ -153,47 +152,3 @@ def test_drift_schedule_validation():
         DriftSchedule((0.0,), ((1.0,),))            # wrong count
     with pytest.raises(InvalidArgument):
         DriftSchedule((1.0, 0.5), ((1.0,), (2.0,), (3.0,)))  # not increasing
-
-
-def test_drift_schedule_cumulative_oracle():
-    sched = DriftSchedule((0.5, 1.5), ((1.0, 0.0), (0.0, 2.0), (-1.0, 1.0)))
-    # hand-computed piecewise integral over [0.2, 2.3]:
-    # 0.3*(1,0) + 1.0*(0,2) + 0.8*(-1,1) = (-0.5, 2.8)
-    np.testing.assert_allclose(sched.cumulative(0.2, 2.3), [-0.5, 2.8],
-                               atol=1e-12)
-    np.testing.assert_allclose(sched.cumulative(0.7, 0.7), [0.0, 0.0],
-                               atol=1e-15)
-
-
-def test_propagator_composition():
-    m = _iso1d()
-    sched = DriftSchedule((0.4,), ((1.0,), (-0.5,)))
-    g = Grid(1, 512, 100.0)
-    f = _bump_field(g)
-    whole = shifted_propagator(m, sched, 1.0, 0.0, f)
-    split = shifted_propagator(m, sched, 1.0, 0.4,
-                               shifted_propagator(m, sched, 0.4, 0.0, f))
-    np.testing.assert_allclose(whole.values, split.values, atol=1e-12)
-
-
-def test_propagator_is_shifted_semigroup():
-    m = _iso1d()
-    g = Grid(1, 512, 100.0)
-    t = 0.8
-    # choose theta0 so Theta = theta0 * t is exactly 16 grid cells
-    theta0 = 16 * g.spacing / t
-    sched = DriftSchedule.constant([theta0])
-    f = _bump_field(g)
-    prop = shifted_propagator(m, sched, t, 0.0, f)
-    shift_cells = theta0 * t / g.spacing
-    plain = semigroup_apply(m, t, f)
-    shifted = np.roll(plain.values, int(round(shift_cells)), axis=1)
-    np.testing.assert_allclose(prop.values, shifted, atol=1e-10)
-
-
-def test_propagator_rejects_reversed_times():
-    m = _iso1d()
-    g = Grid(1, 64, 10.0)
-    f = _bump_field(g, center=5.0)
-    with pytest.raises(InvalidArgument):
-        shifted_propagator(m, DriftSchedule.zero(1), 0.1, 0.5, f)

@@ -1,6 +1,6 @@
 """Linear Cauchy-problem solvers: exact single-mode decay, agreement of
 the two solver routes, stationary states, maximum principle, mollifier
-properties, and the inequality probes."""
+properties, and the maximal-regularity probe."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,7 @@ from levylab.errors import InvalidArgument
 from levylab.fieldgrid import Grid, GridField, SpaceTimeField, lp_norm
 from levylab.heatkernel import DriftSchedule
 from levylab.linear_solver import (LinearProblem, SolverConfig,
-                                   comparison_ratio, drift_solve,
-                                   duhamel_solve, mollify,
+                                   drift_solve, duhamel_solve, mollify,
                                    regularity_ratio)
 from levylab.quasilinear import QuasilinearProblem, picard_solve
 
@@ -131,8 +130,9 @@ def test_forced_stationary_state():
 # cross-route agreement
 # ---------------------------------------------------------------------------
 
-def test_drift_solve_matches_duhamel():
-    # x-independent drift is solvable by both routes; they must agree
+def _route_gap(mollifier_width):
+    """Largest L^2 gap between the frames of the two solvers on an
+    x-independent drift, which both routes can solve."""
     rng = np.random.default_rng(11)
     coeffs = rng.normal(size=5) / np.arange(1, 6)
     phi_vals = sum(c * np.cos((j + 1) * X) for j, c in enumerate(coeffs))
@@ -141,12 +141,32 @@ def test_drift_solve_matches_duhamel():
     T = 0.25
     problem = LinearProblem(_iso1d(), DriftSchedule.constant([0.6]), 0.3,
                             forcing, phi, T)
-    config = SolverConfig(time_step=T / 256)
+    config = SolverConfig(time_step=T / 256, mollifier_width=mollifier_width)
     a = duhamel_solve(problem, config)
     b = drift_solve(problem, config)
-    diff = max(lp_norm(GridField(G, fa.values - fb.values), 2)
+    return max(lp_norm(GridField(G, fa.values - fb.values), 2)
                for fa, fb in zip(a.frames, b.frames))
-    assert diff < 1e-6
+
+
+def test_drift_solve_matches_duhamel():
+    assert _route_gap(0.0) < 1e-6
+
+
+def test_drift_solve_matches_duhamel_with_mollifier():
+    # both solvers mollify the initial data and the forcing
+    assert _route_gap(0.2) < 1e-6
+
+
+@pytest.mark.parametrize("kind", ["schedule", "trajectory"])
+def test_drift_of_wrong_dimension_rejected(kind):
+    phi = GridField(G, np.sin(X)[None])
+    if kind == "schedule":
+        drift = DriftSchedule.constant([0.3, 0.4])
+    else:
+        frames = tuple(GridField(G, np.ones((2, 256))) for _ in range(5))
+        drift = SpaceTimeField(0.0625, frames)
+    with pytest.raises(InvalidArgument, match="drift dimension"):
+        LinearProblem(_iso1d(), drift, 0.0, None, phi, 0.25)
 
 
 def test_maximum_principle_with_space_dependent_drift():
@@ -234,32 +254,3 @@ def test_regularity_ratio_rejects_zero_forcing():
     f = SpaceTimeField(0.1, frames)
     with pytest.raises(InvalidArgument):
         regularity_ratio(_iso1d(), _iso1d(), 0.0, f, 2, 2)
-
-
-def test_comparison_ratio_identical_operators():
-    # nu2 = nu1, lam2 = lam1: ratio is exactly 1/2
-    u = GridField(G, (np.cos(X) + 0.3 * np.sin(4 * X))[None])
-    nu = _iso1d()
-    assert comparison_ratio(nu, nu, 2.0, 2.0, u) == pytest.approx(0.5,
-                                                                  rel=1e-12)
-
-
-def test_comparison_ratio_single_mode_closed_form():
-    k = 5
-    u = GridField(G, np.cos(k * X)[None])
-    nu1, nu2 = _iso1d(), _iso1d(mass=1.0)
-    lam1, lam2 = 1.0, 3.0
-    psi1 = levy.symbol(nu1, np.array([float(k)])).real
-    psi2 = levy.symbol(nu2, np.array([float(k)])).real
-    expected = (psi2 + lam2) / ((1 + lam2 / lam1) * (psi1 + lam1))
-    assert comparison_ratio(nu1, nu2, lam1, lam2, u) == pytest.approx(
-        expected, rel=1e-10)
-
-
-def test_comparison_ratio_validation():
-    u = GridField(G, np.cos(X)[None])
-    with pytest.raises(InvalidArgument):
-        comparison_ratio(_iso1d(), _iso1d(), 0.0, 1.0, u)
-    with pytest.raises(InvalidArgument):
-        comparison_ratio(_iso1d(), _iso1d(), 1.0, 1.0,
-                         GridField(G, np.zeros((1, 256))))

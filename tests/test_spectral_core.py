@@ -87,10 +87,18 @@ def test_heat_routines_match_reference(d, n):
     psi = levy.symbol_array(m, xi)
     _close(heatkernel.semigroup_apply(m, 0.3, f).values,
            _reference(g, f.values, np.exp(-0.3 * psi)))
+    # Duhamel steps of 0.05 with the breakpoint 0.1 on a step edge; the
+    # Nyquist rule acts on each step's multiplier
     drift = DriftSchedule((0.1,), ((0.4,) * d, (-0.7,) * d))
-    theta = drift.cumulative(0.05, 0.4)
-    _close(heatkernel.shifted_propagator(m, drift, 0.4, 0.05, f).values,
-           _reference(g, f.values, np.exp(-0.35 * psi - 1j * (xi @ theta))))
+    problem = linear_solver.LinearProblem(m, drift, 0.3, None, f, 0.4)
+    traj = linear_solver.duhamel_solve(
+        problem, linear_solver.SolverConfig(time_step=0.05))
+    want = f.values
+    for step, frame in enumerate(traj.frames[1:]):
+        theta = np.full(d, 0.4 if step < 2 else -0.7)
+        want = _reference(g, want, np.exp(
+            -0.05 * (psi - 1j * (xi @ theta) + 0.3)))
+        _close(frame.values, want)
     gk = Grid(d, n, 3.0)
     mult = _hermitian_part(np.exp(-2.0 * np.conj(
         levy.symbol_array(m, _full_frequencies(gk)))))
