@@ -162,6 +162,12 @@ def _reject_unknown_keys(spec: dict, allowed, path) -> None:
             raise UsageError(f"unknown key {key!r} in {path}")
 
 
+def _check_field_dim(phi: GridField, measure, key: str) -> None:
+    if phi.grid.dim != measure.dim:
+        raise UsageError(f"field {key!r} is on a {phi.grid.dim}-dimensional "
+                         f"grid but the measure lives in R^{measure.dim}")
+
+
 def _drift_from_dict(spec, dim: int):
     if spec is None:
         return DriftSchedule.zero(dim)
@@ -273,6 +279,7 @@ def _cmd_evolve(args) -> int:
                    if spec.get("forcing") else None)
     except (KeyError, OSError, ValueError, LevylabError) as exc:
         raise UsageError(f"bad problem file {args.problem}: {exc}") from exc
+    _check_field_dim(phi, measure, "phi")
     drift = _drift_from_dict(spec.get("drift"), measure.dim)
     config = _solver_config(cfg, horizon)
     solver = cfg.get("solver", "duhamel")
@@ -303,6 +310,7 @@ def _cmd_quasilinear(args) -> int:
     measure = (_load_measure(args.measure) if args.measure else
                levy.StableSpectral(1.0, levy.SphericalMeasure.isotropic(
                    phi.grid.dim, _iso_mass(phi.grid.dim))))
+    _check_field_dim(phi, measure, "--phi")
     config = _solver_config({"time_step": args.dt,
                              "picard_tol": args.picard_tol}, args.T)
     if args.subcommand == "burgers":
@@ -337,16 +345,17 @@ def _cmd_sde(args) -> int:
         n_steps = int(spec.get("n_steps", 64))
     except (KeyError, ValueError, LevylabError) as exc:
         raise UsageError(f"bad problem file {args.problem}: {exc}") from exc
+    _check_field_dim(phi, measure, "phi")
+    if x.size != measure.dim:
+        raise UsageError(f"key 'x' has {x.size} components but the measure "
+                         f"lives in R^{measure.dim}")
     b_spec = spec.get("drift")
+    b_vec = _drift_from_dict(b_spec, measure.dim).theta(0.0)
     if b_spec is None:
         b = None
+    elif b_spec["type"] != "constant":
+        raise UsageError("sde drift supports only type 'constant'")
     else:
-        try:
-            if b_spec["type"] != "constant":
-                raise UsageError("sde drift supports only type 'constant'")
-            b_vec = np.asarray(b_spec["value"], dtype=float)
-        except (KeyError, TypeError) as exc:
-            raise UsageError(f"bad drift specification: {exc}") from exc
         b = lambda t, y: np.broadcast_to(b_vec, np.shape(y))
 
     estimate, std_error, ensemble = stochastic._feynman_kac(

@@ -7,7 +7,11 @@ Model system (m components, shared scalar generator L and shared drift):
     d/dt u = L u + b(t, x, u) . grad u + f(t, x, u),     u(0) = phi,
 
 solved by ``linear_solver.etd2_march``: each step iterates u_{n+1} in the
-trapezoidal ETD2 relation with b and f evaluated at u_{n+1} itself.
+trapezoidal ETD2 relation with b and f evaluated at u_{n+1} itself.  The
+step starts from the relation with G = b . grad u + f at t_{n+1} linearly
+extrapolated from t_{n-1} and t_n (step 0: a first-order predictor), and
+takes G at t_n from the previous step's last iteration, so the march
+evaluates b and f once at t = 0 and once per iteration.
 
 Critical Burgers  d/dt u + (-Delta)^{1/2} u + u . grad u = 0  is the case
 b(t,x,u) = -u, f = 0 (the minus sign moves u . grad u to the right side).

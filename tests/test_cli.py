@@ -169,6 +169,33 @@ def test_evolve_drift_of_wrong_dimension_exits_2(measure_file, phi_file,
     assert "drift has 2 components" in capsys.readouterr().err
 
 
+@pytest.fixture()
+def measure_2d_file(tmp_path):
+    m2 = levy.StableSpectral(1.0, levy.SphericalMeasure.isotropic(2, 1.0))
+    path = tmp_path / "m2.json"
+    levy.save_measure(m2, path)
+    return str(path)
+
+
+def test_evolve_measure_and_phi_of_different_dimension_exit_2(
+        measure_2d_file, phi_file, tmp_path, capsys):
+    assert _evolve(tmp_path, measure_2d_file, phi_file,
+                   {"time_step": 0.0625}) == 2
+    assert ("field 'phi' is on a 1-dimensional grid but the measure lives "
+            "in R^2") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand", ["burgers", "hj"])
+def test_quasilinear_measure_and_phi_of_different_dimension_exit_2(
+        measure_2d_file, phi_file, tmp_path, capsys, subcommand):
+    extra = ["--hamiltonian", "quadratic"] if subcommand == "hj" else []
+    assert cli.main([subcommand, *extra, "--phi", phi_file, "--measure",
+                     measure_2d_file, "--T", "0.25", "--dt", "0.0625",
+                     "--out", str(tmp_path / "run")]) == 2
+    assert ("field '--phi' is on a 1-dimensional grid but the measure "
+            "lives in R^2") in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cfg,key", [
     ({"time_step": 0.0625, "mollifer_width": 0.1}, "mollifer_width"),
     ({"time_step": 0.0625, "dealias": True}, "dealias"),
@@ -296,6 +323,27 @@ def test_sde_unknown_problem_key_exits_2(measure_file, tmp_path, capsys):
     assert cli.main(["sde", "--problem", str(prob), "--paths", "10",
                      "--seed", "1", "--out", str(tmp_path / "s.txt")]) == 2
     assert "'nsteps'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("drift", {"type": "constant", "value": [0.2, 0.1]},
+     "drift has 2 components but the measure lives in R^1"),
+    ("x", [4.0, 1.0], "key 'x' has 2 components but the measure lives in "
+                      "R^1"),
+], ids=["drift", "x"])
+def test_sde_input_of_wrong_dimension_exits_2(measure_file, tmp_path, capsys,
+                                              key, value, message):
+    g = Grid(1, 64, 8.0)
+    phi_path = tmp_path / "phi.bin"
+    save_field(GridField(g, np.ones((1, 64))), phi_path)
+    prob = tmp_path / "sde.json"
+    prob.write_text(json.dumps({
+        "measure": levy.to_dict(levy.load_measure(measure_file)),
+        "phi": str(phi_path), "t": 0.5, "x": [4.0], "n_steps": 8,
+        key: value}))
+    assert cli.main(["sde", "--problem", str(prob), "--paths", "10",
+                     "--seed", "1", "--out", str(tmp_path / "s.txt")]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_sde_reuses_the_estimator_ensemble(measure_file, tmp_path,

@@ -7,8 +7,10 @@ import pytest
 
 from levylab import levy, quasilinear
 from levylab.errors import InvalidArgument, IterationFailure
-from levylab.fieldgrid import (Grid, GridField, gradient, lp_norm)
-from levylab.linear_solver import LinearProblem, SolverConfig, drift_solve
+from levylab.fieldgrid import (Grid, GridField, forward, gradient, inverse,
+                               lp_norm, spectral_l2)
+from levylab.linear_solver import (LinearProblem, SolverConfig, advection,
+                                   drift_solve, etd2_march)
 from levylab.heatkernel import DriftSchedule
 from levylab.quasilinear import (HAMILTONIANS, QuasilinearProblem,
                                  burgers_solve, hamilton_jacobi_solve,
@@ -136,6 +138,65 @@ def test_march_evaluates_the_drift_a_few_times_per_step():
                         dealias=True)
     assert len(traj.frames) == 129
     assert calls[0] <= 5195 // 5
+
+
+def test_march_evaluates_once_per_iteration_plus_the_initial_state():
+    # a counting G = -u u_x called by etd2_march directly; a step's
+    # iterations are the evaluations at frame n + 1 up to the first whose
+    # argument lies within picard_tol of the next argument (or, for the
+    # last one, of the accepted state), as the stopping rule says
+    g = Grid(1, 64, 2 * np.pi)
+    x = g.coordinates()[..., 0]
+    calls = []
+
+    def nonlinearity(n, u_hat):
+        calls.append((n, u_hat.copy()))
+        return advection(-inverse(g, u_hat), u_hat, g)
+
+    config = SolverConfig(time_step=1 / 64)
+    n_steps = 16
+    traj = etd2_march(GridField(g, np.sin(x)[None]), _iso1d(), 0.0,
+                      config.time_step, n_steps, nonlinearity, config,
+                      dealias=True)
+    iterations = 0
+    for n in range(n_steps):
+        args = [a for m, a in calls if m == n + 1]
+        args.append(forward(traj.frames[n + 1]))
+        k = next(j for j in range(len(args) - 1)
+                 if spectral_l2(g, args[j + 1] - args[j]) < config.picard_tol)
+        iterations += k + 1
+    assert iterations > n_steps
+    assert len(calls) == 1 + iterations
+
+
+def _march_tolerance_gap(solve):
+    # max over frames of the L2 distance between marches at picard_tol
+    # 1e-10 and 1e-13
+    coarse = solve(SolverConfig(time_step=1 / 128, picard_tol=1e-10))
+    fine = solve(SolverConfig(time_step=1 / 128, picard_tol=1e-13))
+    return max(lp_norm(GridField(a.grid, a.values - b.values), 2)
+               for a, b in zip(coarse.frames, fine.frames))
+
+
+def test_burgers_march_is_within_picard_tol_of_a_tighter_march():
+    phi = GridField(G, (np.sin(X) + 0.3 * np.cos(2 * X))[None])
+    gap = _march_tolerance_gap(
+        lambda config: burgers_solve(phi, _iso1d(), 0.25, config))
+    assert gap <= 1e-10
+
+
+def test_hj_march_is_within_picard_tol_of_a_tighter_march():
+    mass = 1.0 / (levy.radial_cosine_constant(1.0)
+                  * levy.isotropic_projection_moment(2, 1.0))
+    m2 = levy.StableSpectral(1.0, levy.SphericalMeasure.isotropic(2, mass))
+    g2 = Grid(2, 32, 2 * np.pi)
+    x = g2.coordinates()
+    phi = GridField(g2, (0.6 * np.cos(x[..., 0])
+                         + 0.4 * np.sin(x[..., 1] + x[..., 0]))[None])
+    gap = _march_tolerance_gap(
+        lambda config: hamilton_jacobi_solve(HAMILTONIANS["quadratic"](),
+                                             phi, m2, 0.25, config))
+    assert gap <= 1e-10
 
 
 def test_march_reports_the_residuals_of_the_failing_step():
