@@ -233,10 +233,7 @@ def _cmd_symbol(args) -> int:
         raise UsageError(
             f"xi has {xi.size} entries but the measure lives in "
             f"R^{measure.dim}")
-    if np.all(xi == 0.0):
-        value = 0.0 + 0.0j
-    else:
-        value = levy.symbol(measure, xi)
+    value = levy.symbol(measure, xi)
     print(f"{value.real:.12g}{value.imag:+.12g}i")
     return 0
 
@@ -349,18 +346,11 @@ def _cmd_sde(args) -> int:
     if x.size != measure.dim:
         raise UsageError(f"key 'x' has {x.size} components but the measure "
                          f"lives in R^{measure.dim}")
-    b_spec = spec.get("drift")
-    b_vec = _drift_from_dict(b_spec, measure.dim).theta(0.0)
-    if b_spec is None:
-        b = None
-    elif b_spec["type"] != "constant":
-        raise UsageError("sde drift supports only type 'constant'")
-    else:
-        b = lambda t, y: np.broadcast_to(b_vec, np.shape(y))
+    drift = _drift_from_dict(spec.get("drift"), measure.dim)
 
     estimate, std_error, ensemble = stochastic._feynman_kac(
-        phi, None, b, measure, t_final, x, args.paths, args.seed, lam,
-        n_steps)
+        phi, None, lambda t, y: drift.theta(t), measure, t_final, x,
+        args.paths, args.seed, lam, n_steps)
     exits = stochastic.exit_fraction(ensemble, x, phi.grid.side_length)
     elapsed = time.perf_counter() - t0
 

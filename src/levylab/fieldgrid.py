@@ -115,9 +115,6 @@ class GridField:
     def components(self) -> int:
         return self.values.shape[0]
 
-    def component(self, i: int) -> np.ndarray:
-        return self.values[i]
-
     @classmethod
     def zeros(cls, grid: Grid, components: int = 1) -> "GridField":
         return cls(grid, np.zeros((components,) + grid.shape))
@@ -309,9 +306,10 @@ def spectral_l2(grid: Grid, coeffs: np.ndarray) -> float:
     """Riemann-sum L^2 norm of the real field with half spectrum coeffs
     (Parseval over the full spectrum, every component)."""
     n = grid.points_per_axis
-    weight = np.full(n // 2 + 1, 2.0)
-    weight[[0, -1]] = 1.0
-    total = float(np.sum(np.abs(coeffs) ** 2 * weight))
+    # weight 2 on the last axis but 1 on its columns 0 and N/2, which are
+    # the one column of a 1-point axis
+    edges = coeffs[..., ::max(1, n // 2)]
+    total = 2.0 * np.vdot(coeffs, coeffs).real - np.vdot(edges, edges).real
     return float(np.sqrt(total * grid.cell_volume / n ** grid.dim))
 
 

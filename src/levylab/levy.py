@@ -26,13 +26,14 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
-from scipy.special import gamma as Gamma
+from scipy.special import gamma as Gamma, roots_jacobi
 
 from .errors import InvalidArgument, QuadratureFailure
 from .fieldgrid import gauss_legendre
 
 EULER_GAMMA = 0.5772156649015328606
 DENSITY_FREQ_CHUNK = 64      # frequencies per block of the density quadrature
+DENSITY_TAIL_NODES = 20      # Gauss-Jacobi nodes of the alpha > 1 compensation tail
 NONDEGENERACY_CACHE_SIZE = 16
 
 
@@ -40,7 +41,6 @@ NONDEGENERACY_CACHE_SIZE = 16
 # radial constants of the one-dimensional stable kernel
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def radial_cosine_constant(alpha: float) -> float:
     """integral_0^inf (1 - cos u) / u^{1+alpha} du = pi / (2 G(1+a) sin(pi a/2))."""
     if not 0.0 < alpha < 2.0:
@@ -48,7 +48,6 @@ def radial_cosine_constant(alpha: float) -> float:
     return math.pi / (2.0 * Gamma(1.0 + alpha) * math.sin(math.pi * alpha / 2.0))
 
 
-@lru_cache(maxsize=None)
 def radial_sine_constant(alpha: float) -> float:
     """The odd-part radial integral away from the critical index.
 
@@ -82,7 +81,6 @@ def radial_imag_part(s, alpha: float):
     return out
 
 
-@lru_cache(maxsize=None)
 def isotropic_projection_moment(dim: int, alpha: float) -> float:
     """Mean of |theta0 . theta|^alpha over the uniform unit sphere in R^dim."""
     if dim == 1:
@@ -369,9 +367,11 @@ def _symbol_density(measure: DensityKernel, xi):
 
     Per direction theta the radial integral is rescaled by u = |xi.theta| r,
     so the oscillation has unit period; Gauss-Legendre panels in log u cover
-    [u_min, U], the origin is handled by Taylor compensation and the tail
-    beyond U by a two-term integration-by-parts asymptotic with a frozen at
-    the last node.  Panels are refined until the relative change is < 1e-8.
+    [u_min, U], the origin is handled by Taylor compensation with a read at
+    the centroid of each term, the tail beyond U by a three-term
+    integration-by-parts asymptotic with a frozen at U, and for alpha > 1
+    the compensation tail beyond U by Gauss-Jacobi.  Panels are refined
+    until the relative change is < 1e-8.
     Per direction, blocks of DENSITY_FREQ_CHUNK frequencies with xi.theta
     != 0 write their radii and points into two buffers that all reuse.
     """
@@ -392,6 +392,16 @@ def _symbol_density(measure: DensityKernel, xi):
                             error_estimate=err)
 
 
+def _u_minus_sin(u):
+    """u - sin u, by its Taylor series below u = 1, where the difference
+    cancels (truncation below 1e-16 relative)."""
+    u2 = u * u
+    series = 1.0
+    for denom in (272.0, 210.0, 156.0, 110.0, 72.0, 42.0, 20.0):
+        series = 1.0 - u2 / denom * series
+    return np.where(u < 1.0, u * u2 / 6.0 * series, u - np.sin(u))
+
+
 def _density_quad_once(measure, flat, dirs, dir_wts, panels_per_decade):
     alpha = measure.alpha
     u_min, u_max = 1e-6, 300.0
@@ -409,25 +419,42 @@ def _density_quad_once(measure, flat, dirs, dir_wts, panels_per_decade):
     ker = u ** (-1.0 - alpha) * (half[:, None] * gw[None, :]).ravel()
     sin_u, cos_u = math.sin(u_max), math.cos(u_max)
 
-    # even part 1 - cos u.  Odd part with the sign of s factored out:
-    # sr 1_comp - sin(sr) = sign(s) * (u 1_comp - sin u); for alpha = 1 the
-    # cutoff r <= 1 (i.e. u <= |s|) is recast as a fixed jump at u = 1
-    # plus the smooth correction int_1^|s| a(u theta/|s|)/u du
+    # even part 1 - cos u = 2 sin^2(u/2).  Odd part with the sign of s
+    # factored out: sr 1_comp - sin(sr) = sign(s) * (u 1_comp - sin u); for
+    # alpha = 1 the cutoff r <= 1 (i.e. u <= |s|) is recast as a fixed jump
+    # at u = 1 plus the smooth correction int_1^|s| a(u theta/|s|)/u du
     comp_radius = np.inf if alpha > 1.0 else (1.0 if alpha == 1.0 else 0.0)
-    even = (1.0 - np.cos(u)) * ker
-    odd = (np.where(u <= comp_radius, u, 0.0) - np.sin(u)) * ker
-    # origin, a frozen at the first node: 1 - cos u ~ u^2/2, and the odd
-    # integrand ~ u^3/6 compensated (alpha >= 1, negligible) or -sin u ~ -u
-    even_origin = u_min ** (2.0 - alpha) / (2.0 * (2.0 - alpha))
-    odd_origin = (u_min ** (3.0 - alpha) / (6.0 * (3.0 - alpha)) if alpha >= 1.0
-                  else -u_min ** (1.0 - alpha) / (1.0 - alpha))
-    # tail beyond U, a frozen at the last node, by integration by parts;
-    # for alpha > 1 plus the compensation tail int_U^inf u^{-a} du
-    even_tail = (u_max ** (-alpha) / alpha + sin_u * u_max ** (-1.0 - alpha)
-                 - (1.0 + alpha) * cos_u * u_max ** (-2.0 - alpha))
-    odd_tail = (-cos_u * u_max ** (-1.0 - alpha)
-                + (1.0 + alpha) * sin_u * u_max ** (-2.0 - alpha)
-                + (u_max ** (1.0 - alpha) / (alpha - 1.0) if alpha > 1.0 else 0.0))
+    even = 2.0 * np.sin(0.5 * u) ** 2 * ker
+    odd = np.where(u <= comp_radius, _u_minus_sin(u), -np.sin(u)) * ker
+    # origin [0, u_min]: 1 - cos u ~ u^2/2, and the odd integrand ~ u^3/6
+    # compensated (alpha >= 1) or -sin u ~ -u; each such term, times the
+    # kernel, is c u^q and reads a at its centroid u_min (q+1)/(q+2), which
+    # is exact for a linear in u there
+    q_even, q_odd = 1.0 - alpha, 2.0 - alpha if alpha >= 1.0 else -alpha
+    origin_u = u_min * np.array([(q_even + 1.0) / (q_even + 2.0),
+                                 (q_odd + 1.0) / (q_odd + 2.0)])
+    even_origin = u_min ** (q_even + 1.0) / (2.0 * (q_even + 1.0))
+    odd_origin = ((1.0 / 6.0 if alpha >= 1.0 else -1.0)
+                  * u_min ** (q_odd + 1.0) / (q_odd + 1.0))
+    # tail beyond u_max, a frozen there, by three integrations by parts
+    b1, b2 = 1.0 + alpha, (1.0 + alpha) * (2.0 + alpha)
+    even_tail = u_max ** (-alpha) * (
+        1.0 / alpha + (sin_u - b1 * cos_u / u_max - b2 * sin_u / u_max ** 2)
+        / u_max)
+    odd_tail = -u_max ** (-1.0 - alpha) * (
+        cos_u + b1 * sin_u / u_max - b2 * cos_u / u_max ** 2)
+    # for alpha > 1 the compensation tail int_U^inf u^{-alpha} a du, which
+    # is not small: U^{1-alpha} int_0^1 t^{alpha-2} a(U/t) dt, by
+    # Gauss-Jacobi in t = (1 + z)/2
+    z, z_wts = (roots_jacobi(DENSITY_TAIL_NODES, 0.0, alpha - 2.0)
+                if alpha > 1.0 else (np.empty(0), np.empty(0)))
+    # the origin and tail terms as the weights of more nodes, so that a is
+    # read where each term needs it
+    u = np.concatenate([origin_u, u, [u_max], 2.0 * u_max / (1.0 + z)])
+    even = np.concatenate([[even_origin, 0.0], even, [even_tail],
+                           np.zeros_like(z)])
+    odd = np.concatenate([[0.0, odd_origin], odd, [odd_tail],
+                          (2.0 * u_max) ** (1.0 - alpha) * z_wts])
 
     out = np.zeros(flat.shape[0], dtype=complex)
     rows = min(DENSITY_FREQ_CHUNK, flat.shape[0])
@@ -441,10 +468,9 @@ def _density_quad_once(measure, flat, dirs, dir_wts, panels_per_decade):
             r = np.divide(u, mag[:, None], out=r_buf[:blk.size])  # radius grid
             a_vals = measure._eval_a(np.multiply(
                 r[..., None], theta, out=y_buf[:blk.size]))       # (b, n_u)
-            a0, a_inf = a_vals[:, 0], a_vals[:, -1]
-            val = a_vals @ even + a0 * even_origin + a_inf * even_tail
+            val = a_vals @ even
             if not measure.symmetric:
-                im = a_vals @ odd + a0 * odd_origin + a_inf * odd_tail
+                im = a_vals @ odd
                 if alpha == 1.0:
                     # int_1^|s| a((u/|s|) theta) du/u via v = exp((w-1) log|s|)
                     logm = np.log(mag)

@@ -191,7 +191,7 @@ def duhamel_solve(problem: LinearProblem, config: SolverConfig) -> SpaceTimeFiel
         if key not in weights:
             z = (-gen - 1j * (xi @ theta) + problem.lam) * dt
             weights[key] = _etd2_weights(g, z, dt)
-        decay, w_old, w_new, _ = weights[key]
+        decay, w_old, w_new = weights[key]
         f_hat = f_hat_next
         f_hat_next = forward(f_frames[n + 1], g)
         u_hat = decay * u_hat + w_old * f_hat + w_new * f_hat_next
@@ -200,12 +200,11 @@ def duhamel_solve(problem: LinearProblem, config: SolverConfig) -> SpaceTimeFiel
 
 
 def _etd2_weights(grid: Grid, z, dt: float):
-    """Propagator e^{-z}, the ETD2 weights on g_n and g_{n+1} and the
-    first-order predictor's weight (used by ``etd2_march`` at step 0 only),
-    each under the Nyquist rule."""
+    """Propagator e^{-z} and the ETD2 weights on g_n and g_{n+1}, each
+    under the Nyquist rule."""
     p1, p2 = _phi1(z), _phi2(z)
     return (resolve(grid, np.exp(-z)), resolve(grid, dt * (p1 - p2)),
-            resolve(grid, dt * p2), resolve(grid, dt * p1))
+            resolve(grid, dt * p2))
 
 
 # ---------------------------------------------------------------------------
@@ -231,13 +230,12 @@ def etd2_march(phi: GridField, measure, lam: float, dt: float, n_steps: int,
     iterate moves less than picard_tol in L^2.  G_0 is evaluated once; the
     converged step's last G_{n+1} (at an iterate within picard_tol of
     u_{n+1}) is carried as the next step's G_n, so a march makes
-    1 + (total iterations) evaluations.  Step 0 starts from the first-order
-    predictor e^{-z} u_0 + dt phi_1(z) G_0, later steps from the relation
-    with G_{n+1} extrapolated as 2 G_n - G_{n-1}.  ``dealias``: 2/3 rule
-    on G."""
+    1 + (total iterations) evaluations.  Every step starts from the
+    relation with G_{n+1} extrapolated as 2 G_n - G_{n-1}, G_{-1} := G_0.
+    ``dealias``: 2/3 rule on G."""
     g = phi.grid
     gen = multiplier(measure, g, OperatorRoute.multiplier())
-    prop, w_old, w_new, w_pred = _etd2_weights(g, dt * (-gen + lam), dt)
+    prop, w_old, w_new = _etd2_weights(g, dt * (-gen + lam), dt)
     mask = 1.0
     if dealias:
         keep = np.all(np.abs(spectral_points(g)) <= 2 * np.pi
@@ -247,13 +245,10 @@ def etd2_march(phi: GridField, measure, lam: float, dt: float, n_steps: int,
     u_hat = forward(phi)
     frames = [phi]
     g_n_hat = forward(nonlinearity(0, u_hat), g) * mask
-    g_prev_hat = None
+    g_prev_hat = g_n_hat
     for n in range(n_steps):
         base = prop * u_hat + w_old * g_n_hat
-        if g_prev_hat is None:
-            new_hat = prop * u_hat + w_pred * g_n_hat
-        else:
-            new_hat = base + w_new * (2.0 * g_n_hat - g_prev_hat)
+        new_hat = base + w_new * (2.0 * g_n_hat - g_prev_hat)
         residuals = []
         for _ in range(config.max_iterations):
             g_new_hat = forward(nonlinearity(n + 1, new_hat), g) * mask

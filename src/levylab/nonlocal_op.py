@@ -150,7 +150,10 @@ def _tail_multiplier(measure, grid, xi):
     density (if any) frozen at R theta, at frequencies xi (n, dim).
     Diagonal in frequency.  A symmetric measure keeps one side of each +/-
     pair (``levy.antipodal_pairs``) at doubled weight and the even part only;
-    s = xi.theta is formed TAIL_BLOCK (frequency, direction) entries at a time."""
+    s = xi.theta is formed TAIL_BLOCK (frequency, direction) entries at a time.
+    |s| up to 4 ulps of sum_i |xi_i theta_i| (the rounding bound of the
+    product for d <= 3) is taken as 0: |s|^alpha (alpha < 1) would turn a
+    residue of 1e-16, which depends on how the product was formed, into 1e-8."""
     alpha = measure.alpha
     r_max = grid.side_length / 2.0
     dirs, dir_wts = _direction_rule(measure)
@@ -162,8 +165,10 @@ def _tail_multiplier(measure, grid, xi):
     v_tab, g_tab, h_tab = _oscillatory_tail_profile(alpha)
     mult = np.empty(len(xi), dtype=float if paired is not None else complex)
     per_block = max(1, TAIL_BLOCK // len(dirs))
+    snap = 4.0 * np.finfo(float).eps * np.abs(dirs.T)
     for k0 in range(0, len(xi), per_block):
         s = xi[k0:k0 + per_block] @ dirs.T
+        s[np.abs(s) <= np.abs(xi[k0:k0 + per_block]) @ snap] = 0.0
         v = np.abs(s) * r_max
         # even part: int_R^inf (cos(s r) - 1) r^{-1-alpha} dr = |s|^a G(|s| R)
         # and odd part (compensated beyond R when alpha > 1), which cancels

@@ -9,9 +9,9 @@ Model system (m components, shared scalar generator L and shared drift):
 solved by ``linear_solver.etd2_march``: each step iterates u_{n+1} in the
 trapezoidal ETD2 relation with b and f evaluated at u_{n+1} itself.  The
 step starts from the relation with G = b . grad u + f at t_{n+1} linearly
-extrapolated from t_{n-1} and t_n (step 0: a first-order predictor), and
-takes G at t_n from the previous step's last iteration, so the march
-evaluates b and f once at t = 0 and once per iteration.
+extrapolated from t_{n-1} and t_n (at step 0, G at t_{-1} is taken to be
+G at t_0), and takes G at t_n from the previous step's last iteration, so
+the march evaluates b and f once at t = 0 and once per iteration.
 
 Critical Burgers  d/dt u + (-Delta)^{1/2} u + u . grad u = 0  is the case
 b(t,x,u) = -u, f = 0 (the minus sign moves u . grad u to the right side).
@@ -45,8 +45,7 @@ GRADIENT_CONSISTENCY_TOL = 1e-3
 class QuasilinearProblem:
     """Quasi-linear problem data.  ``drift_b(t, x, u)`` maps coordinates
     (*grid, d) and state (m, *grid) to a vector field (d, *grid);
-    ``forcing_f(t, x, u)`` returns (m, *grid).  The declared growth bound
-    |f(t,x,u)| <= growth_constant |u| + growth_offset(x) is spot-checked."""
+    ``forcing_f(t, x, u)`` returns (m, *grid)."""
 
     measure: object
     components: int
@@ -54,8 +53,6 @@ class QuasilinearProblem:
     forcing_f: object           # callable or None
     phi: GridField
     horizon: float
-    growth_constant: object = None   # None: no declared bound, no check
-    growth_offset: object = None     # callable x -> (*grid,) or None
 
     def __post_init__(self):
         if getattr(self.measure, "alpha", None) != 1.0:
@@ -64,26 +61,6 @@ class QuasilinearProblem:
             raise InvalidArgument("horizon must lie in (0, 1]")
         if self.phi.components != self.components:
             raise InvalidArgument("phi component count mismatch")
-        self._spot_check_growth()
-
-    def _spot_check_growth(self):
-        if self.forcing_f is None or self.growth_constant is None:
-            return
-        g = self.phi.grid
-        x = g.coordinates()
-        offset = (np.zeros(g.shape) if self.growth_offset is None
-                  else np.asarray(self.growth_offset(x), dtype=float))
-        rng = np.random.default_rng(0)
-        for t in (0.0, 0.5 * self.horizon, self.horizon):
-            u = self.phi.values * rng.uniform(-1.5, 1.5)
-            fv = np.asarray(self.forcing_f(t, x, u), dtype=float)
-            lhs = np.sqrt(np.sum(fv ** 2, axis=0))
-            rhs = (self.growth_constant * np.sqrt(np.sum(u ** 2, axis=0))
-                   + offset)
-            if np.any(lhs > rhs + 1e-9):
-                raise InvalidArgument(
-                    "declared growth bound |f| <= C|u| + h(x) fails at "
-                    f"t={t}")
 
 
 def picard_solve(problem: QuasilinearProblem, config: SolverConfig,

@@ -346,6 +346,51 @@ def test_sde_input_of_wrong_dimension_exits_2(measure_file, tmp_path, capsys,
     assert message in capsys.readouterr().err
 
 
+def _sde_run(measure_file, tmp_path, name, drift):
+    """Summary lines without the timing, and the manifest, of a 3000-path
+    sde run from x = 4 on the cosine field of Grid(1, 64, 8)."""
+    g = Grid(1, 64, 8.0)
+    x = g.coordinates()[..., 0]
+    phi_path = tmp_path / "phi.bin"
+    save_field(GridField(g, np.cos(np.pi * x / 4.0)[None]), phi_path)
+    prob = tmp_path / f"{name}.json"
+    prob.write_text(json.dumps({
+        "measure": levy.to_dict(levy.load_measure(measure_file)),
+        "phi": str(phi_path), "t": 0.5, "x": [4.0], "n_steps": 8,
+        "drift": drift}))
+    out = tmp_path / f"{name}.txt"
+    with pytest.warns(DomainExitWarning):
+        assert cli.main(["sde", "--problem", str(prob), "--paths", "3000",
+                         "--seed", "7", "--out", str(out)]) == 0
+    lines = [ln for ln in out.read_text().splitlines()
+             if not ln.startswith("seconds:")]
+    return lines, (tmp_path / f"{name}.txt.manifest").read_text()
+
+
+def test_sde_one_value_schedule_is_the_constant_drift(measure_file, tmp_path):
+    constant, _ = _sde_run(measure_file, tmp_path, "constant",
+                           {"type": "constant", "value": [0.2]})
+    schedule, _ = _sde_run(measure_file, tmp_path, "schedule",
+                           {"type": "schedule", "breakpoints": [],
+                            "values": [[0.2]]})
+    assert schedule == constant
+
+
+def test_sde_schedule_is_the_feynman_kac_drift(measure_file, tmp_path):
+    # the paths run in reversed time s, with drift theta(t - s)
+    _, manifest = _sde_run(measure_file, tmp_path, "schedule",
+                           {"type": "schedule", "breakpoints": [0.2],
+                            "values": [[0.5], [-0.3]]})
+    g = Grid(1, 64, 8.0)
+    phi = GridField(g, np.cos(np.pi * g.coordinates()[..., 0] / 4.0)[None])
+    with pytest.warns(DomainExitWarning):
+        estimate, std_error = stochastic.feynman_kac(
+            phi, None, lambda t, y: np.full_like(y, 0.5 if t < 0.2 else -0.3),
+            levy.load_measure(measure_file), 0.5, [4.0], 3000, 7, n_steps=8)
+    assert f"constant.estimate: {estimate!r}" in manifest
+    assert f"constant.std_error: {std_error!r}" in manifest
+
+
 def test_sde_reuses_the_estimator_ensemble(measure_file, tmp_path,
                                           monkeypatch):
     # a box of half-width 4 that about a tenth of the Cauchy paths leave

@@ -113,6 +113,17 @@ def test_forward_inverse_round_trip(seed):
     np.testing.assert_allclose(back, u.values, atol=1e-12)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 16])
+def test_spectral_l2_is_the_riemann_sum_norm(dim, n):
+    # Parseval on the half spectrum; for N = 1 the columns 0 and N/2 of the
+    # last axis are one column
+    g = Grid(dim, n, 3.0)
+    u = np.random.default_rng(10 * dim + n).normal(size=(2,) + g.shape)
+    assert fg.spectral_l2(g, fg.forward(u, g)) == pytest.approx(
+        math.sqrt(np.sum(u ** 2) * g.cell_volume), rel=1e-13)
+
+
 def test_refine_then_coarsen_identity():
     rng = np.random.default_rng(3)
     g = Grid(1, 32, 2.0)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
+from scipy.special import gamma as Gamma
 
 from levylab import levy
 from levylab.errors import InvalidArgument
@@ -203,6 +204,56 @@ def test_density_kernel_matches_spectral(symmetric, alpha):
     xi = np.concatenate([freqs[:70], freqs[-5:]])[:, None]
     np.testing.assert_allclose(levy.symbol_array(dk, xi),
                                levy.symbol_array(ss, xi), rtol=1e-8, atol=0)
+
+
+# the spectral points of Grid(1, 1024, 40), |xi| up to 80
+GRID_XI = 2 * np.pi * np.fft.fftfreq(1024, d=40.0 / 1024)[:, None]
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_density_symbol_near_alpha_2_matches_closed_form(symmetric):
+    # 1 - cos u and u - sin u, formed as differences, lose their digits
+    # below u ~ 1e-3, where the u^{-2.8} kernel weighs most: the refinement
+    # stalled at a change of 1.5e-8 and raised
+    dk = levy.DensityKernel(1.8, 1, lambda y: np.ones(y.shape[:-1]), 1.0, 1.0,
+                            symmetric)
+    want = 2 * levy.radial_cosine_constant(1.8) * np.abs(GRID_XI[:, 0]) ** 1.8
+    np.testing.assert_allclose(levy.symbol_array(dk, GRID_XI), want,
+                               rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 1.8])
+def test_skew_step_density_matches_its_atoms(alpha):
+    # a = 1 + sign(y)/2 is the stable measure with atoms +1 (weight 1.5) and
+    # -1 (0.5), whose odd part is closed-form; the second term of the odd
+    # tail beyond U had its sign wrong (3e-7 at alpha = 0.5)
+    dk = levy.DensityKernel(alpha, 1, lambda y: 1 + 0.5 * np.sign(y[..., 0]),
+                            0.5, 1.5, symmetric=False)
+    atoms = levy.StableSpectral(alpha, levy.SphericalMeasure.discrete(
+        [((1.0,), 1.5), ((-1.0,), 0.5)]))
+    np.testing.assert_allclose(levy.symbol_array(dk, GRID_XI),
+                               levy.symbol_array(atoms, GRID_XI),
+                               rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8])
+def test_skew_smooth_density_matches_closed_form(alpha):
+    # a = 1 + sign(y) e^{-|y|}/2: a(y) + a(-y) = 2, and the odd part
+    # int_0^inf (xi y - sin xi y) e^{-y} y^{-1-alpha} dy
+    # = xi G(1-alpha) - G(-alpha) Im (1 - i xi)^alpha.  With a read at the
+    # first and last Gauss node instead of the ends, the origin and tail
+    # terms were first order in the panel width and the refinement stalled;
+    # the alpha > 1 compensation tail int_U^inf u^{-alpha} a du also needs a
+    # beyond U (1e-2 at alpha = 1.2, |xi| = 80 with a frozen at U)
+    dk = levy.DensityKernel(
+        alpha, 1, lambda y: 1 + 0.5 * np.sign(y[..., 0]) * np.exp(-np.abs(y[..., 0])),
+        0.5, 1.5, symmetric=False)
+    xi = GRID_XI[:, 0]
+    want = (2 * levy.radial_cosine_constant(alpha) * np.abs(xi) ** alpha
+            + 1j * (xi * Gamma(1 - alpha)
+                    - Gamma(-alpha) * np.imag((1 - 1j * xi) ** alpha)))
+    np.testing.assert_allclose(levy.symbol_array(dk, GRID_XI), want,
+                               rtol=1e-9, atol=0)
 
 
 def test_direct_sum_axes_additivity():

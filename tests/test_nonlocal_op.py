@@ -116,10 +116,10 @@ def test_quadrature_matches_multiplier_2d_axes():
 def _direct_quadrature(measure, grid, route, xi):
     """The quadrature multiplier as one cos/exp sum per direction, unpaired,
     and the tail beyond R = L/2 per direction, unpaired, with both the even
-    (G) and the odd (H) table read.  s = xi.theta comes from the same matrix
-    product as in the route: for alpha < 1 the tail's |s|^alpha turns a
-    rounding of 1e-16 in an s that should be 0 (xi normal to (0.6, -0.8))
-    into 1e-8."""
+    (G) and the odd (H) table read.  s = xi.theta is one product per
+    direction, taken as 0 within 4 ulps of sum_i |xi_i theta_i| as in the
+    route: for alpha < 1 the tail's |s|^alpha would turn a rounding of 1e-16
+    in an s that should be 0 (xi normal to (0.6, -0.8)) into 1e-8."""
     alpha, r_min, r_max = measure.alpha, grid.spacing / 2.0, grid.side_length / 2.0
     dirs, wts = nonlocal_op._direction_rule(measure)
     radii, rad_w = nonlocal_op._radial_rule(alpha, r_min, r_max,
@@ -128,7 +128,9 @@ def _direct_quadrature(measure, grid, route, xi):
     comp = radii <= (np.inf if alpha > 1 else (1.0 if alpha == 1 else 0.0))
     density = isinstance(measure, levy.DensityKernel)
     out = np.zeros(len(xi), dtype=complex)
-    for theta, wt, s in zip(dirs, wts, (xi @ dirs.T).T):
+    for theta, wt in zip(dirs, wts):
+        s = xi @ theta
+        s[np.abs(s) <= 4 * np.finfo(float).eps * (np.abs(xi) @ np.abs(theta))] = 0
         sr = np.outer(s, radii)
         a = measure._eval_a(radii[:, None] * theta) if density else 1.0
         out += (np.exp(1j * sr) - 1.0 - 1j * sr * comp) @ (wt * rad_w * a)
@@ -175,6 +177,20 @@ def test_quadrature_multiplier_matches_direct_sum(family, dim, alpha):
     got = nonlocal_op._quadrature_multiplier(measure, g, route, xi)
     want = _direct_quadrature(measure, g, route, xi)
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_tail_does_not_depend_on_how_xi_theta_is_formed():
+    # xi = (4, 3) 2 pi / L is normal to (0.6, -0.8): the route's one matrix
+    # product over all directions and a product per one-atom measure leave
+    # different roundings of s = 0, which |s|^0.5 raised to ~1e-8
+    g = Grid(2, 16, 10.0)
+    xi = spectral_points(g)
+    atoms = _SKEW_ATOMS[2]
+    got = nonlocal_op._tail_multiplier(
+        levy.StableSpectral(0.5, levy.SphericalMeasure.discrete(atoms)), g, xi)
+    want = sum(nonlocal_op._tail_multiplier(levy.StableSpectral(
+        0.5, levy.SphericalMeasure.discrete([atom])), g, xi) for atom in atoms)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_nufft_rejects_frequencies_off_the_lattice():

@@ -50,19 +50,6 @@ def test_component_count_must_match():
         QuasilinearProblem(_iso1d(), 2, None, None, phi, 0.5)
 
 
-def test_declared_growth_bound_is_spot_checked():
-    phi = GridField(G, np.sin(X)[None])
-    # |f| = 1 cannot satisfy |f| <= 0.1 |u| with no offset
-    bad = lambda t, x, u: np.ones_like(u)
-    with pytest.raises(InvalidArgument):
-        QuasilinearProblem(_iso1d(), 1, None, bad, phi, 0.5,
-                           growth_constant=0.1)
-    # the same forcing with a unit offset is accepted
-    QuasilinearProblem(_iso1d(), 1, None, bad, phi, 0.5,
-                       growth_constant=0.1,
-                       growth_offset=lambda x: np.ones(x.shape[:-1]))
-
-
 # ---------------------------------------------------------------------------
 # Picard iteration
 # ---------------------------------------------------------------------------

@@ -3,6 +3,9 @@ against a complex-FFT reference on white noise, the multiplier cache, and
 the rule that only ``fieldgrid`` runs transforms."""
 
 import ast
+import importlib
+import inspect
+import pkgutil
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -10,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import levylab
 from levylab import fieldgrid as fg
 from levylab import heatkernel, levy, linear_solver, nonlocal_op
 from levylab.fieldgrid import Grid, GridField
@@ -176,6 +180,21 @@ def test_multiplier_cache_is_bounded():
         info = nonlocal_op.multiplier.cache_info()
         assert info.currsize <= nonlocal_op.MULTIPLIER_CACHE_SIZE
     assert info.maxsize == nonlocal_op.MULTIPLIER_CACHE_SIZE
+
+
+def test_every_parameterised_cache_is_bounded():
+    # an lru_cache without maxsize keeps every argument it has seen for the
+    # life of the process; one of a function without parameters holds one
+    sizes = {}
+    for info in pkgutil.iter_modules(levylab.__path__):
+        module = importlib.import_module(f"levylab.{info.name}")
+        for name, obj in vars(module).items():
+            if (hasattr(obj, "cache_parameters")
+                    and obj.__module__ == module.__name__
+                    and inspect.signature(obj).parameters):
+                sizes[f"{info.name}.{name}"] = obj.cache_parameters()["maxsize"]
+    assert "nonlocal_op.multiplier" in sizes
+    assert [name for name, size in sizes.items() if size is None] == []
 
 
 def test_multiplier_cache_under_threads():
