@@ -21,6 +21,7 @@ Hermitian part of m, so results equal Re(ifftn(m fftn f)).
 from __future__ import annotations
 
 import csv
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -227,9 +228,9 @@ def apply_multiplier(field: GridField, mult: np.ndarray) -> GridField:
 # non-uniform transform: node sums at lattice frequencies
 # ---------------------------------------------------------------------------
 
-NUFFT_WIDTH = 13                  # kernel support in fine-grid points (1e-12)
-NUFFT_BETA = 2.30 * NUFFT_WIDTH   # exponential-of-semicircle shape parameter
 NUFFT_BLOCK = 1 << 16             # (node, kernel point) pairs per spreading block
+NUFFT_DECONV_CACHE_SIZE = 16      # kernel transforms, one per (width, fine size)
+ES_BETA_PER_WIDTH = 2.30          # kernel shape beta / width, for 2x oversampling
 
 
 @lru_cache(maxsize=16)
@@ -240,20 +241,40 @@ def gauss_legendre(n: int):
     return z, w
 
 
-def _es_kernel(z):
+def _es_kernel(z, beta: float):
     """exp(beta (sqrt(1 - z^2) - 1)) on [-1, 1]."""
-    return np.exp(NUFFT_BETA * (np.sqrt(np.maximum(1.0 - z * z, 0.0)) - 1.0))
+    return np.exp(beta * (np.sqrt(np.maximum(1.0 - z * z, 0.0)) - 1.0))
 
 
-def nufft_type1(side_length: float, nodes, weights, xi) -> np.ndarray:
+@lru_cache(maxsize=NUFFT_DECONV_CACHE_SIZE)
+def _es_transform(width: int, n_fine: int) -> np.ndarray:
+    """The width-w kernel's Fourier transform at modes 0..n_fine // 2 of an
+    n_fine-point fine grid, w int_0^1 phi(z) cos(pi w k z / n_fine) dz by
+    Gauss-Legendre; read-only."""
+    z, zw = gauss_legendre(4 * width)
+    z, zw = 0.5 * (z + 1.0), 0.5 * zw
+    phi_hat = width * np.cos(np.outer(np.arange(n_fine // 2 + 1), z)
+                             * (np.pi * width / n_fine)) @ (
+        zw * _es_kernel(z, ES_BETA_PER_WIDTH * width))
+    phi_hat.flags.writeable = False
+    return phi_hat
+
+
+def nufft_type1(side_length: float, nodes, weights, xi,
+                eps: float = 1e-12) -> np.ndarray:
     """sum_j c_j exp(i xi . y_j) for real weights c (m,) at nodes y (m, d),
     at frequencies xi (n, d) on the lattice 2 pi Z^d / L.
 
-    A type-1 non-uniform FFT (Barnett, Magland & af Klinteberg 2019): the
-    nodes, taken modulo L, are spread onto a twice-oversampled periodic grid
-    with the exponential-of-semicircle kernel, that grid is transformed
-    once, and each mode is divided by the kernel's Fourier transform.  The
-    error is about 1e-12 times sum_j |c_j|."""
+    A type-1 non-uniform FFT (Barnett, Magland & af Klinteberg 2019, SIAM
+    J. Sci. Comput. 41:C479): the nodes, taken modulo L, are spread onto a
+    twice-oversampled periodic grid with the exponential-of-semicircle
+    kernel, that grid is transformed once, and each mode is divided by the
+    kernel's Fourier transform.  The requested tolerance eps sets the
+    kernel's width w = ceil(log10(1/eps)) + 1 fine points and its shape
+    beta = 2.30 w (their rule; w = 13 at the default 1e-12), and the error
+    is about eps times sum_j |c_j|.  Spreading costs w^d per node."""
+    if not 0.0 < eps < 1.0:
+        raise InvalidArgument("eps must lie in (0, 1)")
     nodes = np.asarray(nodes, dtype=float)
     weights = np.asarray(weights, dtype=float)
     xi = np.asarray(xi, dtype=float)
@@ -263,14 +284,17 @@ def nufft_type1(side_length: float, nodes, weights, xi) -> np.ndarray:
     if not np.all(np.abs(k_real - k) <= 1e-9):
         raise InvalidArgument("frequencies must lie on the lattice 2 pi Z^d / L")
     k = k.astype(np.int64)
-    w = NUFFT_WIDTH
+    w = math.ceil(-math.log10(eps)) + 1
+    beta = ES_BETA_PER_WIDTH * w
     k_max = int(np.abs(k).max(initial=0))
     n_f = scipy.fft.next_fast_len(max(2 * (2 * k_max + 1), 2 * w))
 
-    # spread each node onto the w^d fine points around it.  The full-size
-    # last stage goes to buffers that every block reuses: fresh arrays per
-    # block can make the allocator hand their pages back and fault them in
-    # again (6e6 page faults, twice the time, in a first 16^3 call)
+    # spread each node onto the w^d fine points around it, built from the
+    # last axis so that the largest stage runs inner loops of w^{d-1}
+    # entries, not w.  The full-size last stage goes to buffers that every
+    # block reuses: fresh arrays per block can make the allocator hand their
+    # pages back and fault them in again (6e6 page faults, twice the time,
+    # in a first 16^3 call)
     fine = np.zeros(n_f ** dim)
     offsets = np.arange(w)
     per_block = max(1, NUFFT_BLOCK // w ** dim)
@@ -279,26 +303,26 @@ def nufft_type1(side_length: float, nodes, weights, xi) -> np.ndarray:
     for j0 in range(0, len(weights), per_block):
         u = (nodes[j0:j0 + per_block] * (n_f / side_length)) % n_f
         start = np.ceil(u - 0.5 * w)
-        ker = _es_kernel((start[..., None] + offsets - u[..., None]) * (2.0 / w))
-        idx = (start.astype(np.int64)[..., None] + offsets) % n_f   # (b, d, w)
-        flat, val = idx[:, 0], weights[j0:j0 + per_block, None] * ker[:, 0]
-        for a in range(1, dim):
-            shape, grown = (-1,) + (1,) * a + (w,), flat.shape + (w,)
-            last = a == dim - 1
-            flat = np.add(flat[..., None] * n_f, idx[:, a].reshape(shape), out=(
-                flat_buf[:flat.size * w].reshape(grown) if last else None))
-            val = np.multiply(val[..., None], ker[:, a].reshape(shape), out=(
-                val_buf[:val.size * w].reshape(grown) if last else None))
+        ker = _es_kernel((start[..., None] + offsets - u[..., None]) * (2.0 / w),
+                         beta)                                    # (b, d, w)
+        ker[:, 0] *= weights[j0:j0 + per_block, None]
+        idx = (start.astype(np.int64)[..., None] + offsets) % n_f
+        b = len(u)
+        flat, val = idx[:, -1], ker[:, -1]        # over axes a+1..d-1: (b, w^...)
+        for a in range(dim - 2, -1, -1):
+            grown = (b, w, flat.shape[1])
+            last = a == 0
+            flat = np.add((idx[:, a] * n_f ** (dim - 1 - a))[..., None],
+                          flat[:, None], out=(flat_buf[:math.prod(grown)]
+                                              .reshape(grown) if last else None))
+            val = np.multiply(ker[:, a, :, None], val[:, None], out=(
+                val_buf[:math.prod(grown)].reshape(grown) if last else None))
+            flat, val = flat.reshape(b, -1), val.reshape(b, -1)
         fine += np.bincount(flat.ravel(), val.ravel(), minlength=n_f ** dim)
     modes = scipy.fft.ifftn(fine.reshape((n_f,) * dim), norm="forward",
                             workers=thread_count())
 
-    # deconvolve: the kernel's transform at mode k is
-    # w int_0^1 phi(z) cos(pi w k z / n_f) dz, by Gauss-Legendre
-    z, zw = gauss_legendre(4 * w)
-    z, zw = 0.5 * (z + 1.0), 0.5 * zw
-    phi_hat = w * np.cos(np.outer(np.arange(k_max + 1), z)
-                         * (np.pi * w / n_f)) @ (zw * _es_kernel(z))
+    phi_hat = _es_transform(w, n_f)
     return modes[tuple((k % n_f).T)] / np.prod(phi_hat[np.abs(k)], axis=-1)
 
 

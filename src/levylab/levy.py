@@ -191,6 +191,26 @@ def antipodal_pairs(dirs, wts):
     return np.array(kept), np.array(kept_w)
 
 
+def projections(xi, dirs):
+    """s = xi . theta for frequencies xi (..., dim) and directions dirs
+    (n, dim), shape (..., n).  |s| up to 4 ulps of sum_i |xi_i theta_i|
+    (the rounding bound of the product for dim <= 3) is taken as 0: where
+    xi is normal to theta, |s|^alpha (alpha < 1) would turn a residue of
+    1e-16, which depends on how the product was formed, into 1e-8.  Only
+    the entries under the largest such bound are tested against their own,
+    so no other temporary of the size of s is formed."""
+    s = xi @ dirs.T
+    flat = s.reshape(-1)
+    tol = 4.0 * np.finfo(float).eps * np.abs(dirs)
+    top = (max(xi.max(initial=0.0), -xi.min(initial=0.0))
+           * tol.sum(axis=1).max(initial=0.0))
+    near = np.flatnonzero((flat <= top) & (flat >= -top))
+    bound = np.sum(np.abs(xi.reshape(-1, dirs.shape[1])[near // len(dirs)])
+                   * tol[near % len(dirs)], axis=-1)
+    flat[near[np.abs(flat[near]) <= bound]] = 0.0
+    return s
+
+
 # ---------------------------------------------------------------------------
 # Levy measures
 # ---------------------------------------------------------------------------
@@ -327,7 +347,7 @@ def _symbol_stable(measure: StableSpectral, xi):
         mom = sig.total_mass * isotropic_projection_moment(sig.dim, alpha)
         return (c * mom * np.linalg.norm(xi, axis=-1) ** alpha).astype(complex)
     dirs, wts = sig.atom_arrays()
-    s = xi @ dirs.T                                    # (..., n_atoms)
+    s = projections(xi, dirs)                          # (..., n_atoms)
     re = c * np.sum(wts * np.abs(s) ** alpha, axis=-1)
     if measure.is_symmetric:
         return re.astype(complex)

@@ -5,9 +5,13 @@
   log-spaced radii.  Each node displaces the field by r*theta, which on a
   periodic grid is an exact spectral phase shift; the node sums are therefore
   a quadrature-built multiplier, assembled at every frequency at once by the
-  type-1 NUFFT of ``fieldgrid``.  The singular region r < h/2 is handled by
-  a Taylor expansion to fourth order with spectral derivatives, and the
-  jumps beyond the truncation radius (for alpha > 1 with their
+  type-1 NUFFT of ``fieldgrid`` at the route's own tolerance
+  QUADRATURE_NUFFT_EPS = 1e-8, below the route's discretisation error of
+  1e-5 to 1e-3.  The "- 1" of every node is the NUFFT's own value at
+  xi = 0, so the quadrature psi(0) is exactly 0 and the NUFFT error cancels
+  at low frequencies, where |psi| is small.  The singular region r < h/2 is
+  handled by a Taylor expansion to fourth order with spectral derivatives,
+  and the jumps beyond the truncation radius (for alpha > 1 with their
   compensation) are added analytically.
 
 The two routes share no symbol formulas, so their agreement cross-validates
@@ -33,6 +37,11 @@ COMMUTATOR_TOL = 1e-6
 MULTIPLIER_CACHE_SIZE = 16
 TAIL_PROFILE_CACHE_SIZE = 8         # profiles of ~340 KB, one per alpha
 TAIL_BLOCK = 1 << 16                # (frequency, direction) entries per tail block
+QUADRATURE_NUFFT_EPS = 1e-8         # NUFFT tolerance of the quadrature route
+# tail table layout: 0, then TAIL_LOG_POINTS log-spaced points on
+# [TAIL_LOG_START, 1), then steps of TAIL_STEP on [1, TAIL_END]
+TAIL_LOG_START, TAIL_LOG_POINTS = 1e-4, 2000
+TAIL_STEP, TAIL_END = 0.005, 60.0
 
 
 @dataclass(frozen=True)
@@ -114,13 +123,15 @@ def _oscillatory_tail_profile(alpha: float):
     Both are smooth and bounded near 0, so the even/odd tail integrals
     become mag^alpha * G(mag R) and mag^alpha * sign(s) * H(mag R) without
     catastrophic cancellation when xi . theta underflows toward zero.
-    Dense cumulative Simpson up to U = 60, three-term integration-by-parts
-    asymptotics beyond; linear interpolation is accurate to ~1e-6.
+    Dense cumulative Simpson up to U = TAIL_END, three-term
+    integration-by-parts asymptotics beyond; linear interpolation is
+    accurate to ~1e-6.
     """
-    U = 60.0
+    U = TAIL_END
     v = np.concatenate([
-        np.exp(np.linspace(np.log(1e-4), 0.0, 2000, endpoint=False)),
-        np.arange(1.0, U + 0.005, 0.005)])
+        np.exp(np.linspace(np.log(TAIL_LOG_START), 0.0, TAIL_LOG_POINTS,
+                           endpoint=False)),
+        np.arange(1.0, U + TAIL_STEP, TAIL_STEP)])
     g = np.exp(1j * v) * v ** (-1.0 - alpha)
     cum = (cumulative_simpson(g.real, x=v, initial=0.0)
            + 1j * cumulative_simpson(g.imag, x=v, initial=0.0))
@@ -144,16 +155,31 @@ def _oscillatory_tail_profile(alpha: float):
     return v_ext, g_ext, h_ext
 
 
+def _tail_interval(v_tab, v_next, v):
+    """Index i with v_tab[i] <= v < v_next[i] for v >= 0 (v_next: v_tab
+    shifted by one, ending in inf), by index arithmetic on the layout of
+    ``_oscillatory_tail_profile`` instead of a binary search.  Rounding can
+    put v one interval off at an edge; one comparison each way corrects it."""
+    pos = (v - 1.0) * (1.0 / TAIL_STEP) + (1 + TAIL_LOG_POINTS)
+    low = v < 1.0
+    pos[low] = 1.0 + np.log(np.maximum(v[low], TAIL_LOG_START) / TAIL_LOG_START) * (
+        TAIL_LOG_POINTS / -math.log(TAIL_LOG_START))
+    i = np.minimum(pos.astype(np.int64), len(v_tab) - 1)
+    i -= v < v_tab[i]
+    i += v >= v_next[i]
+    return i
+
+
 def _tail_multiplier(measure, grid, xi):
     """Analytic correction for jumps beyond the truncation radius R = L/2:
     per direction, int_R^inf (e^{i s r} - 1 - comp) r^{-1-alpha} dr with the
     density (if any) frozen at R theta, at frequencies xi (n, dim).
     Diagonal in frequency.  A symmetric measure keeps one side of each +/-
     pair (``levy.antipodal_pairs``) at doubled weight and the even part only;
-    s = xi.theta is formed TAIL_BLOCK (frequency, direction) entries at a time.
-    |s| up to 4 ulps of sum_i |xi_i theta_i| (the rounding bound of the
-    product for d <= 3) is taken as 0: |s|^alpha (alpha < 1) would turn a
-    residue of 1e-16, which depends on how the product was formed, into 1e-8."""
+    s = xi.theta (``levy.projections``, so a rounding residue where xi is
+    normal to theta is 0) is formed TAIL_BLOCK (frequency, direction)
+    entries at a time.  G and H are read by linear interpolation in the
+    table, as np.interp would, with slope 0 past its end (the clamp)."""
     alpha = measure.alpha
     r_max = grid.side_length / 2.0
     dirs, dir_wts = _direction_rule(measure)
@@ -163,19 +189,22 @@ def _tail_multiplier(measure, grid, xi):
     if isinstance(measure, levy.DensityKernel):
         dir_wts = dir_wts * measure._eval_a(r_max * dirs)
     v_tab, g_tab, h_tab = _oscillatory_tail_profile(alpha)
+    v_next = np.append(v_tab[1:], np.inf)
+    g_slope, h_slope = (np.append(np.diff(f) / np.diff(v_tab), 0.0)
+                        for f in (g_tab, h_tab))
     mult = np.empty(len(xi), dtype=float if paired is not None else complex)
     per_block = max(1, TAIL_BLOCK // len(dirs))
-    snap = 4.0 * np.finfo(float).eps * np.abs(dirs.T)
     for k0 in range(0, len(xi), per_block):
-        s = xi[k0:k0 + per_block] @ dirs.T
-        s[np.abs(s) <= np.abs(xi[k0:k0 + per_block]) @ snap] = 0.0
+        s = levy.projections(xi[k0:k0 + per_block], dirs)
         v = np.abs(s) * r_max
+        i = _tail_interval(v_tab, v_next, v)
+        dv = v - v_tab[i]
         # even part: int_R^inf (cos(s r) - 1) r^{-1-alpha} dr = |s|^a G(|s| R)
         # and odd part (compensated beyond R when alpha > 1), which cancels
         # in +/- pairs: |s|^a sign(s) H(|s| R)
-        tail = np.interp(v, v_tab, g_tab)
+        tail = g_slope[i] * dv + g_tab[i]
         if paired is None:
-            tail = tail + 1j * np.sign(s) * np.interp(v, v_tab, h_tab)
+            tail = tail + 1j * np.sign(s) * (h_slope[i] * dv + h_tab[i])
         mult[k0:k0 + per_block] = (np.abs(s) ** alpha * tail) @ dir_wts
     return mult
 
@@ -184,7 +213,10 @@ def _quadrature_multiplier(measure, grid, route, xi):
     """-psi_quadrature at lattice frequencies xi (n, dim), built from
     compensated node sums on the grid's scales (no closed-form symbol
     involved).  The nodes y = r theta, weights c and frequencies make the
-    sum of c (e^{i xi.y} - 1 - i xi.y 1_comp) one type-1 NUFFT."""
+    sum of c (e^{i xi.y} - 1 - i xi.y 1_comp) one type-1 NUFFT at
+    QUADRATURE_NUFFT_EPS, whose row for xi = 0, appended to the same call,
+    gives the sum of c: psi(0) is then exactly 0, and the NUFFT error at
+    frequencies near 0 cancels against it."""
     alpha = measure.alpha
     h = grid.spacing
     r_min = h / 2.0
@@ -207,7 +239,10 @@ def _quadrature_multiplier(measure, grid, route, xi):
     weights = (dir_wts[:, None] * rad_wts).ravel()
     if is_density:
         weights = weights * measure._eval_a(nodes)
-    mult = nufft_type1(grid.side_length, nodes, weights, xi) - weights.sum()
+    sums = nufft_type1(grid.side_length, nodes, weights,
+                       np.vstack([xi, np.zeros(measure.dim)]),
+                       eps=QUADRATURE_NUFFT_EPS)
+    mult = sums[:-1] - sums[-1]
     # first-order compensation: every radius for alpha > 1, r <= 1 for
     # alpha = 1, none for alpha < 1
     comp_radius = np.inf if alpha > 1.0 else (1.0 if alpha == 1.0 else 0.0)

@@ -14,6 +14,7 @@ from scipy.special import gamma as Gamma
 
 from levylab import levy
 from levylab.errors import InvalidArgument
+from levylab.fieldgrid import Grid, spectral_points
 
 ALPHAS = [0.3, 0.5, 0.8, 1.0, 1.2, 1.5, 1.9]
 
@@ -254,6 +255,19 @@ def test_skew_smooth_density_matches_closed_form(alpha):
                     - Gamma(-alpha) * np.imag((1 - 1j * xi) ** alpha)))
     np.testing.assert_allclose(levy.symbol_array(dk, GRID_XI), want,
                                rtol=1e-9, atol=0)
+
+
+def test_symbol_does_not_depend_on_how_xi_theta_is_formed():
+    # xi = (4, 3) 2 pi / L is normal to (0.6, -0.8): one product over all
+    # atoms and one per atom round s = 0 differently, and |s|^0.5 would
+    # raise the residue to ~1e-9 relative
+    atoms = [((1.0, 0.0), 0.7), ((0.6, -0.8), 0.4), ((-0.6, 0.8), 0.9)]
+    xi = spectral_points(Grid(2, 16, 10.0))
+    sm = levy.SphericalMeasure.discrete
+    got = levy.symbol_array(levy.StableSpectral(0.5, sm(atoms)), xi)
+    want = sum(levy.symbol_array(levy.StableSpectral(0.5, sm([atom])), xi)
+               for atom in atoms)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_direct_sum_axes_additivity():

@@ -166,17 +166,48 @@ _NUFFT_CASES = [(fam, d) for fam in _NUFFT_MEASURES for d in (1, 2, 3)] + [
     ("density", 1)]
 
 
-@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
-@pytest.mark.parametrize("family,dim", _NUFFT_CASES)
-def test_quadrature_multiplier_matches_direct_sum(family, dim, alpha):
+def _nufft_case(family, dim, alpha):
+    """(measure, grid, route) of one _NUFFT_CASES entry."""
     measure = (_skew_density(alpha) if family == "density"
                else _NUFFT_MEASURES[family](alpha, dim))
     g = Grid(dim, {1: 64, 2: 16, 3: 8}[dim], 10.0)
-    route = OperatorRoute.quadrature(512 if dim < 3 else 40)
+    return measure, g, OperatorRoute.quadrature(512 if dim < 3 else 40)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("family,dim", _NUFFT_CASES)
+def test_quadrature_multiplier_matches_direct_sum(family, dim, alpha,
+                                                  monkeypatch):
+    # checks how the route assembles its sums (pairing, compensation,
+    # Taylor, tail), so the NUFFT runs at 1e-12, below the bound
+    monkeypatch.setattr(nonlocal_op, "QUADRATURE_NUFFT_EPS", 1e-12)
+    measure, g, route = _nufft_case(family, dim, alpha)
     xi = spectral_points(g)
     got = nonlocal_op._quadrature_multiplier(measure, g, route, xi)
     want = _direct_quadrature(measure, g, route, xi)
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("family,dim", _NUFFT_CASES)
+def test_route_eps_moves_the_multiplier_below_it(family, dim, alpha,
+                                                  monkeypatch):
+    measure, g, route = _nufft_case(family, dim, alpha)
+    xi = spectral_points(g)
+    got = nonlocal_op._quadrature_multiplier(measure, g, route, xi)
+    monkeypatch.setattr(nonlocal_op, "QUADRATURE_NUFFT_EPS", 1e-12)
+    want = nonlocal_op._quadrature_multiplier(measure, g, route, xi)
+    assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("family,dim", _NUFFT_CASES)
+def test_quadrature_multiplier_is_zero_at_zero(family, dim):
+    # the NUFFT's own xi = 0 value is subtracted, whatever its error
+    for alpha in (0.5, 1.0, 1.5):
+        measure, g, route = _nufft_case(family, dim, alpha)
+        xi = spectral_points(g)
+        assert not np.any(xi[0])
+        assert nonlocal_op._quadrature_multiplier(measure, g, route, xi)[0] == 0
 
 
 def test_tail_does_not_depend_on_how_xi_theta_is_formed():
@@ -193,6 +224,32 @@ def test_tail_does_not_depend_on_how_xi_theta_is_formed():
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("eps", [1e-6, 1e-8, 1e-12])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_nufft_is_within_eps_of_the_direct_sum(dim, eps):
+    rng = np.random.default_rng(dim)
+    nodes = rng.uniform(-15.0, 15.0, size=(300, dim))     # taken modulo L = 10
+    weights = rng.normal(size=300)
+    k = np.stack(np.meshgrid(*[np.arange(-6, 7)] * dim, indexing="ij"),
+                 axis=-1).reshape(-1, dim)
+    xi = 2 * np.pi / 10.0 * k
+    want = np.exp(1j * xi @ nodes.T) @ weights
+    got = nufft_type1(10.0, nodes, weights, xi, eps=eps)
+    assert np.max(np.abs(got - want)) <= eps * np.sum(np.abs(weights))
+
+
+def test_tail_interval_is_the_binary_search():
+    # every table point, its neighbours in floating point, the midpoints,
+    # the piece edges 1e-4 and 1, and beyond the last entry (the clamp)
+    v_tab = nonlocal_op._oscillatory_tail_profile(1.5)[0]
+    v = np.concatenate([v_tab, np.nextafter(v_tab, -1.0),
+                        np.nextafter(v_tab, np.inf), 0.5 * (v_tab[1:] + v_tab[:-1]),
+                        [1e-4, 1.0, 60.0, 61.0, 1e3]])
+    v = np.abs(v)[None, :]
+    got = nonlocal_op._tail_interval(v_tab, np.append(v_tab[1:], np.inf), v)
+    np.testing.assert_array_equal(got, np.searchsorted(v_tab, v, side="right") - 1)
+
+
 def test_nufft_rejects_frequencies_off_the_lattice():
     nodes, weights = np.array([[0.3], [1.7]]), np.array([1.0, 2.0])
     xi = 2 * np.pi / 10.0 * np.array([[1.0], [2.0]])
@@ -201,6 +258,13 @@ def test_nufft_rejects_frequencies_off_the_lattice():
                                rtol=0, atol=1e-12)
     with pytest.raises(InvalidArgument):
         nufft_type1(10.0, nodes, weights, xi + 1e-6)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1.0])
+def test_nufft_rejects_eps_outside_0_1(eps):
+    with pytest.raises(InvalidArgument):
+        nufft_type1(10.0, np.array([[0.3]]), np.array([1.0]),
+                    np.array([[0.0]]), eps=eps)
 
 
 def test_quadrature_route_never_calls_the_symbol(monkeypatch):
