@@ -228,6 +228,7 @@ def apply_multiplier(field: GridField, mult: np.ndarray) -> GridField:
 # non-uniform transform: node sums at lattice frequencies
 # ---------------------------------------------------------------------------
 
+NUFFT_EPS = 1e-8                  # tolerance, below the quadrature route's 1e-5..1e-3
 NUFFT_BLOCK = 1 << 16             # (node, kernel point) pairs per spreading block
 NUFFT_DECONV_CACHE_SIZE = 16      # kernel transforms, one per (width, fine size)
 ES_BETA_PER_WIDTH = 2.30          # kernel shape beta / width, for 2x oversampling
@@ -260,8 +261,7 @@ def _es_transform(width: int, n_fine: int) -> np.ndarray:
     return phi_hat
 
 
-def nufft_type1(side_length: float, nodes, weights, xi,
-                eps: float = 1e-12) -> np.ndarray:
+def nufft_type1(side_length: float, nodes, weights, xi) -> np.ndarray:
     """sum_j c_j exp(i xi . y_j) for real weights c (m,) at nodes y (m, d),
     at frequencies xi (n, d) on the lattice 2 pi Z^d / L.
 
@@ -269,12 +269,10 @@ def nufft_type1(side_length: float, nodes, weights, xi,
     J. Sci. Comput. 41:C479): the nodes, taken modulo L, are spread onto a
     twice-oversampled periodic grid with the exponential-of-semicircle
     kernel, that grid is transformed once, and each mode is divided by the
-    kernel's Fourier transform.  The requested tolerance eps sets the
+    kernel's Fourier transform.  The tolerance eps = NUFFT_EPS sets the
     kernel's width w = ceil(log10(1/eps)) + 1 fine points and its shape
-    beta = 2.30 w (their rule; w = 13 at the default 1e-12), and the error
+    beta = 2.30 w (their rule; w = 9 at 1e-8, 13 at 1e-12), and the error
     is about eps times sum_j |c_j|.  Spreading costs w^d per node."""
-    if not 0.0 < eps < 1.0:
-        raise InvalidArgument("eps must lie in (0, 1)")
     nodes = np.asarray(nodes, dtype=float)
     weights = np.asarray(weights, dtype=float)
     xi = np.asarray(xi, dtype=float)
@@ -284,7 +282,7 @@ def nufft_type1(side_length: float, nodes, weights, xi,
     if not np.all(np.abs(k_real - k) <= 1e-9):
         raise InvalidArgument("frequencies must lie on the lattice 2 pi Z^d / L")
     k = k.astype(np.int64)
-    w = math.ceil(-math.log10(eps)) + 1
+    w = math.ceil(-math.log10(NUFFT_EPS)) + 1
     beta = ES_BETA_PER_WIDTH * w
     k_max = int(np.abs(k).max(initial=0))
     n_f = scipy.fft.next_fast_len(max(2 * (2 * k_max + 1), 2 * w))

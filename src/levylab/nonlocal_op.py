@@ -5,11 +5,11 @@
   log-spaced radii.  Each node displaces the field by r*theta, which on a
   periodic grid is an exact spectral phase shift; the node sums are therefore
   a quadrature-built multiplier, assembled at every frequency at once by the
-  type-1 NUFFT of ``fieldgrid`` at the route's own tolerance
-  QUADRATURE_NUFFT_EPS = 1e-8, below the route's discretisation error of
-  1e-5 to 1e-3.  The "- 1" of every node is the NUFFT's own value at
-  xi = 0, so the quadrature psi(0) is exactly 0 and the NUFFT error cancels
-  at low frequencies, where |psi| is small.  The singular region r < h/2 is
+  type-1 NUFFT of ``fieldgrid`` at its tolerance NUFFT_EPS = 1e-8, below
+  the route's discretisation error of 1e-5 to 1e-3.  The "- 1" of every
+  node is the NUFFT's own value at xi = 0, so the quadrature psi(0) is
+  exactly 0 and the NUFFT error cancels at low frequencies, where |psi| is
+  small.  The singular region r < h/2 is
   handled by a Taylor expansion to fourth order with spectral derivatives,
   and the jumps beyond the truncation radius (for alpha > 1 with their
   compensation) are added analytically.
@@ -37,7 +37,6 @@ COMMUTATOR_TOL = 1e-6
 MULTIPLIER_CACHE_SIZE = 16
 TAIL_PROFILE_CACHE_SIZE = 8         # profiles of ~340 KB, one per alpha
 TAIL_BLOCK = 1 << 16                # (frequency, direction) entries per tail block
-QUADRATURE_NUFFT_EPS = 1e-8         # NUFFT tolerance of the quadrature route
 # tail table layout: 0, then TAIL_LOG_POINTS log-spaced points on
 # [TAIL_LOG_START, 1), then steps of TAIL_STEP on [1, TAIL_END]
 TAIL_LOG_START, TAIL_LOG_POINTS = 1e-4, 2000
@@ -213,8 +212,8 @@ def _quadrature_multiplier(measure, grid, route, xi):
     """-psi_quadrature at lattice frequencies xi (n, dim), built from
     compensated node sums on the grid's scales (no closed-form symbol
     involved).  The nodes y = r theta, weights c and frequencies make the
-    sum of c (e^{i xi.y} - 1 - i xi.y 1_comp) one type-1 NUFFT at
-    QUADRATURE_NUFFT_EPS, whose row for xi = 0, appended to the same call,
+    sum of c (e^{i xi.y} - 1 - i xi.y 1_comp) one type-1 NUFFT (at
+    ``fieldgrid.NUFFT_EPS``), whose row for xi = 0, appended to the same call,
     gives the sum of c: psi(0) is then exactly 0, and the NUFFT error at
     frequencies near 0 cancels against it."""
     alpha = measure.alpha
@@ -240,8 +239,7 @@ def _quadrature_multiplier(measure, grid, route, xi):
     if is_density:
         weights = weights * measure._eval_a(nodes)
     sums = nufft_type1(grid.side_length, nodes, weights,
-                       np.vstack([xi, np.zeros(measure.dim)]),
-                       eps=QUADRATURE_NUFFT_EPS)
+                       np.vstack([xi, np.zeros(measure.dim)]))
     mult = sums[:-1] - sums[-1]
     # first-order compensation: every radius for alpha > 1, r <= 1 for
     # alpha = 1, none for alpha < 1
