@@ -348,10 +348,9 @@ def _cmd_sde(args) -> int:
                          f"lives in R^{measure.dim}")
     drift = _drift_from_dict(spec.get("drift"), measure.dim)
 
-    estimate, std_error, ensemble = stochastic._feynman_kac(
+    estimate, std_error, exits = stochastic._feynman_kac(
         phi, None, lambda t, y: drift.theta(t), measure, t_final, x,
         args.paths, args.seed, lam, n_steps)
-    exits = stochastic.exit_fraction(ensemble, x, phi.grid.side_length)
     elapsed = time.perf_counter() - t0
 
     lines = [f"estimate: {estimate:.10g}",
@@ -363,7 +362,13 @@ def _cmd_sde(args) -> int:
     with open(args.out, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     if args.dump_paths:
-        np.save(args.dump_paths, ensemble.states[:2000])
+        # the estimator's first paths, redrawn: path i's stream does not
+        # depend on the path count; the paths run in reversed time s
+        paths = stochastic.sample_ensemble(
+            lambda s, y: drift.theta(t_final - s), measure, x,
+            np.linspace(0.0, t_final, n_steps + 1), min(args.paths, 2000),
+            args.seed)
+        np.save(args.dump_paths, paths.states)
     manifest = _manifest(
         measure, phi.grid,
         config_digest=_digest(spec),

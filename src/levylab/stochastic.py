@@ -24,6 +24,10 @@ order, k uniforms per increment (see sample_stable_increment).  Path i
 therefore reads the fixed block of n_steps * k uniforms that starts at
 i * n_steps * k: it does not change with the path count, and ensembles are
 bit-exactly reproducible.
+
+The estimators reduce the paths one block of PATH_BLOCK at a time to one
+value per path, so their memory is O(PATH_BLOCK (n_steps+1) d + n_paths);
+only sample_ensemble holds a whole ensemble.
 """
 
 from __future__ import annotations
@@ -158,14 +162,13 @@ def sample_stable_increment(sigma: levy.SphericalMeasure, alpha: float,
 # paths
 # ---------------------------------------------------------------------------
 
-def sample_ensemble(b, measure, x0, time_grid, n_paths: int,
-                    seed: int) -> PathEnsemble:
-    """Ensemble of Euler paths X_{k+1} = X_k + b(t_k, X_k) dt_k + dL_k.
+def _path_blocks(b, measure, x0, time_grid, n_paths: int, seed: int):
+    """Euler paths X_{k+1} = X_k + b(t_k, X_k) dt_k + dL_k, yielded in path
+    order as (m, len(time_grid), d) state blocks of m <= PATH_BLOCK paths.
 
-    The increments are read from one stream Philox(key=seed) in path-major
-    order, PATH_BLOCK paths per draw, so path i's increments do not depend
-    on n_paths.  b may be None (no drift); otherwise it receives the whole
-    batch of states at once, shape (n_paths, d)."""
+    The increments are read from one stream Philox(key=seed), one draw per
+    block, so path i's states do not depend on n_paths.  b may be None (no
+    drift); otherwise it receives a block's states at once, shape (m, d)."""
     tg = np.asarray(time_grid, dtype=float)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     d = x0.size
@@ -174,29 +177,48 @@ def sample_ensemble(b, measure, x0, time_grid, n_paths: int,
         raise InvalidArgument("time_grid must be strictly increasing")
     _require_symmetric_stable(measure)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    incs = np.empty((n_paths, dts.size, d))
     for first in range(0, n_paths, PATH_BLOCK):
-        block = incs[first:first + PATH_BLOCK]
-        block[...] = sample_stable_increment(measure.sigma, measure.alpha,
-                                             dts, rng, size=block.shape[:2])
-    states = np.empty((n_paths, tg.size, d))
-    states[:, 0] = x0
-    if b is None:
-        states[:, 1:] = x0 + np.cumsum(incs, axis=1)
-    else:
-        for k, dt in enumerate(dts):
-            bv = np.asarray(b(float(tg[k]), states[:, k]), dtype=float)
-            if bv.shape == (d,):        # x-independent drift value
-                bv = np.broadcast_to(bv, (n_paths, d))
-            if bv.shape != (n_paths, d):
-                raise InvalidArgument(
-                    "batch drift must map (n_paths, d) states to (n_paths, d)")
-            if not np.all(np.isfinite(bv)):
-                bad = np.argmax(~np.all(np.isfinite(bv), axis=1))
-                raise DriftEvaluationFailure(
-                    "non-finite drift", t=float(tg[k]),
-                    x=states[bad, k].copy())
-            states[:, k + 1] = states[:, k] + bv * dt + incs[:, k]
+        m = min(PATH_BLOCK, n_paths - first)
+        incs = sample_stable_increment(measure.sigma, measure.alpha, dts, rng,
+                                       size=(m, dts.size))
+        states = np.empty((m, tg.size, d))
+        states[:, 0] = x0
+        if b is None:
+            np.cumsum(incs, axis=1, out=states[:, 1:])
+            states[:, 1:] += x0
+        else:
+            for k, dt in enumerate(dts):
+                bv = np.asarray(b(float(tg[k]), states[:, k]), dtype=float)
+                if bv.shape == (d,):        # x-independent drift value
+                    bv = np.broadcast_to(bv, (m, d))
+                if bv.shape != (m, d):
+                    raise InvalidArgument(
+                        "batch drift must map (m, d) states to (m, d)")
+                if not np.all(np.isfinite(bv)):
+                    bad = np.argmax(~np.all(np.isfinite(bv), axis=1))
+                    raise DriftEvaluationFailure(
+                        "non-finite drift", t=float(tg[k]),
+                        x=states[bad, k].copy())
+                states[:, k + 1] = states[:, k] + bv * dt + incs[:, k]
+        if not np.all(np.isfinite(states)):
+            raise InvalidArgument("states must be finite")
+        yield states
+
+
+def sample_ensemble(b, measure, x0, time_grid, n_paths: int,
+                    seed: int) -> PathEnsemble:
+    """Ensemble of Euler paths X_{k+1} = X_k + b(t_k, X_k) dt_k + dL_k.
+
+    The increments are read from one stream Philox(key=seed) in path-major
+    order, PATH_BLOCK paths per draw, so path i's increments do not depend
+    on n_paths.  b may be None (no drift); otherwise it receives a block of
+    at most PATH_BLOCK states at once, shape (m, d)."""
+    tg = np.asarray(time_grid, dtype=float)
+    states = np.empty((n_paths, tg.size, np.size(x0)))
+    first = 0
+    for block in _path_blocks(b, measure, x0, tg, n_paths, seed):
+        states[first:first + len(block)] = block
+        first += len(block)
     return PathEnsemble(n_paths, tg, states, int(seed))
 
 
@@ -230,19 +252,40 @@ def _frame_at(f: SpaceTimeField, t: float) -> GridField:
     return f.frames[j]
 
 
+def _exit_count(states: np.ndarray, x0, side_length: float) -> int:
+    """Number of paths in states (n, n_times, d) that ever left the
+    half-period box around x0."""
+    disp = states - np.atleast_1d(np.asarray(x0, dtype=float))
+    return int(np.count_nonzero(np.any(np.abs(disp) > side_length / 2.0,
+                                       axis=(1, 2))))
+
+
 def exit_fraction(ensemble: PathEnsemble, x0, side_length: float) -> float:
     """Fraction of paths that ever left the half-period box around x0."""
-    disp = ensemble.states - np.atleast_1d(np.asarray(x0, dtype=float))
-    return float(np.mean(np.any(np.abs(disp) > side_length / 2.0,
-                                axis=(1, 2))))
+    return _exit_count(ensemble.states, x0, side_length) / ensemble.n_paths
 
 
-def _check_exits(ensemble: PathEnsemble, x0, side_length: float):
-    frac = exit_fraction(ensemble, x0, side_length)
+def _per_path(b, measure, x0, time_grid, n_paths, seed, grid, value):
+    """value(wrapped) for each path, where wrapped holds a block's states
+    reduced mod the period, and the fraction of paths that left the
+    half-period box around x0 (warned about above EXIT_FRACTION_LIMIT).
+    One block of paths is held at a time."""
+    if np.size(x0) != grid.dim:
+        raise InvalidArgument(f"the start point has {np.size(x0)} components "
+                              f"but the grid lives in R^{grid.dim}")
+    out = np.empty(n_paths)
+    exits = first = 0
+    for states in _path_blocks(b, measure, x0, time_grid, n_paths, seed):
+        exits += _exit_count(states, x0, grid.side_length)
+        out[first:first + len(states)] = value(np.mod(states,
+                                                      grid.side_length))
+        first += len(states)
+    frac = exits / n_paths
     if frac > EXIT_FRACTION_LIMIT:
         warnings.warn(DomainExitWarning(
             f"{100 * frac:.2f}% of paths left the half-period box; "
             f"widen the domain"))
+    return out, frac
 
 
 # ---------------------------------------------------------------------------
@@ -264,30 +307,29 @@ def feynman_kac(phi: GridField, f, b, measure, t: float, x,
 
 
 def _feynman_kac(phi, f, b, measure, t, x, n_paths, rng_seed, lam, n_steps):
-    """feynman_kac's (estimate, standard_error) and the path ensemble it
-    averaged over."""
+    """feynman_kac's (estimate, standard_error) and the fraction of its paths
+    that left the half-period box around x."""
     if not t > 0:
         raise InvalidArgument("t must be positive")
-    g = phi.grid
     tg = np.linspace(0.0, t, n_steps + 1)
     drift = None if b is None else (lambda s, y: np.asarray(b(t - s, y)))
-    ens = sample_ensemble(drift, measure, np.atleast_1d(x), tg,
-                          n_paths, rng_seed)
-    _check_exits(ens, np.atleast_1d(x), g.side_length)
-    wrapped = np.mod(ens.states, g.side_length)
+    dt = t / n_steps
 
-    per_path = math.exp(-lam * t) * _interp_field(
-        phi, wrapped[:, -1, :].reshape(n_paths, g.dim))
-    if f is not None:
-        dt = t / n_steps
-        for k in range(n_steps):          # left endpoint in path time
-            s = tg[k]
-            frame = _frame_at(f, t - s)
-            per_path = per_path + (math.exp(-lam * s) * dt
-                                   * _interp_field(frame, wrapped[:, k, :]))
+    def value(wrapped):
+        v = math.exp(-lam * t) * _interp_field(phi, wrapped[:, -1, :])
+        if f is not None:
+            for k in range(n_steps):          # left endpoint in path time
+                s = tg[k]
+                frame = _frame_at(f, t - s)
+                v = v + (math.exp(-lam * s) * dt
+                         * _interp_field(frame, wrapped[:, k, :]))
+        return v
+
+    per_path, frac = _per_path(drift, measure, np.atleast_1d(x), tg, n_paths,
+                               rng_seed, phi.grid, value)
     est = float(np.mean(per_path))
     sterr = float(np.std(per_path, ddof=1) / math.sqrt(n_paths))
-    return est, sterr, ens
+    return est, sterr, frac
 
 
 def krylov_check(b, measure, f: SpaceTimeField, p: float,
@@ -303,13 +345,15 @@ def krylov_check(b, measure, f: SpaceTimeField, p: float,
     T = f.time_step * (len(f.frames) - 1)
     x0 = np.zeros(g.dim) if x0 is None else np.atleast_1d(np.asarray(x0, float))
     tg = np.linspace(0.0, T, n_steps + 1)
-    ens = sample_ensemble(b, measure, x0, tg, n_paths, rng_seed)
-    _check_exits(ens, x0, g.side_length)
-    wrapped = np.mod(ens.states, g.side_length)
     dt = T / n_steps
-    per_path = np.zeros(n_paths)
-    for k in range(n_steps):
-        per_path += dt * _interp_field(_frame_at(f, tg[k]), wrapped[:, k, :])
+
+    def value(wrapped):
+        v = np.zeros(len(wrapped))
+        for k in range(n_steps):
+            v += dt * _interp_field(_frame_at(f, tg[k]), wrapped[:, k, :])
+        return v
+
+    per_path, _ = _per_path(b, measure, x0, tg, n_paths, rng_seed, g, value)
     lhs = float(np.mean(per_path))
     # space-time L^p norm with left-endpoint time rule to match the estimator
     fnorm = 0.0

@@ -391,9 +391,9 @@ def test_sde_schedule_is_the_feynman_kac_drift(measure_file, tmp_path):
     assert f"constant.std_error: {std_error!r}" in manifest
 
 
-def test_sde_reuses_the_estimator_ensemble(measure_file, tmp_path,
-                                          monkeypatch):
-    # a box of half-width 4 that about a tenth of the Cauchy paths leave
+def test_sde_dump_and_exit_fraction_are_the_estimators(measure_file, tmp_path):
+    # a box of half-width 4 that about a tenth of the Cauchy paths leave;
+    # the dump redraws the estimator's first 2000 paths from the same seed
     g = Grid(1, 64, 8.0)
     x = g.coordinates()[..., 0]
     phi_path = tmp_path / "phi.bin"
@@ -402,29 +402,25 @@ def test_sde_reuses_the_estimator_ensemble(measure_file, tmp_path,
     prob.write_text(json.dumps({
         "measure": levy.to_dict(levy.load_measure(measure_file)),
         "phi": str(phi_path), "t": 0.5, "x": [4.0], "n_steps": 8}))
-    ensembles = []
-    sample = stochastic.sample_ensemble
-
-    def recording(*args, **kwargs):
-        ensembles.append(sample(*args, **kwargs))
-        return ensembles[-1]
-
-    monkeypatch.setattr(stochastic, "sample_ensemble", recording)
     out = tmp_path / "summary.txt"
     dump = tmp_path / "paths.npy"
     with pytest.warns(DomainExitWarning):
         assert cli.main(["sde", "--problem", str(prob), "--paths", "3000",
                          "--seed", "7", "--out", str(out),
                          "--dump-paths", str(dump)]) == 0
-    assert len(ensembles) == 1
-    ens = ensembles[0]
-    assert ens.n_paths == 3000
+    # the zero drift of a problem without one, in reversed time
+    zero = lambda s, y: np.zeros(1)
+    tg = np.linspace(0.0, 0.5, 9)
+    measure = levy.load_measure(measure_file)
+    ens = stochastic.sample_ensemble(zero, measure, [4.0], tg, 3000, 7)
+    first = stochastic.sample_ensemble(zero, measure, [4.0], tg, 2000, 7)
+    np.testing.assert_array_equal(first.states, ens.states[:2000])
+    np.testing.assert_array_equal(np.load(dump), first.states)
     frac = stochastic.exit_fraction(ens, [4.0], 8.0)
     assert 0.0 < frac < 1.0
     assert f"exit-fraction: {frac:.4f}" in out.read_text()
     manifest = (tmp_path / "summary.txt.manifest").read_text()
     assert f"constant.exit_fraction: {frac!r}" in manifest
-    np.testing.assert_array_equal(np.load(dump), ens.states[:2000])
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@
 structural properties of the characteristic exponent, serialization."""
 
 import math
-import tracemalloc
 
 import mpmath
 import numpy as np
@@ -508,7 +507,7 @@ def test_unregistered_density_rejected():
         levy.to_dict(dk)
 
 
-def test_density_symbol_memory_is_bounded():
+def test_density_symbol_memory_is_bounded(traced_peak):
     # one symbol call on the 1024 frequencies of Grid(1, 1024, 40) peaked at
     # 424 MiB when the quadrature held every (frequency, node) pair at once
     measure = levy.from_dict({
@@ -516,11 +515,6 @@ def test_density_symbol_memory_is_bounded():
         "a_name": "constant", "a_params": {"value": 1.0},
         "c1": 1.0, "c2": 1.0, "symmetric": True})
     xi = 2 * np.pi * np.fft.fftfreq(1024, d=40.0 / 1024)[:, None]
-    tracemalloc.start()
-    try:
-        psi = levy.symbol_array(measure, xi)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    psi, peak = traced_peak(levy.symbol_array, measure, xi)
     assert np.all(np.isfinite(psi))
     assert peak <= 64 * 2 ** 20

@@ -3,7 +3,6 @@ the NUFFT-assembled quadrature against a direct node sum, adjointness,
 translation equivariance, and the commutator identity."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -258,17 +257,13 @@ def test_quadrature_route_never_calls_the_symbol(monkeypatch):
                                            spectral_points(g))
 
 
-def test_quadrature_multiplier_memory_is_bounded():
+def test_quadrature_multiplier_memory_is_bounded(traced_peak):
     g = Grid(2, 64, 40.0)
     m = levy.StableSpectral(1.5, levy.SphericalMeasure.isotropic(2, 1.0))
     xi = spectral_points(g)
     nonlocal_op._oscillatory_tail_profile(1.5)            # cached table
-    tracemalloc.start()
-    try:
-        nonlocal_op._quadrature_multiplier(m, g, OperatorRoute.quadrature(), xi)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(nonlocal_op._quadrature_multiplier, m, g,
+                          OperatorRoute.quadrature(), xi)
     assert peak < 8 * 2 ** 20
 
 

@@ -2,7 +2,7 @@
 reproducibility, path ensembles, the probabilistic solution formula, and
 the occupation-time estimator."""
 
-import tracemalloc
+import math
 import warnings
 
 import numpy as np
@@ -212,16 +212,12 @@ def test_nonuniform_steps_scale_the_unit_time_draw(sigma):
                                                                     axis=1))
 
 
-def test_ensemble_peak_memory_is_bounded():
+def test_ensemble_peak_memory_is_bounded(traced_peak):
     # blocks of PATH_BLOCK paths keep the uniforms (4 per increment here)
     # from being held for the whole ensemble at once
     tg = np.linspace(0.0, 0.5, 65)
-    tracemalloc.start()
-    try:
-        stochastic.sample_ensemble(None, _iso1d(), [0.0], tg, 30_000, seed=2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(stochastic.sample_ensemble, None, _iso1d(), [0.0],
+                          tg, 30_000, seed=2)
     assert peak <= 64 * 2 ** 20
 
 
@@ -335,6 +331,107 @@ def test_exit_fraction_zero_for_frozen_paths():
     states = np.zeros((3, 5, 1))
     ens = stochastic.PathEnsemble(3, tg, states, 0)
     assert stochastic.exit_fraction(ens, [0.0], 10.0) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the streamed estimators against the whole-ensemble formulas
+# ---------------------------------------------------------------------------
+
+def _oracle_feynman_kac(phi, f, b, measure, t, x, n_paths, seed, lam,
+                        n_steps):
+    """feynman_kac's estimate, standard error and exit fraction from the
+    whole ensemble at once."""
+    tg = np.linspace(0.0, t, n_steps + 1)
+    drift = None if b is None else (lambda s, y: np.asarray(b(t - s, y)))
+    ens = stochastic.sample_ensemble(drift, measure, x, tg, n_paths, seed)
+    frac = stochastic.exit_fraction(ens, x, phi.grid.side_length)
+    wrapped = np.mod(ens.states, phi.grid.side_length)
+    per_path = math.exp(-lam * t) * stochastic._interp_field(
+        phi, wrapped[:, -1, :])
+    dt = t / n_steps
+    for k in range(n_steps):
+        frame = stochastic._frame_at(f, t - tg[k])
+        per_path = per_path + (math.exp(-lam * tg[k]) * dt
+                               * stochastic._interp_field(frame,
+                                                          wrapped[:, k, :]))
+    return (float(np.mean(per_path)),
+            float(np.std(per_path, ddof=1) / math.sqrt(n_paths)), frac)
+
+
+def _oracle_krylov(b, measure, f, x0, n_paths, seed, n_steps):
+    T = f.time_step * (len(f.frames) - 1)
+    tg = np.linspace(0.0, T, n_steps + 1)
+    ens = stochastic.sample_ensemble(b, measure, x0, tg, n_paths, seed)
+    wrapped = np.mod(ens.states, f.grid.side_length)
+    per_path = np.zeros(n_paths)
+    for k in range(n_steps):
+        per_path += T / n_steps * stochastic._interp_field(
+            stochastic._frame_at(f, tg[k]), wrapped[:, k, :])
+    return float(np.mean(per_path))
+
+
+def _streaming_case(dim):
+    """A measure, terminal value, positive forcing and start point in a box
+    of side 8 that a few percent of the paths leave by t = 0.5."""
+    g = Grid(dim, 256 if dim == 1 else 32, 8.0)
+    x = g.coordinates()
+    r2 = np.sum((x - 4.0) ** 2, axis=-1)
+    phi = GridField(g, np.exp(-r2)[None])
+    frames = tuple(GridField(g, (1.0 + k / 8 + np.cos(x[..., 0]) ** 2)[None])
+                   for k in range(9))
+    if dim == 1:
+        measure = _iso1d()
+    else:
+        measure = levy.StableSpectral(1.5, levy.SphericalMeasure.discrete(
+            [((1.0, 0.0), 0.4), ((-1.0, 0.0), 0.4),
+             ((0.6, 0.8), 0.3), ((-0.6, -0.8), 0.3)]))
+    return measure, phi, SpaceTimeField(0.5 / 8, frames), np.full(dim, 3.5)
+
+
+@pytest.mark.parametrize("dim", [1, 2], ids=["isotropic-1d", "atoms-2d"])
+@pytest.mark.parametrize("drifted", [False, True], ids=["b=0", "b(t,x)"])
+def test_streamed_estimators_equal_the_whole_ensemble_formulas(dim, drifted):
+    # 5000 paths end in a partial block; every value must be bit-identical
+    measure, phi, f, x0 = _streaming_case(dim)
+    b = (lambda t, y: 0.4 * np.sin(y[:, ::-1]) * (1.0 + t)) if drifted \
+        else None
+    n_paths = 5000
+    assert n_paths % stochastic.PATH_BLOCK
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DomainExitWarning)
+        got = stochastic._feynman_kac(phi, f, b, measure, 0.5, x0, n_paths,
+                                      31, 0.7, 8)
+        want = _oracle_feynman_kac(phi, f, b, measure, 0.5, x0, n_paths, 31,
+                                   0.7, 8)
+        lhs, _ = stochastic.krylov_check(b, measure, f, dim + 2.0, n_paths,
+                                         32, x0=x0, n_steps=8)
+        lhs_want = _oracle_krylov(b, measure, f, x0, n_paths, 32, 8)
+    assert 0.0 < got[2] < 1.0
+    assert got == want
+    assert lhs == lhs_want
+
+
+def test_estimator_peak_memory_is_bounded(traced_peak):
+    # one block of paths at a time: the whole (30000, 65, 1) ensemble took
+    # three arrays of 15 MiB
+    m = _iso1d()
+    f = _constant_forcing(T=0.5, n_frames=65)
+    phi = f.frames[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DomainExitWarning)
+        _, peak_kr = traced_peak(stochastic.krylov_check, None, m, f, 3.0,
+                                 30_000, 2, x0=[20.0], n_steps=64)
+        _, peak_fk = traced_peak(stochastic.feynman_kac, phi, None, None, m,
+                                 0.5, [20.0], 30_000, 2, n_steps=64)
+    assert peak_kr <= 16 * 2 ** 20
+    assert peak_fk <= 16 * 2 ** 20
+
+
+def test_start_point_must_match_the_grid():
+    g, phi = _terminal_setup()
+    m = levy.StableSpectral(1.0, levy.SphericalMeasure.isotropic(2, 1.0))
+    with pytest.raises(InvalidArgument):
+        stochastic.feynman_kac(phi, None, None, m, 0.5, [60.0, 60.0], 10, 0)
 
 
 # ---------------------------------------------------------------------------
