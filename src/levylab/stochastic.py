@@ -32,7 +32,9 @@ only sample_ensemble holds a whole ensemble.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -229,20 +231,18 @@ def sample_ensemble(b, measure, x0, time_grid, n_paths: int,
 def _interp_field(field: GridField, points: np.ndarray) -> np.ndarray:
     """Periodic multilinear interpolation of component 0 at (n, d) points."""
     g = field.grid
-    vals = field.values[0]
     n = g.points_per_axis
     frac = points / g.spacing
-    base = np.floor(frac).astype(np.int64)
+    base = np.floor(frac)
     t = frac - base
-    out = np.zeros(points.shape[0])
+    base = base.astype(np.int64)
+    # per axis: (index, weight) of the lower and of the upper grid point
+    ends = [((base[:, j] % n, 1.0 - t[:, j]), ((base[:, j] + 1) % n, t[:, j]))
+            for j in range(g.dim)]
+    out = np.zeros(len(points))
     for corner in range(1 << g.dim):
-        w = np.ones(points.shape[0])
-        idx = []
-        for j in range(g.dim):
-            bit = (corner >> j) & 1
-            idx.append((base[:, j] + bit) % n)
-            w = w * (t[:, j] if bit else 1.0 - t[:, j])
-        out += w * vals[tuple(idx)]
+        idx, w = zip(*(ends[j][(corner >> j) & 1] for j in range(g.dim)))
+        out += functools.reduce(operator.mul, w) * field.values[0][idx]
     return out
 
 
