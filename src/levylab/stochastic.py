@@ -97,12 +97,16 @@ def _cms_symmetric(alpha: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _positive_stable(alpha_half: float, u: np.ndarray,
                      w: np.ndarray) -> np.ndarray:
     """Positive alpha_half-stable variables with E e^{-sA} = e^{-s^alpha_half}
-    (Kanter's method, alpha_half in (0,1))."""
+    (Kanter's method, alpha_half in (0,1)):
+
+        A = sin(a v) / sin(v)^{1/a} * (sin((1-a) v) / E)^{(1-a)/a}
+
+    with v = pi U and E = -log(1 - W); at a = 1/2 the powers are a square
+    and the identity."""
     v = np.pi * u
-    a = (np.sin(alpha_half * v) ** alpha_half
-         * np.sin((1.0 - alpha_half) * v) ** (1.0 - alpha_half)
-         / np.sin(v)) ** (1.0 / (1.0 - alpha_half))
-    return (a / -np.log1p(-w)) ** ((1.0 - alpha_half) / alpha_half)
+    return (np.sin(alpha_half * v) / np.sin(v) ** (1.0 / alpha_half)
+            * (np.sin((1.0 - alpha_half) * v) / -np.log1p(-w))
+            ** ((1.0 - alpha_half) / alpha_half))
 
 
 def _normals(u: np.ndarray, d: int) -> np.ndarray:
