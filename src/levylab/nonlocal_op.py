@@ -135,7 +135,7 @@ def _oscillatory_tail_profile(alpha: float):
     cum = (cumulative_simpson(g.real, x=v, initial=0.0)
            + 1j * cumulative_simpson(g.imag, x=v, initial=0.0))
     f_at_u = 1j * np.exp(1j * U) * U ** (-1.0 - alpha) * (
-        1.0 + 1j * (1.0 + alpha) / U
+        1.0 - 1j * (1.0 + alpha) / U
         - (1.0 + alpha) * (2.0 + alpha) / U ** 2)
     f = (cum[-1] - cum) + f_at_u
     g_reg = f.real - v ** (-alpha) / alpha

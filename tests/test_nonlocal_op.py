@@ -234,6 +234,21 @@ def test_tail_interval_is_the_binary_search():
     np.testing.assert_array_equal(got, np.searchsorted(v_tab, v, side="right") - 1)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_tail_profile_end_is_the_oscillatory_integral(alpha):
+    # F(U) = int_U^inf e^{iu} u^{-1-alpha} du at U = TAIL_END, where the
+    # table holds the asymptotic series alone, against QAWF quadrature
+    from scipy.integrate import quad
+    U = nonlocal_op.TAIL_END
+    v_tab, g_tab, h_tab = nonlocal_op._oscillatory_tail_profile(alpha)
+    assert v_tab[-1] == pytest.approx(U)
+    im_reg = U ** (1.0 - alpha) / (alpha - 1.0) if alpha > 1 else 0.0
+    got = complex(g_tab[-1] + U ** -alpha / alpha, h_tab[-1] + im_reg)
+    want = complex(*(quad(lambda u: u ** (-1.0 - alpha), U, np.inf,
+                          weight=kind, wvar=1.0)[0] for kind in ("cos", "sin")))
+    assert abs(got - want) <= 1e-3 * abs(want)
+
+
 def test_nufft_rejects_frequencies_off_the_lattice(monkeypatch):
     monkeypatch.setattr(fieldgrid, "NUFFT_EPS", 1e-12)
     nodes, weights = np.array([[0.3], [1.7]]), np.array([1.0, 2.0])
