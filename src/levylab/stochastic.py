@@ -46,7 +46,7 @@ from .errors import (DomainExitWarning, DriftEvaluationFailure,
 from .fieldgrid import GridField, SpaceTimeField
 
 EXIT_FRACTION_LIMIT = 0.01
-PATH_BLOCK = 2048          # paths per uniform draw of sample_ensemble
+PATH_BLOCK = 2048          # paths per uniform draw and per estimator block
 
 
 @dataclass(frozen=True)
