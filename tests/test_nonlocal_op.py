@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from levylab import fieldgrid, levy, nonlocal_op
 from levylab.errors import ConsistencyFailure, InvalidArgument
@@ -238,7 +239,6 @@ def test_tail_interval_is_the_binary_search():
 def test_tail_profile_end_is_the_oscillatory_integral(alpha):
     # F(U) = int_U^inf e^{iu} u^{-1-alpha} du at U = TAIL_END, where the
     # table holds the asymptotic series alone, against QAWF quadrature
-    from scipy.integrate import quad
     U = nonlocal_op.TAIL_END
     v_tab, g_tab, h_tab = nonlocal_op._oscillatory_tail_profile(alpha)
     assert v_tab[-1] == pytest.approx(U)
