@@ -372,21 +372,21 @@ def coarsen_samples(field: GridField, factor: int = 2) -> GridField:
 
 @lru_cache(maxsize=16)
 def gradient_symbol(grid: Grid) -> np.ndarray:
-    """i xi on the half spectrum, shape (*spectral_shape, dim), read-only."""
-    ik = resolve(grid, 1j * spectral_points(grid))
+    """i xi on the half spectrum, shape (dim, *spectral_shape), read-only."""
+    ik = np.moveaxis(resolve(grid, 1j * spectral_points(grid)), -1, 0)
     ik.flags.writeable = False
     return ik
 
 
+def spectral_gradient(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """Gradient of the field with half spectrum coeffs (m, *spectral_shape),
+    shape (m, dim, *grid shape), in one batched transform."""
+    return inverse(grid, coeffs[:, None] * gradient_symbol(grid))
+
+
 def gradient(field: GridField) -> np.ndarray:
     """Spectral gradient, shape (m, dim, *grid shape)."""
-    g = field.grid
-    co = forward(field)
-    ik = gradient_symbol(g)
-    out = np.empty((field.components, g.dim) + g.shape)
-    for j in range(g.dim):
-        out[:, j] = inverse(g, co * ik[..., j])
-    return out
+    return spectral_gradient(field.grid, forward(field))
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,30 @@ def isotropic_projection_moment(dim: int, alpha: float) -> float:
         math.sqrt(math.pi) * Gamma((dim + alpha) / 2.0))
 
 
+def compensation_radius(alpha: float) -> float:
+    """Radius of the first-order compensation y 1_{|y| <= radius} in psi:
+    every jump for alpha > 1, the unit ball at alpha = 1, none below."""
+    return math.inf if alpha > 1.0 else (1.0 if alpha == 1.0 else 0.0)
+
+
+def radial_rule(alpha: float, lo: float, hi: float, n_lo: int, n_hi: int):
+    """Radii on [lo, hi] and weights that include the kernel r^{-1-alpha}:
+    10-point Gauss-Legendre on panels equal in log r, n_lo on [lo, 1] and
+    n_hi on [1, hi], so that r = 1, where the alpha = 1 compensation
+    jumps, is a panel edge; n_lo + n_hi panels when 1 is outside (lo, hi)."""
+    if lo < 1.0 < hi:
+        edges = np.concatenate([
+            np.exp(np.linspace(math.log(lo), 0.0, n_lo + 1)),
+            np.exp(np.linspace(0.0, math.log(hi), n_hi + 1))[1:]])
+    else:
+        edges = np.exp(np.linspace(math.log(lo), math.log(hi), n_lo + n_hi + 1))
+    gx, gw = gauss_legendre(10)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    r = (mid[:, None] + half[:, None] * gx).ravel()
+    return r, (half[:, None] * gw).ravel() * r ** (-1.0 - alpha)
+
+
 # ---------------------------------------------------------------------------
 # spherical measures
 # ---------------------------------------------------------------------------
@@ -355,7 +379,12 @@ def _symbol_stable(measure: StableSpectral, xi):
     return re + 1j * im
 
 
-def _sphere_rule(dim: int, n: int):
+def sphere_area(dim: int) -> float:
+    """|S^{dim-1}|, the counting measure of {-1, +1} for dim = 1."""
+    return {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}[dim]
+
+
+def sphere_rule(dim: int, n: int):
     """Product quadrature rule on the unit sphere: directions and weights
     for the (unnormalized) surface measure."""
     if dim == 1:
@@ -397,7 +426,7 @@ def _symbol_density(measure: DensityKernel, xi):
     """
     flat = xi.reshape(-1, measure.dim)
     # the angular error dominates for dim >= 2
-    dirs, dir_wts = _sphere_rule(measure.dim, {1: 2, 2: 64, 3: 16}[measure.dim])
+    dirs, dir_wts = sphere_rule(measure.dim, {1: 2, 2: 64, 3: 16}[measure.dim])
 
     prev = None
     for panels_per_decade in (16, 32, 64, 128):
@@ -425,27 +454,18 @@ def _u_minus_sin(u):
 def _density_quad_once(measure, flat, dirs, dir_wts, panels_per_decade):
     alpha = measure.alpha
     u_min, u_max = 1e-6, 300.0
-    # log-spaced panel edges with u = 1 always an edge (the alpha = 1
-    # compensation has a jump there), 10-point Gauss-Legendre per panel
-    n_lo = max(1, int(panels_per_decade * math.log10(1.0 / u_min)))
-    n_hi = max(1, int(panels_per_decade * math.log10(u_max)))
-    edges = np.concatenate([
-        np.exp(np.linspace(math.log(u_min), 0.0, n_lo + 1)),
-        np.exp(np.linspace(0.0, math.log(u_max), n_hi + 1))[1:]])
-    gx, gw = gauss_legendre(10)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    u = (mid[:, None] + half[:, None] * gx[None, :]).ravel()     # (n_u,)
-    ker = u ** (-1.0 - alpha) * (half[:, None] * gw[None, :]).ravel()
+    u, ker = radial_rule(alpha, u_min, u_max,
+                         max(1, int(panels_per_decade * math.log10(1.0 / u_min))),
+                         max(1, int(panels_per_decade * math.log10(u_max))))
     sin_u, cos_u = math.sin(u_max), math.cos(u_max)
 
     # even part 1 - cos u = 2 sin^2(u/2).  Odd part with the sign of s
     # factored out: sr 1_comp - sin(sr) = sign(s) * (u 1_comp - sin u); for
     # alpha = 1 the cutoff r <= 1 (i.e. u <= |s|) is recast as a fixed jump
     # at u = 1 plus the smooth correction int_1^|s| a(u theta/|s|)/u du
-    comp_radius = np.inf if alpha > 1.0 else (1.0 if alpha == 1.0 else 0.0)
     even = 2.0 * np.sin(0.5 * u) ** 2 * ker
-    odd = np.where(u <= comp_radius, _u_minus_sin(u), -np.sin(u)) * ker
+    odd = np.where(u <= compensation_radius(alpha), _u_minus_sin(u),
+                   -np.sin(u)) * ker
     # origin [0, u_min]: 1 - cos u ~ u^2/2, and the odd integrand ~ u^3/6
     # compensated (alpha >= 1) or -sin u ~ -u; each such term, times the
     # kernel, is c u^q and reads a at its centroid u_min (q+1)/(q+2), which
@@ -494,6 +514,7 @@ def _density_quad_once(measure, flat, dirs, dir_wts, panels_per_decade):
                 if alpha == 1.0:
                     # int_1^|s| a((u/|s|) theta) du/u via v = exp((w-1) log|s|)
                     logm = np.log(mag)
+                    gx, gw = gauss_legendre(10)
                     v = np.exp((0.5 * (gx + 1.0) - 1.0) * logm[:, None])
                     im += logm * (measure._eval_a(v[..., None] * theta)
                                   @ (0.5 * gw))
@@ -631,13 +652,9 @@ def nondegeneracy_of(measure) -> float:
         return nondegeneracy_constant(measure.sigma, measure.alpha)
     if isinstance(measure, DensityKernel):
         # bounded below by c1 times the isotropic surface kernel
-        iso = SphericalMeasure.isotropic(measure.dim, measure.c1 * _sphere_area(measure.dim))
+        iso = SphericalMeasure.isotropic(measure.dim, measure.c1 * sphere_area(measure.dim))
         return nondegeneracy_constant(iso, measure.alpha)
     raise InvalidArgument(f"unknown measure type {type(measure)!r}")
-
-
-def _sphere_area(dim):
-    return {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}[dim]
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,8 @@ from . import levy
 from .errors import (DriftEvaluationFailure, InvalidArgument,
                      IterationFailure)
 from .fieldgrid import (Grid, GridField, SpaceTimeField, apply_multiplier,
-                        forward, gradient_symbol, inverse, lp_norm,
-                        periodic_samples, resolve, spectral_l2,
-                        spectral_points)
+                        forward, inverse, lp_norm, periodic_samples, resolve,
+                        spectral_gradient, spectral_l2, spectral_points)
 from .nonlocal_op import OperatorRoute, apply as op_apply, multiplier
 from .heatkernel import DriftSchedule
 
@@ -214,9 +213,8 @@ def _etd2_weights(grid: Grid, z, dt: float):
 def advection(b, u_hat, grid: Grid) -> np.ndarray:
     """b . grad u for every component of u_hat, in physical values; b has
     shape (d, *grid)."""
-    ik = gradient_symbol(grid)
-    return sum(inverse(grid, u_hat * ik[..., j]) * b[j]
-               for j in range(grid.dim))
+    grad = spectral_gradient(grid, u_hat)
+    return sum(grad[:, j] * b[j] for j in range(grid.dim))
 
 
 def etd2_march(phi: GridField, measure, lam: float, dt: float, n_steps: int,

@@ -30,8 +30,8 @@ from scipy.integrate import cumulative_simpson
 from . import levy
 from .errors import ConsistencyFailure, InvalidArgument
 from .fieldgrid import (GridField, apply_multiplier, coarsen_samples,
-                        forward, gauss_legendre, inverse, nufft_type1, refine,
-                        resolve, spectral_points)
+                        forward, inverse, nufft_type1, refine, resolve,
+                        spectral_points)
 
 COMMUTATOR_TOL = 1e-6
 MULTIPLIER_CACHE_SIZE = 16
@@ -77,36 +77,39 @@ def _direction_rule(measure):
         sig = measure.sigma
         if sig.is_isotropic and sig.dim > 1:
             n = {2: 128, 3: 24}[sig.dim]
-            dirs, wts = levy._sphere_rule(sig.dim, n)
-            return dirs, wts * (sig.total_mass / levy._sphere_area(sig.dim))
+            dirs, wts = levy.sphere_rule(sig.dim, n)
+            return dirs, wts * (sig.total_mass / levy.sphere_area(sig.dim))
         return sig.atom_arrays()
     if isinstance(measure, levy.DensityKernel):
         n = {1: 2, 2: 128, 3: 24}[measure.dim]
-        return levy._sphere_rule(measure.dim, n)
+        return levy.sphere_rule(measure.dim, n)
     raise InvalidArgument(f"unknown measure type {type(measure)!r}")
 
 
-def _radial_rule(alpha: float, r_min: float, r_max: float, n_nodes: int):
-    """Gauss-Legendre panels in log r on [r_min, r_max] with r = 1 forced to
-    a panel edge (the alpha = 1 compensation switches there); weights include
-    the r^{-1-alpha} kernel."""
-    pts_per_panel = 10
-    n_panels = max(2, n_nodes // pts_per_panel)
-    if r_min < 1.0 < r_max:
-        frac = math.log(1.0 / r_min) / math.log(r_max / r_min)
-        n_lo = min(n_panels - 1, max(1, round(n_panels * frac)))
-        edges = np.concatenate([
-            np.exp(np.linspace(math.log(r_min), 0.0, n_lo + 1)),
-            np.exp(np.linspace(0.0, math.log(r_max), n_panels - n_lo + 1))[1:]])
-    else:
-        edges = np.exp(np.linspace(math.log(r_min), math.log(r_max),
-                                   n_panels + 1))
-    gx, gw = gauss_legendre(pts_per_panel)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    r = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-    w = (half[:, None] * gw[None, :]).ravel() * r ** (-1.0 - alpha)
-    return r, w
+def _nodes(measure, grid, route):
+    """The quadrature route's node set on a grid: the Taylor radius
+    r_min = h/2, the truncation radius R = L/2, ``route.radial_nodes``
+    log-panel radii on [r_min, R] (``levy.radial_rule``), the directions
+    and weights of ``_direction_rule``, and ``sides``: for a symmetric
+    measure one side of each +/- pair at doubled weight
+    (``levy.antipodal_pairs``), else all directions, and whether it paired."""
+    alpha = measure.alpha
+    h = grid.spacing
+    r_min, r_max = h / 2.0, grid.side_length / 2.0
+    if r_max < h:
+        raise InvalidArgument("truncation radius below grid spacing")
+    if alpha == 1.0 and r_max < 1.0:
+        raise InvalidArgument("alpha = 1 needs truncation radius >= 1 "
+                              "(unit-ball compensation)")
+    n = max(2, route.radial_nodes // 10)          # 10 nodes per panel
+    n_lo = min(n - 1, max(1, round(
+        n * math.log(1.0 / r_min) / math.log(r_max / r_min))))
+    radii, rad_wts = levy.radial_rule(alpha, r_min, r_max, n_lo, n - n_lo)
+    dirs, dir_wts = _direction_rule(measure)
+    paired = levy.antipodal_pairs(dirs, dir_wts) if measure.is_symmetric else None
+    sides = ((dirs, dir_wts, False) if paired is None
+             else (paired[0], 2.0 * paired[1], True))
+    return r_min, r_max, radii, rad_wts, dirs, dir_wts, sides
 
 
 @lru_cache(maxsize=TAIL_PROFILE_CACHE_SIZE)
@@ -169,29 +172,25 @@ def _tail_interval(v_tab, v_next, v):
     return i
 
 
-def _tail_multiplier(measure, grid, xi):
-    """Analytic correction for jumps beyond the truncation radius R = L/2:
+def _tail_multiplier(measure, r_max, sides, xi):
+    """Analytic correction for jumps beyond the truncation radius R = r_max:
     per direction, int_R^inf (e^{i s r} - 1 - comp) r^{-1-alpha} dr with the
-    density (if any) frozen at R theta, at frequencies xi (n, dim).
-    Diagonal in frequency.  A symmetric measure keeps one side of each +/-
-    pair (``levy.antipodal_pairs``) at doubled weight and the even part only;
+    density (if any) frozen at R theta, at frequencies xi (n, dim), over
+    the directions and weights of ``sides`` (see ``_nodes``).  Diagonal in
+    frequency.  A paired (symmetric) measure keeps the even part only;
     s = xi.theta (``levy.projections``, so a rounding residue where xi is
     normal to theta is 0) is formed TAIL_BLOCK (frequency, direction)
     entries at a time.  G and H are read by linear interpolation in the
     table, as np.interp would, with slope 0 past its end (the clamp)."""
     alpha = measure.alpha
-    r_max = grid.side_length / 2.0
-    dirs, dir_wts = _direction_rule(measure)
-    paired = levy.antipodal_pairs(dirs, dir_wts) if measure.is_symmetric else None
-    if paired is not None:
-        dirs, dir_wts = paired[0], 2.0 * paired[1]
+    dirs, dir_wts, paired = sides
     if isinstance(measure, levy.DensityKernel):
         dir_wts = dir_wts * measure._eval_a(r_max * dirs)
     v_tab, g_tab, h_tab = _oscillatory_tail_profile(alpha)
     v_next = np.append(v_tab[1:], np.inf)
     g_slope, h_slope = (np.append(np.diff(f) / np.diff(v_tab), 0.0)
                         for f in (g_tab, h_tab))
-    mult = np.empty(len(xi), dtype=float if paired is not None else complex)
+    mult = np.empty(len(xi), dtype=float if paired else complex)
     per_block = max(1, TAIL_BLOCK // len(dirs))
     for k0 in range(0, len(xi), per_block):
         s = levy.projections(xi[k0:k0 + per_block], dirs)
@@ -202,7 +201,7 @@ def _tail_multiplier(measure, grid, xi):
         # and odd part (compensated beyond R when alpha > 1), which cancels
         # in +/- pairs: |s|^a sign(s) H(|s| R)
         tail = g_slope[i] * dv + g_tab[i]
-        if paired is None:
+        if not paired:
             tail = tail + 1j * np.sign(s) * (h_slope[i] * dv + h_tab[i])
         mult[k0:k0 + per_block] = (np.abs(s) ** alpha * tail) @ dir_wts
     return mult
@@ -217,21 +216,10 @@ def _quadrature_multiplier(measure, grid, route, xi):
     gives the sum of c: psi(0) is then exactly 0, and the NUFFT error at
     frequencies near 0 cancels against it."""
     alpha = measure.alpha
-    h = grid.spacing
-    r_min = h / 2.0
-    r_max = grid.side_length / 2.0
-    if r_max < h:
-        raise InvalidArgument("truncation radius below grid spacing")
-    if alpha == 1.0 and r_max < 1.0:
-        raise InvalidArgument("alpha = 1 needs truncation radius >= 1 "
-                              "(unit-ball compensation)")
-    dirs, dir_wts = _direction_rule(measure)
-    radii, rad_wts = _radial_rule(alpha, r_min, r_max, route.radial_nodes)
-    paired = levy.antipodal_pairs(dirs, dir_wts) if measure.is_symmetric else None
-    if paired is not None:
-        # symmetric: each +/- pair sums to 2 (cos(xi.y) - 1); the odd
-        # compensation and Taylor orders cancel, so only the real part stays
-        dirs, dir_wts = paired[0], 2.0 * paired[1]
+    r_min, r_max, radii, rad_wts, _, _, sides = _nodes(measure, grid, route)
+    # symmetric: each +/- pair sums to 2 (cos(xi.y) - 1); the odd
+    # compensation and Taylor orders cancel, so only the real part stays
+    dirs, dir_wts, paired = sides
     is_density = isinstance(measure, levy.DensityKernel)
 
     nodes = (dirs[:, None, :] * radii[:, None]).reshape(-1, measure.dim)
@@ -241,10 +229,7 @@ def _quadrature_multiplier(measure, grid, route, xi):
     sums = nufft_type1(grid.side_length, nodes, weights,
                        np.vstack([xi, np.zeros(measure.dim)]))
     mult = sums[:-1] - sums[-1]
-    # first-order compensation: every radius for alpha > 1, r <= 1 for
-    # alpha = 1, none for alpha < 1
-    comp_radius = np.inf if alpha > 1.0 else (1.0 if alpha == 1.0 else 0.0)
-    comp = np.tile(radii <= comp_radius, len(dirs))
+    comp = np.tile(radii <= levy.compensation_radius(alpha), len(dirs))
     mult -= 1j * (xi @ ((weights * comp) @ nodes))
 
     # singular region r < h/2 by Taylor with spectral derivatives:
@@ -260,11 +245,11 @@ def _quadrature_multiplier(measure, grid, route, xi):
         if k >= 2 or alpha < 1.0:
             mult += (1j ** k * r_min ** (k - alpha) / (
                 math.factorial(k) * (k - alpha))) * (xi_pow @ moment.sum(axis=0))
-    if paired is not None:
+    if paired:
         mult = mult.real
     # jumps beyond the truncation radius (includes the alpha > 1
     # compensation tail), diagonal in frequency
-    return mult + _tail_multiplier(measure, grid, xi)
+    return mult + _tail_multiplier(measure, r_max, sides, xi)
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +337,7 @@ def _direct_commutator(measure, f, zeta, route):
     2 * (theta.grad f)(theta.grad zeta) * r_min^{2-alpha} / (2 (2-alpha))."""
     g = f.grid
     alpha = measure.alpha
-    h = g.spacing
-    r_min = h / 2.0
-    r_max = g.side_length / 2.0
-    dirs, dir_wts = _direction_rule(measure)
-    radii, rad_wts = _radial_rule(alpha, r_min, r_max, route.radial_nodes)
+    r_min, r_max, radii, rad_wts, dirs, dir_wts, sides = _nodes(measure, g, route)
 
     xi = spectral_points(g)
     f_hat = forward(f)
@@ -394,7 +375,7 @@ def _direct_commutator(measure, f, zeta, route):
     # Delta(f zeta) - (Delta f) zeta - f (Delta zeta) and apply the same
     # analytic tail correction as the composed route (exact cancellation of
     # the shared approximation in the consistency comparison)
-    tail = _tail_multiplier(measure, g, xi)
+    tail = _tail_multiplier(measure, r_max, sides, xi)
     p_hat = forward(GridField(g, f.values * zeta.values))
     t_p, t_f, t_z = (spatial(co, tail) for co in (p_hat, f_hat, z_hat))
     out += t_p - t_f * zeta.values - f.values * t_z

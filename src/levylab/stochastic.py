@@ -120,13 +120,6 @@ def _normals(u: np.ndarray, d: int) -> np.ndarray:
     return z
 
 
-def _require_symmetric_stable(measure):
-    if not isinstance(measure, levy.StableSpectral):
-        raise UnsupportedMeasure("simulation needs a StableSpectral measure")
-    if not measure.sigma.is_symmetric:
-        raise UnsupportedMeasure("simulation needs a symmetric spherical part")
-
-
 def sample_stable_increment(sigma: levy.SphericalMeasure, alpha: float,
                             dt, rng, size=1) -> np.ndarray:
     """Increments of the stable process over time dt; shape size + (d,).
@@ -155,12 +148,12 @@ def sample_stable_increment(sigma: levy.SphericalMeasure, alpha: float,
         pairs = levy.antipodal_pairs(*sigma.atom_arrays())
         if pairs is None:
             raise UnsupportedMeasure("increment sampling needs a symmetric measure")
-        u = rng.random(size + (2 * len(pairs[1]),))
-        unit = np.zeros(size + (d,))
-        for j, (direction, w) in enumerate(zip(*pairs)):
-            s = _cms_symmetric(alpha, u[..., 2 * j], u[..., 2 * j + 1])
-            unit += (2.0 * w * c_alpha) ** (1.0 / alpha) * s[..., None] \
-                * direction
+        dirs, w = pairs
+        u = rng.random(size + (2 * len(w),))
+        s = _cms_symmetric(alpha, u[..., 0::2], u[..., 1::2])
+        # the pairs' contributions, added in pair order
+        unit = np.cumsum(((2.0 * w * c_alpha) ** (1.0 / alpha) * s)[..., None]
+                         * dirs, axis=-2)[..., -1, :]
     return dt[..., None] ** (1.0 / alpha) * unit
 
 
@@ -181,7 +174,8 @@ def _path_blocks(b, measure, x0, time_grid, n_paths: int, seed: int):
     dts = np.diff(tg)
     if not np.all(dts > 0):
         raise InvalidArgument("time_grid must be strictly increasing")
-    _require_symmetric_stable(measure)
+    if not isinstance(measure, levy.StableSpectral):
+        raise UnsupportedMeasure("simulation needs a StableSpectral measure")
     rng = np.random.Generator(np.random.Philox(key=seed))
     for first in range(0, n_paths, PATH_BLOCK):
         m = min(PATH_BLOCK, n_paths - first)
@@ -256,6 +250,15 @@ def _frame_at(f: SpaceTimeField, t: float) -> GridField:
     return f.frames[j]
 
 
+def _time_integral(v, f: SpaceTimeField, wrapped, times, weights):
+    """v + sum_k weights[k] f(times[k], X_k): the left-endpoint rule along
+    the wrapped paths (n, n_times, d), X_k at path time index k and f read
+    in its frame at times[k]."""
+    for k, (t, w) in enumerate(zip(times, weights)):
+        v = v + w * _interp_field(_frame_at(f, t), wrapped[:, k, :])
+    return v
+
+
 def _exit_count(states: np.ndarray, x0, side_length: float) -> int:
     """Number of paths in states (n, n_times, d) that ever left the
     half-period box around x0."""
@@ -322,11 +325,8 @@ def _feynman_kac(phi, f, b, measure, t, x, n_paths, rng_seed, lam, n_steps):
     def value(wrapped):
         v = math.exp(-lam * t) * _interp_field(phi, wrapped[:, -1, :])
         if f is not None:
-            for k in range(n_steps):          # left endpoint in path time
-                s = tg[k]
-                frame = _frame_at(f, t - s)
-                v = v + (math.exp(-lam * s) * dt
-                         * _interp_field(frame, wrapped[:, k, :]))
+            v = _time_integral(v, f, wrapped, t - tg[:-1],
+                               [math.exp(-lam * s) * dt for s in tg[:-1]])
         return v
 
     per_path, frac = _per_path(drift, measure, np.atleast_1d(x), tg, n_paths,
@@ -352,10 +352,8 @@ def krylov_check(b, measure, f: SpaceTimeField, p: float,
     dt = T / n_steps
 
     def value(wrapped):
-        v = np.zeros(len(wrapped))
-        for k in range(n_steps):
-            v += dt * _interp_field(_frame_at(f, tg[k]), wrapped[:, k, :])
-        return v
+        return _time_integral(np.zeros(len(wrapped)), f, wrapped, tg[:-1],
+                              [dt] * n_steps)
 
     per_path, _ = _per_path(b, measure, x0, tg, n_paths, rng_seed, g, value)
     lhs = float(np.mean(per_path))

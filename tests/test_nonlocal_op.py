@@ -120,10 +120,9 @@ def _direct_quadrature(measure, grid, route, xi):
     direction, taken as 0 within 4 ulps of sum_i |xi_i theta_i| as in the
     route: for alpha < 1 the tail's |s|^alpha would turn a rounding of 1e-16
     in an s that should be 0 (xi normal to (0.6, -0.8)) into 1e-8."""
-    alpha, r_min, r_max = measure.alpha, grid.spacing / 2.0, grid.side_length / 2.0
-    dirs, wts = nonlocal_op._direction_rule(measure)
-    radii, rad_w = nonlocal_op._radial_rule(alpha, r_min, r_max,
-                                            route.radial_nodes)
+    alpha = measure.alpha
+    r_min, r_max, radii, rad_w, dirs, wts, _ = nonlocal_op._nodes(
+        measure, grid, route)
     v_tab, g_tab, h_tab = nonlocal_op._oscillatory_tail_profile(alpha)
     comp = radii <= (np.inf if alpha > 1 else (1.0 if alpha == 1 else 0.0))
     density = isinstance(measure, levy.DensityKernel)
@@ -201,10 +200,14 @@ def test_tail_does_not_depend_on_how_xi_theta_is_formed():
     g = Grid(2, 16, 10.0)
     xi = spectral_points(g)
     atoms = _SKEW_ATOMS[2]
-    got = nonlocal_op._tail_multiplier(
-        levy.StableSpectral(0.5, levy.SphericalMeasure.discrete(atoms)), g, xi)
-    want = sum(nonlocal_op._tail_multiplier(levy.StableSpectral(
-        0.5, levy.SphericalMeasure.discrete([atom])), g, xi) for atom in atoms)
+
+    def tail(atoms):
+        m = levy.StableSpectral(0.5, levy.SphericalMeasure.discrete(atoms))
+        nodes = nonlocal_op._nodes(m, g, OperatorRoute.quadrature())
+        return nonlocal_op._tail_multiplier(m, nodes[1], nodes[-1], xi)
+
+    got = tail(atoms)
+    want = sum(tail([atom]) for atom in atoms)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
