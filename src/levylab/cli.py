@@ -283,7 +283,10 @@ def _cmd_evolve(args) -> int:
     if "dealias" in cfg and solver != "drift":
         raise UsageError(f"key 'dealias' in {args.config} needs solver "
                          f"'drift'")
-    problem = LinearProblem(measure, drift, lam, forcing, phi, horizon)
+    try:
+        problem = LinearProblem(measure, drift, lam, forcing, phi, horizon)
+    except LevylabError as exc:
+        raise UsageError(f"bad problem file {args.problem}: {exc}") from exc
     if solver == "duhamel":
         traj = duhamel_solve(problem, config)
     elif solver == "drift":

@@ -289,6 +289,9 @@ class DensityKernel:
         vals = np.array([float(self._eval_a(p)) for p in pts])
         if np.any(vals < self.c1 - 1e-9) or np.any(vals > self.c2 + 1e-9):
             raise InvalidArgument("density a(y) leaves [c1, c2] on sample points")
+        if self.symmetric and any(abs(float(self._eval_a(-p)) - v) > 1e-12 * self.c2
+                                  for p, v in zip(pts, vals)):
+            raise InvalidArgument("symmetric=True, but a(-y) != a(y) on sample points")
 
     def _eval_a(self, y):
         return self.a(np.asarray(y, dtype=float))

@@ -59,6 +59,10 @@ class LinearProblem:
                 or isinstance(self.drift, SpaceTimeField)
                 and self.drift.frames[0].components != d):
             raise InvalidArgument(f"drift dimension differs from the grid's {d}")
+        for name, data in (("drift", self.drift), ("forcing", self.forcing)):
+            if isinstance(data, SpaceTimeField) and data.grid != self.phi.grid:
+                raise InvalidArgument(f"{name} lives on {data.grid}, "
+                                      f"phi on {self.phi.grid}")
 
 
 @dataclass(frozen=True)

@@ -318,6 +318,10 @@ def _feynman_kac(phi, f, b, measure, t, x, n_paths, rng_seed, lam, n_steps):
     that left the half-period box around x."""
     if not t > 0:
         raise InvalidArgument("t must be positive")
+    if f is not None and f.grid != phi.grid:
+        raise InvalidArgument(f"forcing lives on {f.grid}, phi on {phi.grid}")
+    if f is not None and f.times[-1] < t * (1.0 - 1e-9):
+        raise InvalidArgument(f"forcing ends at {f.times[-1]}, before t = {t}")
     tg = np.linspace(0.0, t, n_steps + 1)
     drift = None if b is None else (lambda s, y: np.asarray(b(t - s, y)))
     dt = t / n_steps

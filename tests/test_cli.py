@@ -169,6 +169,17 @@ def test_evolve_drift_of_wrong_dimension_exits_2(measure_file, phi_file,
     assert "drift has 2 components" in capsys.readouterr().err
 
 
+def test_evolve_forcing_on_another_grid_exits_2(measure_file, phi_file,
+                                                tmp_path, capsys):
+    g = Grid(1, 128, 10.0)                     # phi lives on L = 2 pi
+    forcing = tmp_path / "f.traj"
+    save_trajectory(SpaceTimeField(0.0625, tuple(
+        GridField(g, np.ones((1, 128))) for _ in range(5))), forcing)
+    assert _evolve(tmp_path, measure_file, phi_file, {"time_step": 0.0625},
+                   forcing=str(forcing)) == 2
+    assert "forcing lives on" in capsys.readouterr().err
+
+
 @pytest.fixture()
 def measure_2d_file(tmp_path):
     m2 = levy.StableSpectral(1.0, levy.SphericalMeasure.isotropic(2, 1.0))
@@ -291,6 +302,36 @@ def test_hj_unknown_hamiltonian(phi_file, tmp_path):
     assert cli.main(["hj", "--hamiltonian", "nope", "--phi", phi_file,
                      "--T", "0.25", "--dt", "0.01",
                      "--out", str(tmp_path / "x")]) == 2
+
+
+def test_hj_anisotropic_quadratic_2d(tmp_path):
+    g = Grid(2, 32, 2 * np.pi)
+    x = g.coordinates()
+    phi = GridField(g, (np.sin(x[..., 0]) + 0.5 * np.cos(x[..., 1]))[None])
+    save_field(phi, tmp_path / "phi.bin")
+    out = tmp_path / "hj"
+    assert cli.main(["hj", "--hamiltonian", "anisotropic-quadratic",
+                     "--phi", str(tmp_path / "phi.bin"), "--T", "0.125",
+                     "--dt", str(1 / 64), "--out", str(out)]) == 0
+    traj = load_trajectory(out / "solution.traj")
+    assert traj.grid == g and len(traj.frames) == 9
+    # H >= 0 only lowers u
+    assert max(float(fr.values.max()) for fr in traj.frames) <= (
+        float(phi.values.max()) + 1e-9)
+
+
+def test_registry_density_file_round_trip_and_symbol(tmp_path, capsys):
+    # a constant density v in d = 1 is the atom pair +/-1 of weight v each
+    dk = levy.from_dict({"variant": "density_kernel", "alpha": 1.5, "dim": 1,
+                         "a_name": "constant", "a_params": {"value": 2.0},
+                         "c1": 2.0, "c2": 2.0})
+    path = tmp_path / "dk.json"
+    levy.save_measure(dk, path)
+    assert levy.to_dict(levy.load_measure(path)) == levy.to_dict(dk)
+    assert cli.main(["symbol", "--measure", str(path), "--xi", "3"]) == 0
+    real, imag = capsys.readouterr().out.strip().rstrip("i").split("+")
+    want = 2 * 2.0 * levy.radial_cosine_constant(1.5) * 3 ** 1.5
+    assert float(real) == pytest.approx(want, rel=1e-8) and float(imag) == 0
 
 
 def test_sde_summary_schema(measure_file, tmp_path):

@@ -256,6 +256,30 @@ def test_skew_smooth_density_matches_closed_form(alpha):
                                rtol=1e-9, atol=0)
 
 
+def test_density_declared_symmetric_must_be_even():
+    # with the default flag both routes returned a real psi(3) for this a,
+    # whose odd part is 7.15i at alpha = 1.5
+    a = lambda y: 1.0 + 0.5 * np.tanh(y[..., 0])
+    with pytest.raises(InvalidArgument, match=r"a\(-y\) != a\(y\)"):
+        levy.DensityKernel(1.5, 1, a, 0.5, 1.5)
+    skew = levy.DensityKernel(1.5, 1, a, 0.5, 1.5, symmetric=False)
+    assert levy.symbol(skew, [3.0]).imag > 7.0
+
+
+@pytest.mark.parametrize("lo,hi,n_lo,n_hi", [
+    (1e-3, 20.0, 12, 9), (2.0, 30.0, 3, 2), (0.01, 0.75, 5, 2)],
+    ids=["one-inside", "one-below", "one-above"])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_radial_rule_integrates_powers(lo, hi, n_lo, n_hi, alpha):
+    r, w = levy.radial_rule(alpha, lo, hi, n_lo, n_hi)
+    assert len(r) == 10 * (n_lo + n_hi) and np.all(np.diff(r) > 0)
+    if lo < 1.0 < hi:
+        assert np.count_nonzero(r < 1.0) == 10 * n_lo     # 1 is a panel edge
+    for k in (1.25, 2.0, 3.5):
+        p = k - alpha
+        assert r ** k @ w == pytest.approx((hi ** p - lo ** p) / p, rel=1e-13)
+
+
 def test_symbol_does_not_depend_on_how_xi_theta_is_formed():
     # xi = (4, 3) 2 pi / L is normal to (0.6, -0.8): one product over all
     # atoms and one per atom round s = 0 differently, and |s|^0.5 would

@@ -169,6 +169,20 @@ def test_drift_of_wrong_dimension_rejected(kind):
         LinearProblem(_iso1d(), drift, 0.0, None, phi, 0.25)
 
 
+@pytest.mark.parametrize("other", [Grid(1, 256, 10.0), Grid(1, 128, 2 * np.pi)],
+                         ids=["other-box", "other-points"])
+@pytest.mark.parametrize("name", ["drift", "forcing"])
+def test_trajectory_on_another_grid_rejected(name, other):
+    # a forcing on another box ran as if it lived on phi's; one with other
+    # points died in numpy broadcasting
+    phi = GridField(G, np.sin(X)[None])
+    traj = SpaceTimeField(0.0625, tuple(GridField(other, np.ones((1,) + other.shape))
+                                        for _ in range(5)))
+    data = {"drift": DriftSchedule.zero(1), "forcing": None, name: traj}
+    with pytest.raises(InvalidArgument, match=f"{name} lives on"):
+        LinearProblem(_iso1d(), data["drift"], 0.0, data["forcing"], phi, 0.25)
+
+
 def test_maximum_principle_with_space_dependent_drift():
     rng = np.random.default_rng(4)
     phi = GridField(G, rng.normal(size=(1, 256)))

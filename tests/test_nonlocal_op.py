@@ -382,6 +382,18 @@ def test_commutator_defect_consistency_2d_skew_atoms():
     assert lp_norm(defect, 2) > 1e-6
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_commutator_defect_consistency_skew_density(alpha):
+    # the density branch of the direct commutator, under the defect's own
+    # composed-vs-direct check
+    g = Grid(1, 64, 10.0)
+    f = _bump(g, [4.5], width=1.5)
+    zeta = _bump(g, [5.5], width=2.0)
+    defect = nonlocal_op.commutator_defect(_skew_density(alpha), f, zeta)
+    assert defect.grid == g
+    assert lp_norm(defect, 2) > 1e-6
+
+
 def test_commutator_defect_requires_quadrature_route():
     m = _iso1d()
     g = Grid(1, 64, 10.0)

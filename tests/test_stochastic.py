@@ -77,6 +77,17 @@ def test_cauchy_law_kolmogorov_smirnov():
     assert stat < 0.01
 
 
+def test_cauchy_atom_pair_law_kolmogorov_smirnov():
+    # the atom-pair branch at alpha = 1, where the CMS transform is tan: a
+    # +/-1 pair of weight 1/pi each has the Cauchy law of scale t
+    sig = levy.SphericalMeasure.discrete([((1.0,), 1 / np.pi),
+                                          ((-1.0,), 1 / np.pi)])
+    t = 0.7
+    x = stochastic.sample_stable_increment(sig, 1.0, t, _philox([99, 6]),
+                                           size=50_000)
+    assert stats.kstest(x[:, 0], stats.cauchy(scale=t).cdf).statistic < 0.01
+
+
 def test_asymmetric_measure_rejected():
     sig = levy.SphericalMeasure.discrete([((1.0,), 0.8), ((-1.0,), 0.2)])
     rng = _philox(0)
@@ -443,6 +454,30 @@ def _constant_forcing(value=1.0, T=0.5, n_frames=9):
     frames = tuple(GridField(g, np.full((1, 256), value))
                    for _ in range(n_frames))
     return SpaceTimeField(T / (n_frames - 1), frames)
+
+
+@pytest.mark.parametrize("grid,horizon,match", [
+    (Grid(1, 64, 10.0), 0.2, "ends at"),        # 0.2 < t: last frame repeated
+    (Grid(1, 64, 12.0), 0.8, "lives on"),       # read at positions mod 10
+    (Grid(1, 32, 10.0), 0.8, "lives on"),
+], ids=["short", "other-box", "other-points"])
+def test_feynman_kac_rejects_a_short_or_foreign_forcing(grid, horizon, match):
+    g = Grid(1, 64, 10.0)
+    phi = GridField(g, np.ones((1, 64)))
+    f = SpaceTimeField(0.1, tuple(GridField(grid, np.ones((1,) + grid.shape))
+                                  for _ in range(round(horizon / 0.1) + 1)))
+    with pytest.raises(InvalidArgument, match=match):
+        stochastic.feynman_kac(phi, f, None, _iso1d(), 0.8, [5.0], 100, 0)
+
+
+def test_feynman_kac_accepts_a_forcing_of_horizon_t_to_rounding():
+    g = Grid(1, 64, 200.0)
+    phi = GridField(g, np.zeros((1, 64)))
+    f = SpaceTimeField(0.1, tuple(GridField(g, np.ones((1, 64)))
+                                  for _ in range(9)))
+    est, _ = stochastic.feynman_kac(phi, f, None, _iso1d(), 0.8 * (1 + 1e-12),
+                                    [100.0], 100, 0)
+    assert est == pytest.approx(0.8, rel=1e-9)
 
 
 def test_krylov_constant_forcing_is_exact():
