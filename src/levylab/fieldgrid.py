@@ -372,21 +372,26 @@ def coarsen_samples(field: GridField, factor: int = 2) -> GridField:
 
 @lru_cache(maxsize=16)
 def gradient_symbol(grid: Grid) -> np.ndarray:
-    """i xi on the half spectrum, shape (dim, *spectral_shape), read-only."""
-    ik = np.moveaxis(resolve(grid, 1j * spectral_points(grid)), -1, 0)
+    """i xi on the half spectrum, shape (*spectral_shape, dim), read-only."""
+    ik = resolve(grid, 1j * spectral_points(grid))
     ik.flags.writeable = False
     return ik
 
 
-def spectral_gradient(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Gradient of the field with half spectrum coeffs (m, *spectral_shape),
-    shape (m, dim, *grid shape), in one batched transform."""
-    return inverse(grid, coeffs[:, None] * gradient_symbol(grid))
+def partial_derivatives(grid: Grid, coeffs: np.ndarray):
+    """The spectral derivatives along axes 1..dim, in turn, of the field
+    with half spectrum coeffs (m, *spectral_shape), each in physical values
+    (m, *grid shape).  One transform per axis: with scipy.fft on a two-core
+    Xeon, one batched transform of all axes cost up to twice as much per
+    field from 128^2 up."""
+    ik = gradient_symbol(grid)
+    return (inverse(grid, coeffs * ik[..., j]) for j in range(grid.dim))
 
 
 def gradient(field: GridField) -> np.ndarray:
     """Spectral gradient, shape (m, dim, *grid shape)."""
-    return spectral_gradient(field.grid, forward(field))
+    return np.stack(list(partial_derivatives(field.grid, forward(field))),
+                    axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,9 @@ from . import levy
 from .errors import (DriftEvaluationFailure, InvalidArgument,
                      IterationFailure)
 from .fieldgrid import (Grid, GridField, SpaceTimeField, apply_multiplier,
-                        forward, inverse, lp_norm, periodic_samples, resolve,
-                        spectral_gradient, spectral_l2, spectral_points)
+                        forward, inverse, lp_norm, partial_derivatives,
+                        periodic_samples, resolve, spectral_l2,
+                        spectral_points)
 from .nonlocal_op import OperatorRoute, apply as op_apply, multiplier
 from .heatkernel import DriftSchedule
 
@@ -217,8 +218,8 @@ def _etd2_weights(grid: Grid, z, dt: float):
 def advection(b, u_hat, grid: Grid) -> np.ndarray:
     """b . grad u for every component of u_hat, in physical values; b has
     shape (d, *grid)."""
-    grad = spectral_gradient(grid, u_hat)
-    return sum(grad[:, j] * b[j] for j in range(grid.dim))
+    return sum(d_j * b[j]
+               for j, d_j in enumerate(partial_derivatives(grid, u_hat)))
 
 
 def etd2_march(phi: GridField, measure, lam: float, dt: float, n_steps: int,

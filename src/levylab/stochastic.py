@@ -149,11 +149,12 @@ def sample_stable_increment(sigma: levy.SphericalMeasure, alpha: float,
         if pairs is None:
             raise UnsupportedMeasure("increment sampling needs a symmetric measure")
         dirs, w = pairs
-        u = rng.random(size + (2 * len(w),))
-        s = _cms_symmetric(alpha, u[..., 0::2], u[..., 1::2])
-        # the pairs' contributions, added in pair order
-        unit = np.cumsum(((2.0 * w * c_alpha) ** (1.0 / alpha) * s)[..., None]
-                         * dirs, axis=-2)[..., -1, :]
+        # pair-major uniforms: the sum over the first axis then adds the
+        # pairs' contributions in pair order
+        u = rng.random(size + (2 * len(w),)).reshape(-1, 2 * len(w)).T.copy()
+        s = ((2.0 * w * c_alpha)[:, None] ** (1.0 / alpha)
+             * _cms_symmetric(alpha, u[0::2], u[1::2]))
+        unit = (s[:, :, None] * dirs[:, None, :]).sum(axis=0).reshape(size + (d,))
     return dt[..., None] ** (1.0 / alpha) * unit
 
 
