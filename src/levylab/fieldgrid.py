@@ -379,11 +379,9 @@ def gradient_symbol(grid: Grid) -> np.ndarray:
 
 
 def partial_derivatives(grid: Grid, coeffs: np.ndarray):
-    """The spectral derivatives along axes 1..dim, in turn, of the field
-    with half spectrum coeffs (m, *spectral_shape), each in physical values
-    (m, *grid shape).  One transform per axis: with scipy.fft on a two-core
-    Xeon, one batched transform of all axes cost up to twice as much per
-    field from 128^2 up."""
+    """Spectral derivatives, axis by axis, shape (m, *grid shape), of the
+    field with half spectrum coeffs: one transform per axis, as a batched
+    one cost up to 2x per field from 128^2 up (scipy.fft, 2-core Xeon)."""
     ik = gradient_symbol(grid)
     return (inverse(grid, coeffs * ik[..., j]) for j in range(grid.dim))
 

@@ -149,8 +149,7 @@ def sample_stable_increment(sigma: levy.SphericalMeasure, alpha: float,
         if pairs is None:
             raise UnsupportedMeasure("increment sampling needs a symmetric measure")
         dirs, w = pairs
-        # pair-major uniforms: the sum over the first axis then adds the
-        # pairs' contributions in pair order
+        # pair-major, so that the sum over axis 0 adds the pairs in order
         u = rng.random(size + (2 * len(w),)).reshape(-1, 2 * len(w)).T.copy()
         s = ((2.0 * w * c_alpha)[:, None] ** (1.0 / alpha)
              * _cms_symmetric(alpha, u[0::2], u[1::2]))
