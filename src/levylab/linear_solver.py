@@ -18,6 +18,7 @@ Two solvers:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,8 +219,7 @@ def _etd2_weights(grid: Grid, z, dt: float):
 def advection(b, u_hat, grid: Grid) -> np.ndarray:
     """b . grad u for every component of u_hat, in physical values; b has
     shape (d, *grid)."""
-    return sum(d_j * b[j]
-               for j, d_j in enumerate(partial_derivatives(grid, u_hat)))
+    return sum(map(operator.mul, partial_derivatives(grid, u_hat), b))
 
 
 def etd2_march(phi: GridField, measure, lam: float, dt: float, n_steps: int,
