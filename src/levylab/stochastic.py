@@ -251,11 +251,11 @@ def _frame_at(f: SpaceTimeField, t: float) -> GridField:
 
 
 def _time_integral(v, f: SpaceTimeField, wrapped, times, weights):
-    """v + sum_k weights[k] f(times[k], X_k): the left-endpoint rule along
-    the wrapped paths (n, n_times, d), X_k at path time index k and f read
-    in its frame at times[k]."""
+    """v plus sum_k weights[k] f(times[k], X_k), added to v in place: the
+    left-endpoint rule along the wrapped paths (n, n_times, d), X_k at path
+    time index k and f read in its frame at times[k]."""
     for k, (t, w) in enumerate(zip(times, weights)):
-        v = v + w * _interp_field(_frame_at(f, t), wrapped[:, k, :])
+        v += w * _interp_field(_frame_at(f, t), wrapped[:, k, :])
     return v
 
 
