@@ -120,9 +120,11 @@ def _direct_quadrature(measure, grid, route, xi):
     direction, taken as 0 within 4 ulps of sum_i |xi_i theta_i| as in the
     route: for alpha < 1 the tail's |s|^alpha would turn a rounding of 1e-16
     in an s that should be 0 (xi normal to (0.6, -0.8)) into 1e-8."""
-    alpha = measure.alpha
-    r_min, r_max, radii, rad_w, dirs, wts, _ = nonlocal_op._nodes(
+    alpha, r_min, r_max = measure.alpha, grid.spacing / 2.0, grid.side_length / 2.0
+    route_r_min, route_r_max, radii, rad_w, dirs, wts, _ = nonlocal_op._nodes(
         measure, grid, route)
+    assert (route_r_min, route_r_max) == (r_min, r_max)
+    assert r_min < radii.min() and radii.max() < r_max
     v_tab, g_tab, h_tab = nonlocal_op._oscillatory_tail_profile(alpha)
     comp = radii <= (np.inf if alpha > 1 else (1.0 if alpha == 1 else 0.0))
     density = isinstance(measure, levy.DensityKernel)
