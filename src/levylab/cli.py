@@ -29,8 +29,8 @@ from .fieldgrid import (Grid, GridField, SpaceTimeField, load_field,
                         load_field_csv, load_trajectory, save_field,
                         save_field_csv, save_trajectory)
 from .heatkernel import DriftSchedule
-from .linear_solver import (LinearProblem, SolverConfig, drift_solve,
-                            duhamel_solve, step_count)
+from .linear_solver import (LinearProblem, SolverConfig, _trajectory_frames,
+                            drift_solve, duhamel_solve, step_count)
 
 USAGE_ERROR = 2
 
@@ -285,6 +285,12 @@ def _cmd_evolve(args) -> int:
                          f"'drift'")
     try:
         problem = LinearProblem(measure, drift, lam, forcing, phi, horizon)
+        if forcing is not None:
+            # the solvers read frame k at step k (same check, same message)
+            n_steps = step_count(horizon, config.time_step)
+            _trajectory_frames(forcing,
+                               np.arange(n_steps + 1) * config.time_step,
+                               "forcing")
     except LevylabError as exc:
         raise UsageError(f"bad problem file {args.problem}: {exc}") from exc
     if solver == "duhamel":
@@ -346,6 +352,9 @@ def _cmd_sde(args) -> int:
     except (KeyError, ValueError, LevylabError) as exc:
         raise UsageError(f"bad problem file {args.problem}: {exc}") from exc
     _check_field_dim(phi, measure, "phi")
+    if args.paths < 2:
+        raise UsageError(f"--paths {args.paths}: a standard error needs at "
+                         f"least 2 paths")
     if x.size != measure.dim:
         raise UsageError(f"key 'x' has {x.size} components but the measure "
                          f"lives in R^{measure.dim}")

@@ -25,9 +25,15 @@ therefore reads the fixed block of n_steps * k uniforms that starts at
 i * n_steps * k: it does not change with the path count, and ensembles are
 bit-exactly reproducible.
 
-The estimators reduce the paths one block of PATH_BLOCK at a time to one
-value per path, so their memory is O(PATH_BLOCK (n_steps+1) d + n_paths);
-only sample_ensemble holds a whole ensemble.
+Paths are drawn in blocks of about PATH_STEP_BLOCK path-steps
+(_block_paths), and the estimators reduce one block at a time to one
+value per path.  A block holds its uniforms, its states and, for the time
+integral, the 2^d interpolation corners of each step, so the estimators'
+memory is O(PATH_STEP_BLOCK (k + 2^d) + n_paths); only sample_ensemble
+holds a whole ensemble.  A (paths, steps) temporary of a block is
+256 KiB, which keeps the sampler's chain of them in a 2 MiB L2 cache;
+sizing blocks by path-steps, not paths, keeps the blocks of short paths
+large enough to spread a block's fixed cost.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ from .errors import (DomainExitWarning, DriftEvaluationFailure,
 from .fieldgrid import GridField, SpaceTimeField
 
 EXIT_FRACTION_LIMIT = 0.01
-PATH_BLOCK = 2048          # paths per uniform draw and per estimator block
+PATH_STEP_BLOCK = 512 * 64  # path-steps per uniform draw and estimator block
 
 
 @dataclass(frozen=True)
@@ -101,8 +107,13 @@ def _positive_stable(alpha_half: float, u: np.ndarray,
 
         A = sin(a v) / sin(v)^{1/a} * (sin((1-a) v) / E)^{(1-a)/a}
 
-    with v = pi U and E = -log(1 - W); at a = 1/2 the powers are a square
-    and the identity."""
+    with v = pi U and E = -log(1 - W).  At a = 1/2, sin(v) = 2 sin(v/2)
+    cos(v/2) turns this into A = 1 / (4 cos^2(v/2) E)."""
+    if alpha_half == 0.5:
+        c = np.cos(np.pi / 2.0 * u)
+        c *= c
+        c *= np.log1p(-w)               # -cos^2(v/2) E
+        return np.divide(-0.25, c, out=c)
     v = np.pi * u
     return (np.sin(alpha_half * v) / np.sin(v) ** (1.0 / alpha_half)
             * (np.sin((1.0 - alpha_half) * v) / -np.log1p(-w))
@@ -112,11 +123,15 @@ def _positive_stable(alpha_half: float, u: np.ndarray,
 def _normals(u: np.ndarray, d: int) -> np.ndarray:
     """d standard normals along the last axis from Box-Muller on the
     consecutive pairs of the 2 ceil(d/2) uniforms there; odd d skips a sine."""
-    r = np.sqrt(-2.0 * np.log1p(-u[..., 0::2]))
+    r = np.log1p(-u[..., 0::2])
+    r *= -2.0
+    np.sqrt(r, out=r)
     theta = 2.0 * np.pi * u[..., 1::2]
     z = np.empty(u.shape[:-1] + (d,))
-    z[..., 0::2] = r * np.cos(theta)
-    z[..., 1::2] = r[..., :d // 2] * np.sin(theta[..., :d // 2])
+    np.multiply(r[..., :d // 2], np.sin(theta[..., :d // 2]),
+                out=z[..., 1::2])
+    np.cos(theta, out=theta)
+    np.multiply(r, theta, out=z[..., 0::2])
     return z
 
 
@@ -141,9 +156,13 @@ def sample_stable_increment(sigma: levy.SphericalMeasure, alpha: float,
         u = rng.random(size + (2 + 2 * ((d + 1) // 2),))
         scale = (sigma.total_mass * c_alpha
                  * levy.isotropic_projection_moment(d, alpha))
-        sub = _positive_stable(alpha / 2.0, u[..., 0], u[..., 1])
-        unit = (scale ** (1.0 / alpha) * np.sqrt(2.0 * sub)[..., None]
-                * _normals(u[..., 2:], d))
+        # scale^{1/alpha} sqrt(2A) Z, by products in place
+        root = _positive_stable(alpha / 2.0, u[..., 0], u[..., 1])
+        root *= 2.0
+        np.sqrt(root, out=root)
+        root *= scale ** (1.0 / alpha)
+        unit = _normals(u[..., 2:], d)
+        unit *= root[..., None]
     else:
         pairs = levy.antipodal_pairs(*sigma.atom_arrays())
         if pairs is None:
@@ -161,9 +180,17 @@ def sample_stable_increment(sigma: levy.SphericalMeasure, alpha: float,
 # paths
 # ---------------------------------------------------------------------------
 
+def _block_paths(n_steps: int) -> int:
+    """Paths per block of n_steps-step paths: about PATH_STEP_BLOCK
+    path-steps, in a positive multiple of 4 paths, so that every block
+    starts on a whole Philox counter of four 64-bit words."""
+    return 4 * max(1, PATH_STEP_BLOCK // (4 * max(n_steps, 1)))
+
+
 def _path_blocks(b, measure, x0, time_grid, n_paths: int, seed: int):
     """Euler paths X_{k+1} = X_k + b(t_k, X_k) dt_k + dL_k, yielded in path
-    order as (m, len(time_grid), d) state blocks of m <= PATH_BLOCK paths.
+    order as (m, len(time_grid), d) state blocks of m <= _block_paths
+    paths.
 
     The increments are read from one stream Philox(key=seed), one draw per
     block, so path i's states do not depend on n_paths.  b may be None (no
@@ -177,8 +204,9 @@ def _path_blocks(b, measure, x0, time_grid, n_paths: int, seed: int):
     if not isinstance(measure, levy.StableSpectral):
         raise UnsupportedMeasure("simulation needs a StableSpectral measure")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    for first in range(0, n_paths, PATH_BLOCK):
-        m = min(PATH_BLOCK, n_paths - first)
+    block = _block_paths(dts.size)
+    for first in range(0, n_paths, block):
+        m = min(block, n_paths - first)
         incs = sample_stable_increment(measure.sigma, measure.alpha, dts, rng,
                                        size=(m, dts.size))
         states = np.empty((m, tg.size, d))
@@ -210,9 +238,9 @@ def sample_ensemble(b, measure, x0, time_grid, n_paths: int,
     """Ensemble of Euler paths X_{k+1} = X_k + b(t_k, X_k) dt_k + dL_k.
 
     The increments are read from one stream Philox(key=seed) in path-major
-    order, PATH_BLOCK paths per draw, so path i's increments do not depend
-    on n_paths.  b may be None (no drift); otherwise it receives a block of
-    at most PATH_BLOCK states at once, shape (m, d)."""
+    order, one block of paths per draw, so path i's increments do not
+    depend on n_paths.  b may be None (no drift); otherwise it receives a
+    block's states at once, shape (m, d)."""
     tg = np.asarray(time_grid, dtype=float)
     states = np.empty((n_paths, tg.size, np.size(x0)))
     first = 0
@@ -226,22 +254,51 @@ def sample_ensemble(b, measure, x0, time_grid, n_paths: int,
 # interpolation helpers
 # ---------------------------------------------------------------------------
 
-def _interp_field(field: GridField, points: np.ndarray) -> np.ndarray:
-    """Periodic multilinear interpolation of component 0 at (n, d) points."""
-    g = field.grid
-    n = g.points_per_axis
-    frac = points / g.spacing
+def _wrap(x: np.ndarray, period: float) -> np.ndarray:
+    """np.mod(x, period) in place for a contiguous x.  np.mod is the
+    identity on (0, period), so it is computed only outside."""
+    flat = x.reshape(-1)
+    far = np.flatnonzero((flat <= 0.0) | (flat >= period))
+    flat[far] = np.mod(flat[far], period)
+    return x
+
+
+def _corners(grid, points: np.ndarray):
+    """Flat grid indices and weights of periodic multilinear interpolation
+    at points (..., n, d): two arrays of shape (..., 2^d, n), corner c
+    taking the upper grid point along axis j where bit j of c is set."""
+    n = grid.points_per_axis
+    frac = points / grid.spacing
     base = np.floor(frac)
     t = frac - base
     base = base.astype(np.int64)
-    # per axis: (index, weight) of the lower and of the upper grid point
-    ends = [((base[:, j] % n, 1.0 - t[:, j]), ((base[:, j] + 1) % n, t[:, j]))
-            for j in range(g.dim)]
-    out = np.zeros(len(points))
-    for corner in range(1 << g.dim):
-        idx, w = zip(*(ends[j][(corner >> j) & 1] for j in range(g.dim)))
-        out += functools.reduce(operator.mul, w) * field.values[0][idx]
+    # per axis: (index, weight) of the lower and of the upper grid point;
+    # n is a power of two, so i & (n - 1) is i mod n
+    ends = [((base[..., j] & (n - 1), 1.0 - t[..., j]),
+             ((base[..., j] + 1) & (n - 1), t[..., j]))
+            for j in range(grid.dim)]
+    shape = points.shape[:-2] + (1 << grid.dim,) + points.shape[-2:-1]
+    idx = np.empty(shape, dtype=np.int64)
+    wts = np.empty(shape)
+    for corner in range(1 << grid.dim):
+        i, w = zip(*(ends[j][(corner >> j) & 1] for j in range(grid.dim)))
+        idx[..., corner, :] = functools.reduce(lambda a, b: a * n + b, i)
+        wts[..., corner, :] = functools.reduce(operator.mul, w)
+    return idx, wts
+
+
+def _corner_sum(terms: np.ndarray) -> np.ndarray:
+    """terms (..., 2^d, n) summed over the corners in order, from zero."""
+    out = np.zeros(terms.shape[:-2] + terms.shape[-1:])
+    for c in range(terms.shape[-2]):
+        out += terms[..., c, :]
     return out
+
+
+def _interp_field(field: GridField, points: np.ndarray) -> np.ndarray:
+    """Periodic multilinear interpolation of component 0 at (n, d) points."""
+    idx, w = _corners(field.grid, points)
+    return _corner_sum(w * field.values[0].ravel()[idx])
 
 
 def _frame_at(f: SpaceTimeField, t: float) -> GridField:
@@ -250,12 +307,25 @@ def _frame_at(f: SpaceTimeField, t: float) -> GridField:
     return f.frames[j]
 
 
-def _time_integral(v, f: SpaceTimeField, wrapped, times, weights):
-    """v plus sum_k weights[k] f(times[k], X_k), added to v in place: the
-    left-endpoint rule along the wrapped paths (n, n_times, d), X_k at path
-    time index k and f read in its frame at times[k]."""
-    for k, (t, w) in enumerate(zip(times, weights)):
-        v += w * _interp_field(_frame_at(f, t), wrapped[:, k, :])
+def _time_integral(v, grid, frames, weights: np.ndarray, states):
+    """v plus sum_k weights[k] f_k(X_k), added to v in place: the
+    left-endpoint rule along a block of paths states (m, n_times, d), X_k
+    its states at time index k and f_k the flat values frames[k] on grid.
+
+    The states the rule reads are reduced mod the period into one
+    time-major array, and the corners of all its steps found in one pass;
+    each step then only gathers from its frame."""
+    points = np.empty((len(frames), len(states), grid.dim))
+    points[...] = states[:, :len(frames)].swapaxes(0, 1)
+    idx, w = _corners(grid, _wrap(points, grid.side_length))
+    terms = np.empty(idx.shape)
+    for k, values in enumerate(frames):
+        terms[k] = values[idx[k]]
+    terms *= w
+    steps = _corner_sum(terms)
+    steps *= weights[:, None]
+    for step in steps:
+        v += step
     return v
 
 
@@ -273,10 +343,9 @@ def exit_fraction(ensemble: PathEnsemble, x0, side_length: float) -> float:
 
 
 def _per_path(b, measure, x0, time_grid, n_paths, seed, grid, value):
-    """value(wrapped) for each path, where wrapped holds a block's states
-    reduced mod the period, and the fraction of paths that left the
-    half-period box around x0 (warned about above EXIT_FRACTION_LIMIT).
-    One block of paths is held at a time."""
+    """value(states) for each block of path states, and the fraction of
+    paths that left the half-period box around x0 (warned about above
+    EXIT_FRACTION_LIMIT).  One block of paths is held at a time."""
     if np.size(x0) != grid.dim:
         raise InvalidArgument(f"the start point has {np.size(x0)} components "
                               f"but the grid lives in R^{grid.dim}")
@@ -284,8 +353,7 @@ def _per_path(b, measure, x0, time_grid, n_paths, seed, grid, value):
     exits = first = 0
     for states in _path_blocks(b, measure, x0, time_grid, n_paths, seed):
         exits += _exit_count(states, x0, grid.side_length)
-        out[first:first + len(states)] = value(np.mod(states,
-                                                      grid.side_length))
+        out[first:first + len(states)] = value(states)
         first += len(states)
     frac = exits / n_paths
     if frac > EXIT_FRACTION_LIMIT:
@@ -318,6 +386,8 @@ def _feynman_kac(phi, f, b, measure, t, x, n_paths, rng_seed, lam, n_steps):
     that left the half-period box around x."""
     if not t > 0:
         raise InvalidArgument("t must be positive")
+    if n_paths < 2:
+        raise InvalidArgument("a standard error needs at least 2 paths")
     if f is not None and f.grid != phi.grid:
         raise InvalidArgument(f"forcing lives on {f.grid}, phi on {phi.grid}")
     if f is not None and f.times[-1] < t * (1.0 - 1e-9):
@@ -326,11 +396,15 @@ def _feynman_kac(phi, f, b, measure, t, x, n_paths, rng_seed, lam, n_steps):
     drift = None if b is None else (lambda s, y: np.asarray(b(t - s, y)))
     dt = t / n_steps
 
-    def value(wrapped):
-        v = math.exp(-lam * t) * _interp_field(phi, wrapped[:, -1, :])
+    if f is not None:
+        frames = [_frame_at(f, t - s).values[0].ravel() for s in tg[:-1]]
+        weights = np.array([math.exp(-lam * s) * dt for s in tg[:-1]])
+
+    def value(states):
+        v = math.exp(-lam * t) * _interp_field(
+            phi, _wrap(states[:, -1].copy(), phi.grid.side_length))
         if f is not None:
-            v = _time_integral(v, f, wrapped, t - tg[:-1],
-                               [math.exp(-lam * s) * dt for s in tg[:-1]])
+            v = _time_integral(v, f.grid, frames, weights, states)
         return v
 
     per_path, frac = _per_path(drift, measure, np.atleast_1d(x), tg, n_paths,
@@ -348,6 +422,8 @@ def krylov_check(b, measure, f: SpaceTimeField, p: float,
     g = f.grid
     if p <= g.dim + 1:
         raise InvalidArgument("need p > d + 1")
+    if n_paths < 1:
+        raise InvalidArgument("n_paths must be positive")
     if any(float(fr.values.min()) < 0 for fr in f.frames):
         raise InvalidArgument("f must be nonnegative")
     T = f.time_step * (len(f.frames) - 1)
@@ -355,9 +431,12 @@ def krylov_check(b, measure, f: SpaceTimeField, p: float,
     tg = np.linspace(0.0, T, n_steps + 1)
     dt = T / n_steps
 
-    def value(wrapped):
-        return _time_integral(np.zeros(len(wrapped)), f, wrapped, tg[:-1],
-                              [dt] * n_steps)
+    frames = [_frame_at(f, s).values[0].ravel() for s in tg[:-1]]
+    weights = np.full(n_steps, dt)
+
+    def value(states):
+        return _time_integral(np.zeros(len(states)), g, frames, weights,
+                              states)
 
     per_path, _ = _per_path(b, measure, x0, tg, n_paths, rng_seed, g, value)
     lhs = float(np.mean(per_path))

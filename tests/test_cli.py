@@ -180,6 +180,21 @@ def test_evolve_forcing_on_another_grid_exits_2(measure_file, phi_file,
     assert "forcing lives on" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("step,n_frames,message", [
+    (0.1, 5, "forcing time step must match solver time step"),
+    (0.0625, 3, "forcing has fewer frames than time steps"),
+], ids=["other-step", "few-frames"])
+def test_evolve_forcing_off_the_solver_steps_exits_2(
+        measure_file, phi_file, tmp_path, capsys, step, n_frames, message):
+    g = Grid(1, 128, 2 * np.pi)
+    forcing = tmp_path / "f.traj"
+    save_trajectory(SpaceTimeField(step, tuple(
+        GridField(g, np.ones((1, 128))) for _ in range(n_frames))), forcing)
+    assert _evolve(tmp_path, measure_file, phi_file, {"time_step": 0.0625},
+                   forcing=str(forcing)) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.fixture()
 def measure_2d_file(tmp_path):
     m2 = levy.StableSpectral(1.0, levy.SphericalMeasure.isotropic(2, 1.0))
@@ -385,6 +400,22 @@ def test_sde_input_of_wrong_dimension_exits_2(measure_file, tmp_path, capsys,
     assert cli.main(["sde", "--problem", str(prob), "--paths", "10",
                      "--seed", "1", "--out", str(tmp_path / "s.txt")]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_sde_single_path_exits_2(measure_file, tmp_path, capsys):
+    # one path has no standard error
+    g = Grid(1, 64, 8.0)
+    phi_path = tmp_path / "phi.bin"
+    save_field(GridField(g, np.ones((1, 64))), phi_path)
+    prob = tmp_path / "sde.json"
+    prob.write_text(json.dumps({
+        "measure": levy.to_dict(levy.load_measure(measure_file)),
+        "phi": str(phi_path), "t": 0.5, "x": [4.0], "n_steps": 8}))
+    out = tmp_path / "s.txt"
+    assert cli.main(["sde", "--problem", str(prob), "--paths", "1",
+                     "--seed", "1", "--out", str(out)]) == 2
+    assert "--paths 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _sde_run(measure_file, tmp_path, name, drift):

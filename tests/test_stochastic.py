@@ -155,6 +155,18 @@ def test_isotropic_increments_match_stacked_box_muller(dim, monkeypatch):
     assert np.array_equal(got, want)
 
 
+def test_kanter_closed_form_at_one_half_matches_the_general_formula():
+    # at alpha/2 = 1/2 the sampler evaluates 1/(4 cos^2(pi U/2) E); the
+    # general Kanter formula, written out here, must agree to rounding
+    rng = _philox(17)
+    u, w = rng.random(10 ** 6), rng.random(10 ** 6)
+    a, v = 0.5, np.pi * u
+    general = (np.sin(a * v) / np.sin(v) ** (1.0 / a)
+               * (np.sin((1.0 - a) * v) / -np.log1p(-w)) ** ((1.0 - a) / a))
+    got = stochastic._positive_stable(0.5, u, w)
+    assert np.max(np.abs(got - general) / general) <= 1e-14
+
+
 # ---------------------------------------------------------------------------
 # reproducibility
 # ---------------------------------------------------------------------------
@@ -190,7 +202,7 @@ def test_ensemble_is_one_blocked_draw_from_one_stream():
     # of every increment at once, and path i does not depend on n_paths
     m = _iso1d()
     tg = np.linspace(0.0, 0.5, 5)
-    n_paths = stochastic.PATH_BLOCK + 3
+    n_paths = stochastic._block_paths(4) + 3
     ens = stochastic.sample_ensemble(None, m, [1.0], tg, n_paths, seed=11)
     incs = stochastic.sample_stable_increment(
         m.sigma, m.alpha, np.diff(tg), _philox(11), size=(n_paths, 4))
@@ -224,7 +236,7 @@ def test_nonuniform_steps_scale_the_unit_time_draw(sigma):
 
 
 def test_ensemble_peak_memory_is_bounded(traced_peak):
-    # blocks of PATH_BLOCK paths keep the uniforms (4 per increment here)
+    # blocks of paths keep the uniforms (4 per increment here)
     # from being held for the whole ensemble at once
     tg = np.linspace(0.0, 0.5, 65)
     _, peak = traced_peak(stochastic.sample_ensemble, None, _iso1d(), [0.0],
@@ -407,7 +419,7 @@ def test_streamed_estimators_equal_the_whole_ensemble_formulas(dim, drifted):
     b = (lambda t, y: 0.4 * np.sin(y[:, ::-1]) * (1.0 + t)) if drifted \
         else None
     n_paths = 5000
-    assert n_paths % stochastic.PATH_BLOCK
+    assert n_paths % stochastic._block_paths(8)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DomainExitWarning)
         got = stochastic._feynman_kac(phi, f, b, measure, 0.5, x0, n_paths,
@@ -420,6 +432,79 @@ def test_streamed_estimators_equal_the_whole_ensemble_formulas(dim, drifted):
     assert 0.0 < got[2] < 1.0
     assert got == want
     assert lhs == lhs_want
+
+
+@pytest.mark.parametrize("n_steps", [0, 1, 3, 4, 7, 64, 100, 10 ** 5])
+def test_blocks_are_whole_philox_counters_within_the_step_budget(n_steps):
+    # block b starts at uniform b m n_steps k; Philox hands out four 64-bit
+    # words per counter, so with m a multiple of 4 a block may start from
+    # an advanced copy of the stream
+    m = stochastic._block_paths(n_steps)
+    assert m % 4 == 0 and m >= 4
+    assert m == 4 or m * n_steps <= stochastic.PATH_STEP_BLOCK
+
+
+@pytest.mark.parametrize("dim", [1, 2], ids=["isotropic-1d", "atoms-2d"])
+@pytest.mark.parametrize("drifted", [False, True], ids=["b=0", "b(t,x)"])
+def test_outputs_do_not_depend_on_the_path_block(dim, drifted, monkeypatch):
+    # the stream is path-major, so the block size only regroups the draws;
+    # at 8 steps the budgets give blocks of 4, 512 and 2048 paths
+    measure, phi, f, x0 = _streaming_case(dim)
+    b = (lambda t, y: 0.4 * np.sin(y[:, ::-1]) * (1.0 + t)) if drifted \
+        else None
+    tg = np.linspace(0.0, 0.5, 9)
+    results = []
+    for budget, block in ((32, 4), (4096, 512), (16384, 2048)):
+        monkeypatch.setattr(stochastic, "PATH_STEP_BLOCK", budget)
+        assert stochastic._block_paths(8) == block
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DomainExitWarning)
+            results.append((
+                stochastic.sample_ensemble(b, measure, x0, tg, 2100,
+                                           seed=9).states,
+                stochastic._feynman_kac(phi, f, b, measure, 0.5, x0, 2100,
+                                        31, 0.7, 8),
+                stochastic.krylov_check(b, measure, f, dim + 2.0, 2100, 32,
+                                        x0=x0, n_steps=8)))
+    for states, fk, kr in results[1:]:
+        assert np.array_equal(states, results[0][0])
+        assert fk == results[0][1] and kr == results[0][2]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_block_interpolation_equals_the_per_step_interpolation(dim):
+    # the time integral finds the corners of all steps at once; it must add
+    # exactly what interpolating np.mod-wrapped states step by step adds,
+    # for paths inside the box, far outside it and on its edges; the
+    # spacing 7/16 is not a power of two, so x / h rounds differently
+    # for x and x mod L
+    g = Grid(dim, 16, 7.0)
+    rng = _philox(23)
+    frames = [rng.standard_normal(g.shape) for _ in range(3)]
+    states = rng.uniform(-20.0, 28.0, size=(40, 4, dim))
+    states[0, :3] = 0.0
+    states[1, :3] = -0.0
+    states[2, :3] = 7.0
+    states[3, :3] = -1e-300
+    states[4, :3] = np.nextafter(7.0, 0.0)
+    weights = np.array([0.3, 0.25, 0.7])
+    v0 = rng.standard_normal(40)
+    got = stochastic._time_integral(v0.copy(), g, [fr.ravel() for fr in frames],
+                                    weights, states)
+    want = v0.copy()
+    for k, fr in enumerate(frames):
+        field = GridField(g, fr[None])
+        want += weights[k] * stochastic._interp_field(
+            field, np.mod(states[:, k], g.side_length))
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_wrap_is_np_mod_bit_for_bit():
+    x = np.array([0.0, -0.0, 8.0, -8.0, 16.0, -1e-300, 1e-300, 7.999999,
+                  np.nextafter(8.0, 0.0), np.nextafter(8.0, 9.0), 3.5, -3.5,
+                  1e17, -1e17])
+    got = stochastic._wrap(x.copy(), 8.0)
+    assert np.array_equal(got.view(np.int64), np.mod(x, 8.0).view(np.int64))
 
 
 def test_estimator_peak_memory_is_bounded(traced_peak):
@@ -436,6 +521,19 @@ def test_estimator_peak_memory_is_bounded(traced_peak):
                                  0.5, [20.0], 30_000, 2, n_steps=64)
     assert peak_kr <= 16 * 2 ** 20
     assert peak_fk <= 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("n_paths", [0, 1])
+def test_feynman_kac_needs_two_paths(n_paths):
+    _, phi = _terminal_setup()
+    with pytest.raises(InvalidArgument, match="at least 2 paths"):
+        stochastic.feynman_kac(phi, None, None, _iso1d(), 0.5, [60.0],
+                               n_paths, 0)
+
+
+def test_krylov_needs_a_path():
+    with pytest.raises(InvalidArgument, match="n_paths"):
+        stochastic.krylov_check(None, _iso1d(), _constant_forcing(), 3.0, 0, 0)
 
 
 def test_start_point_must_match_the_grid():
