@@ -8,7 +8,8 @@ run can be reproduced bit-exactly.  Flag reference and file schemas live
 in ``docs/cli.md``.
 
 Exit codes: 0 success, 1 computation or check failure, 2 usage error
-(unknown flags, malformed input files).
+(unknown flags, malformed input files, or any value the library rejects
+with ``InvalidArgument``).  ``main`` alone maps exceptions to exit codes.
 """
 
 from __future__ import annotations
@@ -24,19 +25,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import acceptance, heatkernel, levy, quasilinear, stochastic
-from .errors import LevylabError
+from .errors import InvalidArgument, LevylabError
 from .fieldgrid import (Grid, GridField, SpaceTimeField, load_field,
                         load_field_csv, load_trajectory, save_field,
                         save_field_csv, save_trajectory)
 from .heatkernel import DriftSchedule
-from .linear_solver import (LinearProblem, SolverConfig, _trajectory_frames,
-                            drift_solve, duhamel_solve, step_count)
+from .linear_solver import (LinearProblem, SolverConfig, drift_solve,
+                            duhamel_solve)
 
 USAGE_ERROR = 2
 
 
 class UsageError(Exception):
-    """Malformed flag values or input files; maps to exit code 2."""
+    """Malformed flag values or input files; maps to exit code 2, as the
+    library's InvalidArgument does."""
 
 
 # ---------------------------------------------------------------------------
@@ -188,18 +190,15 @@ def _drift_from_dict(spec, dim: int):
     return drift
 
 
-def _solver_config(cfg: dict, horizon: float) -> SolverConfig:
-    """Solver config for a run to horizon, a whole number of time steps."""
+def _solver_config(cfg: dict) -> SolverConfig:
     try:
-        config = SolverConfig(
+        return SolverConfig(
             time_step=float(cfg["time_step"]),
             mollifier_width=float(cfg.get("mollifier_width", 0.0)),
             picard_tol=float(cfg.get("picard_tol", 1e-10)),
             max_iterations=int(cfg.get("max_iterations", 50)))
-        step_count(horizon, config.time_step)
-    except (KeyError, ValueError, LevylabError) as exc:
+    except (KeyError, ValueError) as exc:
         raise UsageError(f"bad solver config: {exc}") from exc
-    return config
 
 
 def _write_trajectory_run(out, traj: SpaceTimeField, measure, cfg: dict,
@@ -228,12 +227,7 @@ def _write_trajectory_run(out, traj: SpaceTimeField, measure, cfg: dict,
 
 def _cmd_symbol(args) -> int:
     measure = _load_measure(args.measure)
-    xi = _parse_vector(args.xi)
-    if xi.shape != (measure.dim,):
-        raise UsageError(
-            f"xi has {xi.size} entries but the measure lives in "
-            f"R^{measure.dim}")
-    value = levy.symbol(measure, xi)
+    value = levy.symbol(measure, _parse_vector(args.xi))
     print(f"{value.real:.12g}{value.imag:+.12g}i")
     return 0
 
@@ -278,21 +272,12 @@ def _cmd_evolve(args) -> int:
         raise UsageError(f"bad problem file {args.problem}: {exc}") from exc
     _check_field_dim(phi, measure, "phi")
     drift = _drift_from_dict(spec.get("drift"), measure.dim)
-    config = _solver_config(cfg, horizon)
+    config = _solver_config(cfg)
     solver = cfg.get("solver", "duhamel")
     if "dealias" in cfg and solver != "drift":
         raise UsageError(f"key 'dealias' in {args.config} needs solver "
                          f"'drift'")
-    try:
-        problem = LinearProblem(measure, drift, lam, forcing, phi, horizon)
-        if forcing is not None:
-            # the solvers read frame k at step k (same check, same message)
-            n_steps = step_count(horizon, config.time_step)
-            _trajectory_frames(forcing,
-                               np.arange(n_steps + 1) * config.time_step,
-                               "forcing")
-    except LevylabError as exc:
-        raise UsageError(f"bad problem file {args.problem}: {exc}") from exc
+    problem = LinearProblem(measure, drift, lam, forcing, phi, horizon)
     if solver == "duhamel":
         traj = duhamel_solve(problem, config)
     elif solver == "drift":
@@ -318,7 +303,7 @@ def _cmd_quasilinear(args) -> int:
                    phi.grid.dim, _iso_mass(phi.grid.dim))))
     _check_field_dim(phi, measure, "--phi")
     config = _solver_config({"time_step": args.dt,
-                             "picard_tol": args.picard_tol}, args.T)
+                             "picard_tol": args.picard_tol})
     if args.subcommand == "burgers":
         traj = quasilinear.burgers_solve(phi, measure, args.T, config)
     else:
@@ -481,7 +466,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except UsageError as exc:
+    except (UsageError, InvalidArgument) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except LevylabError as exc:

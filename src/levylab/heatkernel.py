@@ -65,8 +65,8 @@ class DriftSchedule:
 def kernel(measure, t: float, grid: Grid) -> GridField:
     """Heat kernel density p_t on the grid by spectral inversion of
     e^{-t psi}; requires a nondegenerate measure."""
-    if not t > 0:
-        raise InvalidArgument("t must be positive")
+    if not 0.0 < t < np.inf:
+        raise InvalidArgument("t must be positive and finite")
     if levy.nondegeneracy_of(measure) <= 0.0:
         raise PreconditionFailure("degenerate measure: heat kernel undefined")
     # density of the process at time t: characteristic function e^{-t psi},

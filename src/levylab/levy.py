@@ -347,8 +347,6 @@ def symbol(measure, xi):
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if xi.shape != (measure.dim,):
         raise InvalidArgument(f"xi must be a vector in R^{measure.dim}")
-    if not np.all(np.isfinite(xi)):
-        raise InvalidArgument("xi must be finite")
     return complex(symbol_array(measure, xi[None, :])[0])
 
 

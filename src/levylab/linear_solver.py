@@ -25,7 +25,7 @@ import numpy as np
 
 from . import levy
 from .errors import (DriftEvaluationFailure, InvalidArgument,
-                     IterationFailure)
+                     IterationFailure, PreconditionFailure)
 from .fieldgrid import (Grid, GridField, SpaceTimeField, apply_multiplier,
                         forward, inverse, lp_norm, partial_derivatives,
                         periodic_samples, resolve, spectral_l2,
@@ -219,6 +219,9 @@ def _etd2_weights(grid: Grid, z, dt: float):
 def advection(b, u_hat, grid: Grid) -> np.ndarray:
     """b . grad u for every component of u_hat, in physical values; b has
     shape (d, *grid)."""
+    if np.shape(b) != (grid.dim,) + grid.shape:
+        raise InvalidArgument(f"drift has shape {np.shape(b)}, not "
+                              f"{(grid.dim,) + grid.shape}")
     return sum(map(operator.mul, partial_derivatives(grid, u_hat), b))
 
 
@@ -322,20 +325,22 @@ def regularity_ratio(nu1, nu2, lam: float, f: SpaceTimeField,
 
     where u is the Duhamel solution driven by nu1 with forcing f and zero
     initial data.  Frames with t < burn_in are excluded from both sides."""
-    if all(float(np.max(np.abs(fr.values))) == 0.0 for fr in f.frames):
-        raise InvalidArgument("zero forcing: ratio undefined")
     if levy.nondegeneracy_of(nu1) <= 0:
-        raise InvalidArgument("nu1 must be nondegenerate")
+        raise PreconditionFailure("nu1 must be nondegenerate")
+    dt = f.time_step
+    keep = [i for i, t in enumerate(f.times) if t >= burn_in]
+    # trapezoid in time over the kept frames
+    weights = [0.5 * dt if j in (0, len(keep) - 1) else dt
+               for j in range(len(keep))]
+    rhs = sum(lp_norm(f.frames[i], p) ** q * w for i, w in zip(keep, weights))
+    if not rhs > 0:
+        raise InvalidArgument(f"forcing vanishes on every frame from "
+                              f"burn_in = {burn_in} on: ratio undefined")
     g = f.grid
     problem = LinearProblem(nu1, DriftSchedule.zero(g.dim), lam, f,
                             GridField.zeros(g, f.frames[0].components),
-                            horizon=f.time_step * (len(f.frames) - 1))
-    u = duhamel_solve(problem, SolverConfig(time_step=f.time_step))
-    dt = f.time_step
-    keep = [i for i, t in enumerate(u.times) if t >= burn_in]
-    lhs = rhs = 0.0
-    for j, i in enumerate(keep):
-        w = 0.5 * dt if j in (0, len(keep) - 1) else dt   # trapezoid in time
-        lhs += lp_norm(op_apply(nu2, u.frames[i]), p) ** q * w
-        rhs += lp_norm(f.frames[i], p) ** q * w
+                            horizon=dt * (len(f.frames) - 1))
+    u = duhamel_solve(problem, SolverConfig(time_step=dt))
+    lhs = sum(lp_norm(op_apply(nu2, u.frames[i]), p) ** q * w
+              for i, w in zip(keep, weights))
     return (lhs / rhs) ** (1.0 / q)

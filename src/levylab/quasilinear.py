@@ -27,14 +27,14 @@ components, b = -grad_q H, with forcing
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import levy
-from .errors import GradientAugmentationInconsistency, InvalidArgument
-from .fieldgrid import GridField, SpaceTimeField, gradient, inverse
+from .errors import (GradientAugmentationInconsistency, InvalidArgument,
+                     PreconditionFailure)
+from .fieldgrid import GridField, SpaceTimeField, gradient, inverse, lp_norm
 from .linear_solver import (SolverConfig, advection, etd2_march, mollify,
                             step_count)
 
@@ -69,7 +69,7 @@ def picard_solve(problem: QuasilinearProblem, config: SolverConfig,
     the step's current iterate, so each step is a fixed point in u_{n+1};
     phi, b and f are mollified with width config.mollifier_width."""
     if levy.nondegeneracy_of(problem.measure) <= 0:
-        raise InvalidArgument("measure must be nondegenerate")
+        raise PreconditionFailure("measure must be nondegenerate")
     g = problem.phi.grid
     dt = config.time_step
     eps = config.mollifier_width
@@ -121,23 +121,15 @@ class Hamiltonian:
     dq: object      # gradient in q, shape (d, *grid)
 
 
-def _quadratic() -> Hamiltonian:
-    return Hamiltonian(
-        "quadratic",
-        value=lambda t, x, u, q: 0.5 * np.sum(q ** 2, axis=0),
-        dx=lambda t, x, u, q: np.zeros_like(q),
-        du=lambda t, x, u, q: np.zeros_like(u),
-        dq=lambda t, x, u, q: q)
-
-
-def _anisotropic_quadratic(weights=(1.0, 0.25, 2.0)) -> Hamiltonian:
+def _weighted_quadratic(name: str, weights) -> Hamiltonian:
+    """H = sum_i w_i q_i^2 / 2 over the first d weights."""
     w = np.asarray(weights, dtype=float)
 
     def _w(q):
         return w[:q.shape[0]].reshape((-1,) + (1,) * (q.ndim - 1))
 
     return Hamiltonian(
-        "anisotropic-quadratic",
+        name,
         value=lambda t, x, u, q: 0.5 * np.sum(_w(q) * q ** 2, axis=0),
         dx=lambda t, x, u, q: np.zeros_like(q),
         du=lambda t, x, u, q: np.zeros_like(u),
@@ -154,8 +146,9 @@ def _smooth_bounded() -> Hamiltonian:
 
 
 HAMILTONIANS = {
-    "quadratic": _quadratic,
-    "anisotropic-quadratic": _anisotropic_quadratic,
+    "quadratic": lambda: _weighted_quadratic("quadratic", (1.0, 1.0, 1.0)),
+    "anisotropic-quadratic": lambda: _weighted_quadratic(
+        "anisotropic-quadratic", (1.0, 0.25, 2.0)),
     "smooth-bounded": _smooth_bounded,
 }
 
@@ -191,10 +184,8 @@ def hamilton_jacobi_solve(H: Hamiltonian, phi: GridField, measure,
     traj = picard_solve(problem, config, dealias=True)
 
     final = traj.frames[-1]
-    u_final = GridField(g, final.values[:1])
-    grad_u = gradient(u_final)[0]
-    defect = math.sqrt(float(np.sum((grad_u - final.values[1:]) ** 2))
-                       * g.cell_volume)
+    grad_u = gradient(GridField(g, final.values[:1]))[0]
+    defect = lp_norm(GridField(g, grad_u - final.values[1:]), 2)
     if defect >= GRADIENT_CONSISTENCY_TOL:
         raise GradientAugmentationInconsistency(
             f"|grad u - q|_2 = {defect:.3e} at final time")

@@ -79,10 +79,6 @@ class PathEnsemble:
         object.__setattr__(self, "time_grid", tg)
         object.__setattr__(self, "states", st)
 
-    @property
-    def dim(self) -> int:
-        return self.states.shape[2]
-
 
 # ---------------------------------------------------------------------------
 # stable increments: fixed transforms of uniforms on [0, 1), with
@@ -384,10 +380,12 @@ def feynman_kac(phi: GridField, f, b, measure, t: float, x,
 def _feynman_kac(phi, f, b, measure, t, x, n_paths, rng_seed, lam, n_steps):
     """feynman_kac's (estimate, standard_error) and the fraction of its paths
     that left the half-period box around x."""
-    if not t > 0:
-        raise InvalidArgument("t must be positive")
+    if not 0.0 < t < np.inf:
+        raise InvalidArgument("t must be positive and finite")
     if n_paths < 2:
         raise InvalidArgument("a standard error needs at least 2 paths")
+    if n_steps < 1:
+        raise InvalidArgument(f"n_steps must be at least 1, got {n_steps}")
     if f is not None and f.grid != phi.grid:
         raise InvalidArgument(f"forcing lives on {f.grid}, phi on {phi.grid}")
     if f is not None and f.times[-1] < t * (1.0 - 1e-9):
@@ -424,6 +422,8 @@ def krylov_check(b, measure, f: SpaceTimeField, p: float,
         raise InvalidArgument("need p > d + 1")
     if n_paths < 1:
         raise InvalidArgument("n_paths must be positive")
+    if n_steps < 1:
+        raise InvalidArgument(f"n_steps must be at least 1, got {n_steps}")
     if any(float(fr.values.min()) < 0 for fr in f.frames):
         raise InvalidArgument("f must be nonnegative")
     T = f.time_step * (len(f.frames) - 1)

@@ -496,6 +496,79 @@ def test_sde_dump_and_exit_fraction_are_the_estimators(measure_file, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# exit-code contract: a value the library rejects as a precondition exits 2
+# ---------------------------------------------------------------------------
+
+@pytest.fixture()
+def contract_files(tmp_path, measure_file, phi_file):
+    """The input files of the exit-code cases, by placeholder name."""
+    files = {"m": measure_file, "phi": phi_file,
+             "m15": str(tmp_path / "m15.json"),
+             "phi2": str(tmp_path / "phi2.bin"),
+             "out": str(tmp_path / "out")}
+    levy.save_measure(levy.StableSpectral(
+        1.5, levy.SphericalMeasure.isotropic(1, 1.0)), files["m15"])
+    g = Grid(1, 128, 2 * np.pi)
+    x = g.coordinates()[..., 0]
+    save_field(GridField(g, np.stack([np.sin(x), np.cos(x)])), files["phi2"])
+    for name, key in (("t0", "t"), ("n0", "n_steps")):
+        files[name] = str(tmp_path / f"{name}.json")
+        with open(files[name], "w") as fh:
+            json.dump({"measure": levy.to_dict(levy.load_measure(measure_file)),
+                       "phi": phi_file, "t": 0.5, "x": [4.0], "n_steps": 8,
+                       key: 0}, fh)
+    return files
+
+
+_STEPS = ["--T", "0.25", "--dt", "0.0625", "--out", "{out}"]
+_SDE = ["--paths", "10", "--seed", "1", "--out", "{out}"]
+PRECONDITION_VIOLATIONS = {
+    "kernel-t": ["kernel", "--measure", "{m}", "--t", "-1", "--grid", "64,10",
+                 "--out", "{out}"],
+    "kernel-N": ["kernel", "--measure", "{m}", "--t", "1", "--grid", "100,10",
+                 "--out", "{out}"],
+    "kernel-L": ["kernel", "--measure", "{m}", "--t", "1", "--grid", "64,-10",
+                 "--out", "{out}"],
+    "burgers-T": ["burgers", "--phi", "{phi}", "--T", "2", "--dt", "0.25",
+                  "--out", "{out}"],
+    "burgers-alpha": ["burgers", "--phi", "{phi}", "--measure", "{m15}",
+                      *_STEPS],
+    "hj-alpha": ["hj", "--hamiltonian", "quadratic", "--phi", "{phi}",
+                 "--measure", "{m15}", *_STEPS],
+    "burgers-phi-components": ["burgers", "--phi", "{phi2}", *_STEPS],
+    "hj-phi-components": ["hj", "--hamiltonian", "quadratic", "--phi",
+                          "{phi2}", *_STEPS],
+    "sde-t": ["sde", "--problem", "{t0}", *_SDE],
+    "sde-n_steps": ["sde", "--problem", "{n0}", *_SDE],
+}
+
+
+@pytest.mark.parametrize("argv", PRECONDITION_VIOLATIONS.values(),
+                         ids=PRECONDITION_VIOLATIONS.keys())
+def test_precondition_violation_exits_2(contract_files, capsys, argv):
+    assert cli.main([a.format(**contract_files) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_degenerate_measure_exits_1(tmp_path, capsys):
+    # a computation failure, not a usage error: the single atom (1, 0) in
+    # d = 2 has no diffusion along x_2
+    g = Grid(2, 32, 2 * np.pi)
+    x = g.coordinates()
+    save_field(GridField(g, np.stack([np.sin(x[..., 0]), np.cos(x[..., 1])])),
+               tmp_path / "phi.bin")
+    levy.save_measure(levy.StableSpectral(1.0, levy.SphericalMeasure.discrete(
+        [((1.0, 0.0), 1.0)])), tmp_path / "atom.json")
+    assert cli.main(["burgers", "--phi", str(tmp_path / "phi.bin"),
+                     "--measure", str(tmp_path / "atom.json"),
+                     "--T", "0.25", "--dt", "0.0625",
+                     "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+# ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
 

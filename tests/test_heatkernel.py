@@ -86,6 +86,13 @@ def test_kernel_rejects_bad_inputs():
         kernel(degenerate, 1.0, Grid(2, 32, 10.0))
 
 
+@pytest.mark.parametrize("t", [np.inf, np.nan])
+def test_kernel_needs_a_finite_time(t):
+    # at t = inf, t psi(0) = inf * 0 made the kernel nan
+    with pytest.raises(InvalidArgument, match="finite"):
+        kernel(_iso1d(), t, Grid(1, 64, 10.0))
+
+
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
 def test_kernel_rejects_single_axis_pair_in_3d(alpha):
     # jumps along +/- e_3 only: psi vanishes on the plane xi_3 = 0

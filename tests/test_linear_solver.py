@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from levylab import levy
-from levylab.errors import InvalidArgument
+from levylab.errors import InvalidArgument, PreconditionFailure
 from levylab.fieldgrid import Grid, GridField, SpaceTimeField, lp_norm
 from levylab.heatkernel import DriftSchedule
 from levylab.linear_solver import (LinearProblem, SolverConfig,
@@ -268,3 +268,25 @@ def test_regularity_ratio_rejects_zero_forcing():
     f = SpaceTimeField(0.1, frames)
     with pytest.raises(InvalidArgument):
         regularity_ratio(_iso1d(), _iso1d(), 0.0, f, 2, 2)
+
+
+@pytest.mark.parametrize("burn_in", [0.5, 0.15], ids=["past-horizon",
+                                                      "zero-after-burn-in"])
+def test_regularity_ratio_rejects_zero_kept_forcing(burn_in):
+    # forcing only at t = 0 and 0.1 of a horizon of 0.4: after burn_in
+    # there is no frame left, or only zero frames
+    frames = tuple(GridField(G, (np.cos(X) if k < 2 else 0 * X)[None])
+                   for k in range(5))
+    f = SpaceTimeField(0.1, frames)
+    with pytest.raises(InvalidArgument, match="burn_in"):
+        regularity_ratio(_iso1d(), _iso1d(), 0.0, f, 2, 2, burn_in=burn_in)
+
+
+def test_regularity_ratio_degenerate_measure_is_a_precondition_failure():
+    g = Grid(2, 16, 2 * np.pi)
+    f = SpaceTimeField(0.1, tuple(GridField(g, np.ones((1, 16, 16)))
+                                  for _ in range(3)))
+    atom = levy.StableSpectral(1.0, levy.SphericalMeasure.discrete(
+        [((1.0, 0.0), 1.0)]))
+    with pytest.raises(PreconditionFailure):
+        regularity_ratio(atom, atom, 0.0, f, 2, 2)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from levylab import levy, quasilinear
-from levylab.errors import InvalidArgument, IterationFailure
+from levylab.errors import (InvalidArgument, IterationFailure,
+                            PreconditionFailure)
 from levylab.fieldgrid import (Grid, GridField, forward, gradient, inverse,
                                lp_norm, spectral_l2)
 from levylab.linear_solver import (LinearProblem, SolverConfig, advection,
@@ -48,6 +49,32 @@ def test_component_count_must_match():
     phi = GridField(G, np.sin(X)[None])
     with pytest.raises(InvalidArgument):
         QuasilinearProblem(_iso1d(), 2, None, None, phi, 0.5)
+
+
+def test_degenerate_measure_is_a_precondition_failure():
+    # the single atom (1, 0) in d = 2 has no diffusion along x_2
+    g = Grid(2, 16, 2 * np.pi)
+    atom = levy.StableSpectral(1.0, levy.SphericalMeasure.discrete(
+        [((1.0, 0.0), 1.0)]))
+    problem = QuasilinearProblem(atom, 1, None, None,
+                                 GridField.zeros(g), 0.5)
+    with pytest.raises(PreconditionFailure):
+        picard_solve(problem, SolverConfig(time_step=1 / 64))
+
+
+@pytest.mark.parametrize("dim,shape", [
+    (1, (64,)), (1, (64, 1)), (1, (2, 64)), (2, (64, 64)),
+], ids=["N", "N-1", "2-N", "N-N-in-2d"])
+def test_drift_of_the_wrong_shape_is_rejected(dim, shape):
+    # the advection sum b . grad u stops at the shorter of b and grad u, so
+    # a drift not of shape (d, *grid) would be truncated
+    g = Grid(dim, 64, 2 * np.pi)
+    phi = GridField(g, np.sin(g.coordinates()[..., 0])[None])
+    m = levy.StableSpectral(1.0, levy.SphericalMeasure.isotropic(dim, 1.0))
+    problem = QuasilinearProblem(m, 1, lambda t, x, u: np.full(shape, 0.5),
+                                 None, phi, 0.25)
+    with pytest.raises(InvalidArgument, match="drift has shape"):
+        picard_solve(problem, SolverConfig(time_step=1 / 64))
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +264,14 @@ def test_burgers_dissipates_energy():
 def test_hamiltonian_registry_contents():
     assert set(HAMILTONIANS) == {"quadratic", "anisotropic-quadratic",
                                  "smooth-bounded"}
+
+
+def test_quadratic_hamiltonian_is_half_the_squared_norm():
+    q = np.random.default_rng(0).standard_normal((2, 8, 8))
+    H = HAMILTONIANS["quadratic"]()
+    np.testing.assert_array_equal(H.value(0.0, None, q[0], q),
+                                  0.5 * np.sum(q ** 2, axis=0))
+    np.testing.assert_array_equal(H.dq(0.0, None, q[0], q), q)
 
 
 def test_hj_requires_scalar_data():

@@ -536,6 +536,26 @@ def test_krylov_needs_a_path():
         stochastic.krylov_check(None, _iso1d(), _constant_forcing(), 3.0, 0, 0)
 
 
+def test_feynman_kac_needs_a_finite_time():
+    # t = inf made a time grid of nans
+    _, phi = _terminal_setup()
+    with pytest.raises(InvalidArgument, match="finite"):
+        stochastic.feynman_kac(phi, None, None, _iso1d(), np.inf, [60.0], 10,
+                               0)
+
+
+@pytest.mark.parametrize("n_steps", [0, -1])
+def test_estimators_need_a_time_step(n_steps):
+    # 0 divided by zero and -1 indexed an empty time grid
+    _, phi = _terminal_setup()
+    with pytest.raises(InvalidArgument, match="n_steps"):
+        stochastic.feynman_kac(phi, None, None, _iso1d(), 0.5, [60.0], 10, 0,
+                               n_steps=n_steps)
+    with pytest.raises(InvalidArgument, match="n_steps"):
+        stochastic.krylov_check(None, _iso1d(), _constant_forcing(), 3.0, 10,
+                                0, n_steps=n_steps)
+
+
 def test_start_point_must_match_the_grid():
     g, phi = _terminal_setup()
     m = levy.StableSpectral(1.0, levy.SphericalMeasure.isotropic(2, 1.0))
