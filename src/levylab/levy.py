@@ -32,7 +32,7 @@ from .errors import InvalidArgument, QuadratureFailure
 from .fieldgrid import gauss_legendre
 
 EULER_GAMMA = 0.5772156649015328606
-DENSITY_FREQ_CHUNK = 64      # frequencies per block of the density quadrature
+DENSITY_BLOCK = 1 << 15      # (frequency, radial node) entries per block
 DENSITY_TAIL_NODES = 20      # Gauss-Jacobi nodes of the alpha > 1 compensation tail
 NONDEGENERACY_CACHE_SIZE = 16
 
@@ -422,12 +422,18 @@ def _symbol_density(measure: DensityKernel, xi):
     integration-by-parts asymptotic with a frozen at U, and for alpha > 1
     the compensation tail beyond U by Gauss-Jacobi.  Panels are refined
     until the relative change is < 1e-8.
-    Per direction, blocks of DENSITY_FREQ_CHUNK frequencies with xi.theta
-    != 0 write their radii and points into two buffers that all reuse.
+    A symmetric density runs one side of each +/- pair of the sphere rule
+    at doubled weight (``antipodal_pairs``): the two sides' real parts are
+    equal and their odd parts cancel.  Per direction, blocks of about
+    DENSITY_BLOCK (frequency, radial node) entries with xi.theta != 0 write
+    their radii and points into two buffers that all reuse.
     """
     flat = xi.reshape(-1, measure.dim)
     # the angular error dominates for dim >= 2
     dirs, dir_wts = sphere_rule(measure.dim, {1: 2, 2: 64, 3: 16}[measure.dim])
+    if measure.symmetric:
+        dirs, dir_wts = antipodal_pairs(dirs, dir_wts)
+        dir_wts = 2.0 * dir_wts
 
     prev = None
     for panels_per_decade in (16, 32, 64, 128):
@@ -498,13 +504,13 @@ def _density_quad_once(measure, flat, dirs, dir_wts, panels_per_decade):
                           (2.0 * u_max) ** (1.0 - alpha) * z_wts])
 
     out = np.zeros(flat.shape[0], dtype=complex)
-    rows = min(DENSITY_FREQ_CHUNK, flat.shape[0])
+    rows = max(1, min(DENSITY_BLOCK // u.size, flat.shape[0]))
     r_buf, y_buf = np.empty((rows, u.size)), np.empty((rows, u.size, flat.shape[1]))
     for theta, wt in zip(dirs, dir_wts):
         s = flat @ theta                                          # (n_xi,)
         nz = np.flatnonzero(s)
-        for k0 in range(0, nz.size, DENSITY_FREQ_CHUNK):
-            blk = nz[k0:k0 + DENSITY_FREQ_CHUNK]
+        for k0 in range(0, nz.size, rows):
+            blk = nz[k0:k0 + rows]
             mag = np.abs(s[blk])
             r = np.divide(u, mag[:, None], out=r_buf[:blk.size])  # radius grid
             a_vals = measure._eval_a(np.multiply(

@@ -98,7 +98,9 @@ def step_count(horizon: float, dt: float) -> int:
 
 def mollify(field: GridField, eps: float) -> GridField:
     """Convolution with the compactly supported bump mollifier rho_eps
-    (unit discrete mass, support radius eps), computed spectrally."""
+    (unit discrete mass, support radius eps), computed spectrally.  A
+    width whose bump is positive at no grid point besides the origin would
+    be the identity, and raises."""
     if eps <= 0:
         return field
     g = field.grid
@@ -108,10 +110,11 @@ def mollify(field: GridField, eps: float) -> GridField:
     r2 = np.sum(centered ** 2, axis=-1) / eps ** 2
     with np.errstate(divide="ignore", over="ignore"):
         rho = np.where(r2 < 1.0, np.exp(-1.0 / np.maximum(1e-300, 1.0 - r2)), 0.0)
-    total = float(rho.sum()) * g.cell_volume
-    if total <= 0:
-        raise InvalidArgument("mollifier width below grid resolution")
-    rho /= total
+    if np.count_nonzero(rho) < 2:
+        raise InvalidArgument(
+            f"mollifier width {eps} below grid resolution: its bump holds "
+            "no grid point besides the origin")
+    rho /= float(rho.sum()) * g.cell_volume
     rho_hat = forward(rho, g) * g.cell_volume
     return apply_multiplier(field, periodic_samples(g, rho_hat))
 

@@ -85,6 +85,19 @@ class PathEnsemble:
 # exponentials -log1p(-w) by inversion
 # ---------------------------------------------------------------------------
 
+# log1p(-w) at the smallest positive uniform w = 2^-53: exactly -2^-53
+LOG_SURVIVAL_CAP = math.log1p(-2.0 ** -53)
+
+
+def _log_survival(w: np.ndarray) -> np.ndarray:
+    """log1p(-w) = -E, capped at LOG_SURVIVAL_CAP: the uniform w = 0 gets
+    the exponential E = 2^-53 of w = 2^-53 instead of E = 0, which would
+    make the stable variable infinite.  Bit for bit log1p(-w) for every
+    w >= 2^-53."""
+    e = np.log1p(-w)
+    return np.minimum(e, LOG_SURVIVAL_CAP, out=e)
+
+
 def _cms_symmetric(alpha: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Standard symmetric alpha-stable scalars, char. fn. e^{-|xi|^alpha}
     (Chambers-Mallows-Stuck)."""
@@ -92,7 +105,7 @@ def _cms_symmetric(alpha: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     if alpha == 1.0:
         return np.tan(v)
     return (np.sin(alpha * v) / np.cos(v) ** (1.0 / alpha)
-            * (np.cos((1.0 - alpha) * v) / -np.log1p(-w))
+            * (np.cos((1.0 - alpha) * v) / -_log_survival(w))
             ** ((1.0 - alpha) / alpha))
 
 
@@ -103,16 +116,17 @@ def _positive_stable(alpha_half: float, u: np.ndarray,
 
         A = sin(a v) / sin(v)^{1/a} * (sin((1-a) v) / E)^{(1-a)/a}
 
-    with v = pi U and E = -log(1 - W).  At a = 1/2, sin(v) = 2 sin(v/2)
-    cos(v/2) turns this into A = 1 / (4 cos^2(v/2) E)."""
+    with v = pi U and E = -log(1 - W), at least 2^-53 (_log_survival).  At
+    a = 1/2, sin(v) = 2 sin(v/2) cos(v/2) turns this into
+    A = 1 / (4 cos^2(v/2) E)."""
     if alpha_half == 0.5:
         c = np.cos(np.pi / 2.0 * u)
         c *= c
-        c *= np.log1p(-w)               # -cos^2(v/2) E
+        c *= _log_survival(w)           # -cos^2(v/2) E
         return np.divide(-0.25, c, out=c)
     v = np.pi * u
     return (np.sin(alpha_half * v) / np.sin(v) ** (1.0 / alpha_half)
-            * (np.sin((1.0 - alpha_half) * v) / -np.log1p(-w))
+            * (np.sin((1.0 - alpha_half) * v) / -_log_survival(w))
             ** ((1.0 - alpha_half) / alpha_half))
 
 

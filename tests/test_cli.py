@@ -234,6 +234,17 @@ def test_evolve_config_keys_it_would_ignore_exit_2(measure_file, phi_file,
     assert repr(key) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("solver", ["duhamel", "drift"])
+def test_evolve_mollifier_below_grid_resolution_exits_2(
+        measure_file, phi_file, tmp_path, capsys, solver):
+    # phi lives on 2 pi / 128 = 0.049: a width of 0.001 would mollify nothing
+    assert _evolve(tmp_path, measure_file, phi_file,
+                   {"time_step": 0.0625, "mollifier_width": 0.001,
+                    "solver": solver}) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "below grid resolution" in err
+
+
 def test_evolve_unknown_problem_key_exits_2(measure_file, phi_file, tmp_path,
                                            capsys):
     assert _evolve(tmp_path, measure_file, phi_file, {"time_step": 0.0625},

@@ -194,8 +194,9 @@ def test_isotropic_alpha1_closed_form():
 def test_density_kernel_matches_spectral(symmetric, alpha):
     # constant density a == 1 in d=1 equals the isotropic spectral measure
     # with total mass 2 (two unit atoms of weight 1).  75 frequencies, with
-    # xi = 0, more than one block of DENSITY_FREQ_CHUNK and a partial one;
-    # symmetric=False runs the odd part, which cancels between +/-1
+    # xi = 0, several blocks of DENSITY_BLOCK entries and a partial one;
+    # symmetric=True runs the direction +1 at doubled weight, and
+    # symmetric=False runs +/-1 with the odd part, which cancels between them
     dk = levy.DensityKernel(alpha, 1, lambda y: np.ones(y.shape[:-1]),
                             1.0, 1.0, symmetric, a_name="constant",
                             a_params=(("value", 1.0),))
@@ -254,6 +255,48 @@ def test_skew_smooth_density_matches_closed_form(alpha):
                     - Gamma(-alpha) * np.imag((1 - 1j * xi) ** alpha)))
     np.testing.assert_allclose(levy.symbol_array(dk, GRID_XI), want,
                                rtol=1e-9, atol=0)
+
+
+def _even_density(dim, symmetric):
+    # even and anisotropic: a(-y) = a(y) bit for bit, 1 <= a <= 1.5
+    c = np.array([1.0, -2.0, 0.5][:dim])
+    return levy.DensityKernel(
+        1.0 if dim == 2 else 1.5, dim,
+        lambda y: 1.0 + 0.5 * np.exp(-np.sum(y * c, axis=-1) ** 2),
+        1.0, 1.5, symmetric)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_density_pairing_equals_every_direction(dim):
+    # symmetric=True integrates one side of each +/- pair of the sphere
+    # rule at doubled weight; symmetric=False runs every direction and the
+    # odd part (with the alpha = 1 log term in d = 2), which must cancel
+    xi = np.array([[0.0] * dim, [0.7] + [0.0] * (dim - 1),
+                   [1.3, -2.1, 0.4][:dim], [-3.0, 5.5, 2.0][:dim]])
+    if dim == 3:
+        xi = xi[:3]          # 1024 directions unpaired: about 2 s as it is
+    paired = levy.symbol_array(_even_density(dim, True), xi)
+    every = levy.symbol_array(_even_density(dim, False), xi)
+    assert np.all(paired.imag == 0.0) and paired[0] == 0.0
+    np.testing.assert_allclose(paired.real, every.real, rtol=1e-13, atol=0)
+    assert np.all(np.abs(every.imag) <= 1e-13 * np.abs(every))
+
+
+@pytest.mark.parametrize("a,c1,symmetric", [
+    (lambda y: 1.0 + 0.5 * np.tanh(y[..., 0] ** 2), 1.0, True),
+    (lambda y: 1.0 + 0.5 * np.tanh(y[..., 0]), 0.5, False),
+], ids=["even", "skew"])
+def test_density_symbol_does_not_depend_on_the_block(a, c1, symmetric,
+                                                     monkeypatch):
+    # one frequency per block, the default, and every frequency in one
+    # block give the same psi up to the rounding of the row products
+    dk = levy.DensityKernel(1.0, 1, a, c1, 1.5, symmetric)
+    xi = GRID_XI[::9]
+    default = levy.symbol_array(dk, xi)
+    for block in (1, 10 ** 9):
+        monkeypatch.setattr(levy, "DENSITY_BLOCK", block)
+        np.testing.assert_allclose(levy.symbol_array(dk, xi), default,
+                                   rtol=1e-14, atol=0)
 
 
 def test_density_declared_symmetric_must_be_even():
@@ -533,7 +576,10 @@ def test_unregistered_density_rejected():
 
 def test_density_symbol_memory_is_bounded(traced_peak):
     # one symbol call on the 1024 frequencies of Grid(1, 1024, 40) peaked at
-    # 424 MiB when the quadrature held every (frequency, node) pair at once
+    # 424 MiB when the quadrature held every (frequency, node) pair at once,
+    # and at 21.6 MiB with blocks of 64 frequencies, whose buffers grow
+    # with the node count of the refinement level; blocks of DENSITY_BLOCK
+    # (frequency, node) entries do not
     measure = levy.from_dict({
         "variant": "density_kernel", "alpha": 0.5, "dim": 1,
         "a_name": "constant", "a_params": {"value": 1.0},
@@ -541,4 +587,4 @@ def test_density_symbol_memory_is_bounded(traced_peak):
     xi = 2 * np.pi * np.fft.fftfreq(1024, d=40.0 / 1024)[:, None]
     psi, peak = traced_peak(levy.symbol_array, measure, xi)
     assert np.all(np.isfinite(psi))
-    assert peak <= 64 * 2 ** 20
+    assert peak <= 4 * 2 ** 20

@@ -234,6 +234,20 @@ def test_mollify_zero_width_is_identity():
     assert mollify(u, 0.0) is u
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_mollify_below_grid_resolution_is_rejected(dim):
+    # the origin is always inside the bump; a width up to the spacing h
+    # holds no other grid point and would be the identity, so it raises,
+    # while a width just above h takes in the neighbours along the axes
+    g = Grid(dim, 64, 2 * np.pi)
+    u = GridField(g, np.ones((1,) + g.shape))
+    for eps in (1e-3, 0.5 * g.spacing, g.spacing):
+        with pytest.raises(InvalidArgument, match="below grid resolution"):
+            mollify(u, eps)
+    np.testing.assert_allclose(mollify(u, 1.01 * g.spacing).values, 1.0,
+                               atol=1e-12)
+
+
 def test_mollify_does_not_increase_sup():
     rng = np.random.default_rng(6)
     u = GridField(G, rng.normal(size=(1, 256)))

@@ -167,6 +167,34 @@ def test_kanter_closed_form_at_one_half_matches_the_general_formula():
     assert np.max(np.abs(got - general) / general) <= 1e-14
 
 
+@pytest.mark.parametrize("sampler,alpha", [
+    (stochastic._positive_stable, 0.5),
+    (stochastic._positive_stable, 0.7),
+    (stochastic._cms_symmetric, 0.7),
+], ids=["kanter-0.5", "kanter-0.7", "cms-0.7"])
+def test_zero_uniform_gives_a_finite_variable(sampler, alpha):
+    # Generator.random returns W = 0 with probability 2^-53; its exponential
+    # is floored at that of W = 2^-53, so both give the same finite value,
+    # and W = 0.5 keeps the unfloored -log1p(-W)
+    u = np.full(3, 0.3)
+    w = np.array([0.0, 2.0 ** -53, 0.5])
+    got = sampler(alpha, u, w)
+    assert np.all(np.isfinite(got))
+    assert got[0] == got[1]
+    e = -np.log1p(-0.5)
+    if sampler is stochastic._cms_symmetric:
+        v = np.pi * (0.3 - 0.5)
+        want = (np.sin(alpha * v) / np.cos(v) ** (1.0 / alpha)
+                * (np.cos((1.0 - alpha) * v) / e) ** ((1.0 - alpha) / alpha))
+    elif alpha == 0.5:
+        want = 0.25 / (np.cos(np.pi / 2.0 * 0.3) ** 2 * e)
+    else:
+        v = np.pi * 0.3
+        want = (np.sin(alpha * v) / np.sin(v) ** (1.0 / alpha)
+                * (np.sin((1.0 - alpha) * v) / e) ** ((1.0 - alpha) / alpha))
+    assert got[2] == want
+
+
 # ---------------------------------------------------------------------------
 # reproducibility
 # ---------------------------------------------------------------------------
