@@ -16,6 +16,13 @@ Nyquist rule: a multiplier m acts as the average of m(xi) and m(xi'), xi'
 being xi with every Nyquist component changed in sign (xi' = xi off the
 Nyquist planes).  For a real operator, m(-xi) = conj m(xi), this is the
 Hermitian part of m, so results equal Re(ifftn(m fftn f)).
+
+Dtype rule: the operator, heat and ETD2 multipliers of a symmetric measure
+are real (float64), since its psi is real and even; those of any other
+measure, and the Duhamel weights under a nonzero drift, are complex.
+Spectra are always complex, and ``apply_multiplier`` takes either dtype,
+so a real multiplier scales a spectrum without complex arithmetic on its
+own values.
 """
 
 from __future__ import annotations
@@ -219,9 +226,12 @@ def periodic_samples(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 
 def apply_multiplier(field: GridField, mult: np.ndarray) -> GridField:
-    """m(D) f for a scalar multiplier sampled at spectral_points."""
+    """m(D) f for a scalar multiplier, real or complex, sampled at
+    spectral_points."""
     g = field.grid
-    return GridField(g, inverse(g, forward(field) * resolve(g, mult)))
+    coeffs = forward(field)
+    coeffs *= resolve(g, mult)
+    return GridField(g, inverse(g, coeffs))
 
 
 # ---------------------------------------------------------------------------

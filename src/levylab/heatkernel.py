@@ -74,8 +74,10 @@ def kernel(measure, t: float, grid: Grid) -> GridField:
     # (Fokker-Planck) equation  d/dt p = L^{nu*} p  holds for asymmetric
     # measures as well
     gen = multiplier(measure, grid, OperatorRoute.multiplier())     # -psi
-    mult = np.exp(t * np.conj(gen))
-    dens = inverse(grid, resolve(grid, mult)) / grid.cell_volume
+    mult = np.conj(gen)                 # a fresh array, real or complex
+    mult *= t
+    dens = inverse(grid, resolve(grid, np.exp(mult, out=mult)))
+    dens /= grid.cell_volume
     mass = float(np.sum(dens) * grid.cell_volume)
     if abs(mass - 1.0) > KERNEL_MASS_TOL:
         raise ResolutionTooCoarse(
@@ -97,4 +99,5 @@ def semigroup_apply(measure, t: float, field: GridField) -> GridField:
     if t == 0:
         return field
     gen = multiplier(measure, field.grid, OperatorRoute.multiplier())
-    return apply_multiplier(field, np.exp(t * gen))
+    mult = np.multiply(gen, t)
+    return apply_multiplier(field, np.exp(mult, out=mult))

@@ -351,7 +351,8 @@ def symbol(measure, xi):
 
 
 def symbol_array(measure, xi):
-    """Vectorized symbol: xi has shape (..., dim), result matches xi[..., 0]."""
+    """Vectorized symbol: xi has shape (..., dim), result matches xi[..., 0];
+    float64 for a symmetric measure, complex otherwise."""
     xi = np.asarray(xi, dtype=float)
     if xi.shape[-1] != measure.dim:
         raise InvalidArgument(f"xi must have last dimension {measure.dim}")
@@ -365,19 +366,20 @@ def symbol_array(measure, xi):
 
 
 def _symbol_stable(measure: StableSpectral, xi):
+    """psi of a stable measure: real (float64) for an isotropic or
+    paired-atom measure, whose odd part vanishes, complex otherwise."""
     alpha = measure.alpha
     c = radial_cosine_constant(alpha)
     sig = measure.sigma
     if sig.is_isotropic and sig.dim > 1:
         mom = sig.total_mass * isotropic_projection_moment(sig.dim, alpha)
-        return (c * mom * np.linalg.norm(xi, axis=-1) ** alpha).astype(complex)
+        return c * mom * np.linalg.norm(xi, axis=-1) ** alpha
     dirs, wts = sig.atom_arrays()
     s = projections(xi, dirs)                          # (..., n_atoms)
-    re = c * np.sum(wts * np.abs(s) ** alpha, axis=-1)
+    re = c * (np.abs(s) ** alpha @ wts)
     if measure.is_symmetric:
-        return re.astype(complex)
-    im = np.sum(wts * radial_imag_part(s, alpha), axis=-1)
-    return re + 1j * im
+        return re
+    return re + 1j * (radial_imag_part(s, alpha) @ wts)
 
 
 def sphere_area(dim: int) -> float:
@@ -424,7 +426,8 @@ def _symbol_density(measure: DensityKernel, xi):
     until the relative change is < 1e-8.
     A symmetric density runs one side of each +/- pair of the sphere rule
     at doubled weight (``antipodal_pairs``): the two sides' real parts are
-    equal and their odd parts cancel.  Per direction, blocks of about
+    equal and their odd parts cancel, so psi is real (float64); otherwise
+    it is complex.  Per direction, blocks of about
     DENSITY_BLOCK (frequency, radial node) entries with xi.theta != 0 write
     their radii and points into two buffers that all reuse.
     """
@@ -503,7 +506,7 @@ def _density_quad_once(measure, flat, dirs, dir_wts, panels_per_decade):
     odd = np.concatenate([[0.0, odd_origin], odd, [odd_tail],
                           (2.0 * u_max) ** (1.0 - alpha) * z_wts])
 
-    out = np.zeros(flat.shape[0], dtype=complex)
+    out = np.zeros(flat.shape[0], dtype=float if measure.symmetric else complex)
     rows = max(1, min(DENSITY_BLOCK // u.size, flat.shape[0]))
     r_buf, y_buf = np.empty((rows, u.size)), np.empty((rows, u.size, flat.shape[1]))
     for theta, wt in zip(dirs, dir_wts):

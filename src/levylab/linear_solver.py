@@ -120,8 +120,8 @@ def mollify(field: GridField, eps: float) -> GridField:
 
 
 def _phi1(z):
-    """(1 - e^{-z}) / z, stable near z = 0."""
-    z = np.asarray(z, dtype=complex)
+    """(1 - e^{-z}) / z, stable near z = 0; real for real z."""
+    z = np.asarray(z)
     small = np.abs(z) < 1e-6
     zs = np.where(small, 1.0, z)
     out = -np.expm1(-zs) / zs
@@ -129,8 +129,8 @@ def _phi1(z):
 
 
 def _phi2(z):
-    """(e^{-z} - 1 + z) / z^2, stable near z = 0."""
-    z = np.asarray(z, dtype=complex)
+    """(e^{-z} - 1 + z) / z^2, stable near z = 0; real for real z."""
+    z = np.asarray(z)
     small = np.abs(z) < 1e-4
     zs = np.where(small, 1.0, z)
     out = (np.expm1(-zs) + zs) / (zs * zs)
@@ -149,17 +149,18 @@ def _trajectory_frames(field: SpaceTimeField, times, name: str):
 
 def _solver_data(problem: LinearProblem, config: SolverConfig):
     """The initial data, the solver times and the forcing frames that both
-    solvers start from, the data mollified to ``config.mollifier_width``."""
+    solvers start from, the data mollified to ``config.mollifier_width``.
+    Without forcing the frames are None, not zeros."""
     g = problem.phi.grid
     eps = config.mollifier_width
     n_steps = step_count(problem.horizon, config.time_step)
     times = np.arange(n_steps + 1) * config.time_step
     phi = mollify(problem.phi, eps)
     forcing = problem.forcing
+    if forcing is None:
+        return phi, times, None
     if isinstance(forcing, SpaceTimeField):
         f_frames = _trajectory_frames(forcing, times, "forcing")
-    elif forcing is None:
-        f_frames = [np.zeros((phi.components,) + g.shape)] * len(times)
     else:
         x = g.coordinates()
         f_frames = []
@@ -179,7 +180,8 @@ def duhamel_solve(problem: LinearProblem, config: SolverConfig) -> SpaceTimeFiel
     """Exponential-integrator solution for DriftSchedule drifts.
 
     Exact in space (diagonal in frequency) and second order in time
-    (exact when the forcing is piecewise linear between frames)."""
+    (exact when the forcing is piecewise linear between frames).  Without
+    forcing each step is the propagator alone."""
     if not isinstance(problem.drift, DriftSchedule):
         raise InvalidArgument("duhamel_solve needs an x-independent drift")
     g = problem.phi.grid
@@ -191,18 +193,26 @@ def duhamel_solve(problem: LinearProblem, config: SolverConfig) -> SpaceTimeFiel
 
     u_hat = forward(phi)
     frames = [phi]
-    f_hat_next = forward(f_frames[0], g)
+    if f_frames is not None:
+        f_hat_next = forward(f_frames[0], g)
     weights = {}                  # per distinct drift value, for this call
     for n in range(len(times) - 1):
         theta = problem.drift.theta(times[n] + dt / 2.0)
         key = tuple(theta)
         if key not in weights:
-            z = (-gen - 1j * (xi @ theta) + problem.lam) * dt
-            weights[key] = _etd2_weights(g, z, dt)
+            z = -gen + problem.lam
+            if any(key):              # -i xi.theta, left out for theta = 0
+                z = z - 1j * (xi @ theta)
+            z *= dt
+            weights[key] = (_etd2_weights(g, z, dt) if f_frames is not None
+                            else (resolve(g, np.exp(-z)), None, None))
         decay, w_old, w_new = weights[key]
-        f_hat = f_hat_next
-        f_hat_next = forward(f_frames[n + 1], g)
-        u_hat = decay * u_hat + w_old * f_hat + w_new * f_hat_next
+        if f_frames is None:
+            u_hat = decay * u_hat
+        else:
+            f_hat = f_hat_next
+            f_hat_next = forward(f_frames[n + 1], g)
+            u_hat = decay * u_hat + w_old * f_hat + w_new * f_hat_next
         frames.append(GridField(g, inverse(g, u_hat)))
     return SpaceTimeField(dt, tuple(frames))
 
@@ -309,7 +319,8 @@ def drift_solve(problem: LinearProblem, config: SolverConfig,
         b_frames = [mollify(GridField(g, v), eps).values for v in b_frames]
 
     def nonlinearity(n, u_hat):
-        return advection(b_frames[n], u_hat, g) + f_frames[n]
+        adv = advection(b_frames[n], u_hat, g)
+        return adv if f_frames is None else adv + f_frames[n]
 
     return etd2_march(phi, problem.measure, problem.lam, config.time_step,
                       len(times) - 1, nonlinearity, config, dealias)

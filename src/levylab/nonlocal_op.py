@@ -259,9 +259,11 @@ def _quadrature_multiplier(measure, grid, route, xi):
 @lru_cache(maxsize=MULTIPLIER_CACHE_SIZE)
 def multiplier(measure, grid, route: OperatorRoute) -> np.ndarray:
     """The multiplier of L^nu at the grid's spectral_points by the requested
-    route: -psi, or its quadrature counterpart.  Cached per (measure, grid,
-    route), read-only; the heat and solver multipliers derive from the
-    multiplier-route entry."""
+    route: -psi, or its quadrature counterpart.  Real (float64) for a
+    symmetric measure, whose odd part vanishes, by either route; complex
+    otherwise.  Cached per (measure, grid, route), read-only; the heat and
+    solver multipliers derive from the multiplier-route entry and keep its
+    dtype."""
     xi = spectral_points(grid)
     if route.variant == "multiplier":
         mult = -levy.symbol_array(measure, xi)

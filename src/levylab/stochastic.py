@@ -159,29 +159,45 @@ def sample_stable_increment(sigma: levy.SphericalMeasure, alpha: float,
     dt = np.asarray(dt, dtype=float)
     if not np.all(dt > 0):
         raise InvalidArgument("dt must be positive")
-    size = (size,) if np.ndim(size) == 0 else tuple(size)
-    d = sigma.dim
+    return _increments(_increment_law(sigma, alpha), alpha, dt, rng, size)
+
+
+def _increment_law(sigma: levy.SphericalMeasure, alpha: float):
+    """What the increments take from the measure, derived once per
+    ensemble: (d, None, scale^{1/alpha}) for an isotropic measure, scale
+    being M c_alpha I_d(alpha), and (d, pair directions (n, d), the pair
+    scales (2 w c_alpha)^{1/alpha} as (n, 1)) for atoms."""
     c_alpha = levy.radial_cosine_constant(alpha)
     if sigma.is_isotropic:
-        u = rng.random(size + (2 + 2 * ((d + 1) // 2),))
         scale = (sigma.total_mass * c_alpha
-                 * levy.isotropic_projection_moment(d, alpha))
-        # scale^{1/alpha} sqrt(2A) Z, by products in place
+                 * levy.isotropic_projection_moment(sigma.dim, alpha))
+        return sigma.dim, None, scale ** (1.0 / alpha)
+    pairs = levy.antipodal_pairs(*sigma.atom_arrays())
+    if pairs is None:
+        raise UnsupportedMeasure("increment sampling needs a symmetric measure")
+    dirs, w = pairs
+    return sigma.dim, dirs, (2.0 * w * c_alpha)[:, None] ** (1.0 / alpha)
+
+
+def _increments(law, alpha: float, dt: np.ndarray, rng, size) -> np.ndarray:
+    """sample_stable_increment for a law from _increment_law and a checked
+    alpha and dt."""
+    size = (size,) if np.ndim(size) == 0 else tuple(size)
+    d, dirs, scale = law
+    if dirs is None:
+        u = rng.random(size + (2 + 2 * ((d + 1) // 2),))
+        # the law's scale times sqrt(2A) Z, by products in place
         root = _positive_stable(alpha / 2.0, u[..., 0], u[..., 1])
         root *= 2.0
         np.sqrt(root, out=root)
-        root *= scale ** (1.0 / alpha)
+        root *= scale
         unit = _normals(u[..., 2:], d)
         unit *= root[..., None]
     else:
-        pairs = levy.antipodal_pairs(*sigma.atom_arrays())
-        if pairs is None:
-            raise UnsupportedMeasure("increment sampling needs a symmetric measure")
-        dirs, w = pairs
+        n_pairs = len(dirs)
         # pair-major, so that the sum over axis 0 adds the pairs in order
-        u = rng.random(size + (2 * len(w),)).reshape(-1, 2 * len(w)).T.copy()
-        s = ((2.0 * w * c_alpha)[:, None] ** (1.0 / alpha)
-             * _cms_symmetric(alpha, u[0::2], u[1::2]))
+        u = rng.random(size + (2 * n_pairs,)).reshape(-1, 2 * n_pairs).T.copy()
+        s = scale * _cms_symmetric(alpha, u[0::2], u[1::2])
         unit = (s[:, :, None] * dirs[:, None, :]).sum(axis=0).reshape(size + (d,))
     return dt[..., None] ** (1.0 / alpha) * unit
 
@@ -203,7 +219,8 @@ def _path_blocks(b, measure, x0, time_grid, n_paths: int, seed: int):
     paths.
 
     The increments are read from one stream Philox(key=seed), one draw per
-    block, so path i's states do not depend on n_paths.  b may be None (no
+    block, so path i's states do not depend on n_paths; what they take from
+    the measure is derived once (_increment_law).  b may be None (no
     drift); otherwise it receives a block's states at once, shape (m, d)."""
     tg = np.asarray(time_grid, dtype=float)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -213,12 +230,12 @@ def _path_blocks(b, measure, x0, time_grid, n_paths: int, seed: int):
         raise InvalidArgument("time_grid must be strictly increasing")
     if not isinstance(measure, levy.StableSpectral):
         raise UnsupportedMeasure("simulation needs a StableSpectral measure")
+    law = _increment_law(measure.sigma, measure.alpha)
     rng = np.random.Generator(np.random.Philox(key=seed))
     block = _block_paths(dts.size)
     for first in range(0, n_paths, block):
         m = min(block, n_paths - first)
-        incs = sample_stable_increment(measure.sigma, measure.alpha, dts, rng,
-                                       size=(m, dts.size))
+        incs = _increments(law, measure.alpha, dts, rng, size=(m, dts.size))
         states = np.empty((m, tg.size, d))
         states[:, 0] = x0
         if b is None:

@@ -1,8 +1,11 @@
 """Heat kernel and semigroup tests: closed-form Cauchy comparison,
 semigroup structure, drift schedules, and failure modes."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy import special, stats
 
 from levylab import heatkernel, levy
 from levylab.errors import (InvalidArgument, PreconditionFailure,
@@ -63,6 +66,67 @@ def test_kernel_matches_cauchy_density():
         oracle += t / (np.pi * (t ** 2 + y ** 2))
     err = float(np.sum(np.abs(p.values[0] - oracle)) * g.cell_volume)
     assert err < 1e-3
+
+
+SKEW_ATOMS = (((1.0,), 0.8), ((-1.0,), 0.2))
+SKEW_WINDOW = 8.0           # probes lie in |x| <= SKEW_WINDOW
+SKEW_IMAGES = 1             # periodic images summed by scipy's pdf; the
+                            # farther ones by the tail t nu
+PDF_TOL = 1e-9              # scipy's quadrature of the stable pdf
+
+
+@pytest.mark.parametrize("alpha", [0.7, 1.5])
+def test_skewed_kernel_matches_scipy_levy_stable(alpha):
+    # the d = 1 atoms (+1, 0.8), (-1, 0.2): kernel inverts e^{-t conj psi},
+    # which is the law of X_t with E e^{i xi X_t} = e^{-t psi(xi)}.  In
+    # scipy's S1 parameterisation that law has sigma^alpha = t Re psi(1)
+    # and beta = -Im psi(1) / (Re psi(1) tan(pi alpha / 2)); this checks
+    # the conj convention without going through psi's inverse transform.
+    t, L = 1.0, 200.0
+    g = Grid(1, 2048, L)
+    m = levy.StableSpectral(alpha, levy.SphericalMeasure.discrete(
+        [(d, w) for d, w in SKEW_ATOMS], dim=1))
+    p = kernel(m, t, g).values[0]
+    psi1 = levy.symbol(m, [1.0])
+    sigma = (t * psi1.real) ** (1.0 / alpha)
+    beta = -psi1.imag / (psi1.real * math.tan(math.pi * alpha / 2.0))
+    assert beta == pytest.approx(0.6, rel=1e-12)
+
+    x = g.axis_coordinates()
+    x = np.where(x >= L / 2.0, x - L, x)
+    probes = np.flatnonzero(np.abs(x) <= SKEW_WINDOW)[::3]
+    y = x[probes]
+
+    def pdf(z):
+        return stats.levy_stable.pdf(z, alpha, beta, scale=sigma)
+
+    # images |k| <= SKEW_IMAGES exactly; beyond them p_t(z) by its first
+    # tail term t nu(z) = t w_{sign z} |z|^{-1-alpha}, summed over k by
+    # the Hurwitz zeta function
+    ref = sum(pdf(y + k * L) for k in range(-SKEW_IMAGES, SKEW_IMAGES + 1))
+    q = SKEW_IMAGES + 1
+    (_, w_plus), (_, w_minus) = SKEW_ATOMS
+    ref += t * L ** (-1.0 - alpha) * (
+        w_plus * special.zeta(1.0 + alpha, q + y / L)
+        + w_minus * special.zeta(1.0 + alpha, q - y / L))
+    # The tail bound, fixed before the comparison was run.  p_t(z) =
+    # (1/pi) sum_n Re[(-c)^n e^{-i pi (n alpha + 1)/2}] Gamma(n alpha + 1)
+    # / n! z^{-n alpha - 1} for z > 0 (c = t psi(1); conj for z < 0): the
+    # n = 1 term is t nu, and twice the n = 2 term bounds the rest at
+    # |z| >= q L - SKEW_WINDOW, summed over both sides.
+    c = abs(t * psi1)
+    tail_bound = 2.0 * (c ** 2 * special.gamma(2.0 * alpha + 1.0)
+                        / (2.0 * math.pi)) * 2.0 * L ** (-1.0 - 2.0 * alpha) \
+        * special.zeta(1.0 + 2.0 * alpha, q - SKEW_WINDOW / L)
+    # the spectrum dropped beyond the Nyquist frequency:
+    # (1/pi) int_{xi_max}^inf e^{-t Re psi(1) xi^alpha} dxi
+    b, xi_max = t * psi1.real, math.pi / g.spacing
+    spectral_tail = (special.gamma(1.0 / alpha) / (math.pi * alpha)
+                     * b ** (-1.0 / alpha)
+                     * special.gammaincc(1.0 / alpha, b * xi_max ** alpha))
+    assert tail_bound < 1e-5 and spectral_tail < 1e-9
+    err = float(np.max(np.abs(p[probes] - ref)))
+    assert err <= tail_bound + spectral_tail + PDF_TOL
 
 
 def test_kernel_self_similarity():

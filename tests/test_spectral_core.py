@@ -1,6 +1,7 @@
 """The real-to-complex spectral core: every single-application routine
-against a complex-FFT reference on white noise, the multiplier cache, and
-the rule that only ``fieldgrid`` runs transforms."""
+against a complex-FFT reference on white noise, the multiplier cache, real
+multipliers for symmetric measures, and the rule that only ``fieldgrid``
+runs transforms."""
 
 import ast
 import importlib
@@ -219,6 +220,136 @@ def test_multiplier_cache_under_threads():
         np.testing.assert_array_equal(values, want[k % len(measures)])
     info = nonlocal_op.multiplier.cache_info()
     assert info.currsize <= nonlocal_op.MULTIPLIER_CACHE_SIZE
+
+
+# ---------------------------------------------------------------------------
+# real multipliers for symmetric measures
+# ---------------------------------------------------------------------------
+
+def _paired_atoms(d, alpha=1.3):
+    """d +/- atom pairs of unequal weights in general position."""
+    rng = np.random.default_rng(20 + d)
+    dirs = rng.normal(size=(d, d))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    atoms = [(tuple(s * v), w) for v, w in zip(dirs, (0.4, 0.9, 0.6))
+             for s in (1.0, -1.0)]
+    return levy.StableSpectral(alpha, levy.SphericalMeasure.discrete(atoms,
+                                                                     dim=d))
+
+
+def _symmetric_measures(d):
+    return {"isotropic": levy.StableSpectral(1.5, levy.SphericalMeasure
+                                             .isotropic(d, 1.2)),
+            "paired-atoms": _paired_atoms(d),
+            "axes": levy.DirectSumAxes(0.8, [0.5 + 0.3 * j for j in range(d)])}
+
+
+def _skewed_density():
+    return levy.DensityKernel(
+        1.5, 1, lambda y: 1.0 + 0.5 * np.tanh(np.asarray(y)[..., 0]),
+        0.5, 1.5, symmetric=False)
+
+
+@pytest.mark.parametrize("route", [OperatorRoute.multiplier(),
+                                   OperatorRoute.quadrature(40)],
+                         ids=["multiplier", "quadrature"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_multiplier_dtype_follows_symmetry(d, route):
+    g = Grid(d, 16, 6.0)
+    for name, m in _symmetric_measures(d).items():
+        assert nonlocal_op.multiplier(m, g, route).dtype == np.float64, name
+    assert nonlocal_op.multiplier(_atoms(d), g, route).dtype == np.complex128
+    if d == 1:
+        assert nonlocal_op.multiplier(_constant_density(1.3), g,
+                                      route).dtype == np.float64
+        assert nonlocal_op.multiplier(_skewed_density(), g,
+                                      route).dtype == np.complex128
+
+
+def _complex_multiplier(monkeypatch):
+    """Hand every consumer the cached multiplier cast to complex."""
+    real = nonlocal_op.multiplier
+
+    def as_complex(measure, grid, route):
+        return real(measure, grid, route).astype(complex)
+
+    for module in (nonlocal_op, heatkernel, linear_solver):
+        monkeypatch.setattr(module, "multiplier", as_complex)
+
+
+def _spectral_outputs(m, g):
+    """apply, semigroup_apply, kernel, etd2_march (through drift_solve) and
+    duhamel_solve without and with drift, each as one array."""
+    f = _noise(g, 4)
+    forcing = lambda t, y: np.cos(np.sum(y, axis=-1)) * (1.0 + t)  # noqa: E731
+    drift = lambda t, y: 0.3 * np.sin(y + t)                        # noqa: E731
+    cfg = linear_solver.SolverConfig(time_step=0.05)
+    out = {"apply": nonlocal_op.apply(m, f).values,
+           "semigroup": heatkernel.semigroup_apply(m, 0.3, f).values,
+           "kernel": heatkernel.kernel(m, 2.0, Grid(g.dim, 32, 20.0)).values}
+    for name, b in (("etd2", drift), ("duhamel", DriftSchedule.zero(g.dim)),
+                    ("duhamel-drift", DriftSchedule.constant([0.4] * g.dim))):
+        problem = linear_solver.LinearProblem(m, b, 0.3, forcing, f, 0.2)
+        solve = (linear_solver.drift_solve if name == "etd2"
+                 else linear_solver.duhamel_solve)
+        out[name] = np.stack([fr.values for fr in solve(problem, cfg).frames])
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_real_multiplier_matches_its_complex_cast(d, monkeypatch):
+    g = Grid(d, 8, 6.0)
+    for name, m in _symmetric_measures(d).items():
+        real = _spectral_outputs(m, g)
+        with monkeypatch.context() as patch:
+            _complex_multiplier(patch)
+            cast = _spectral_outputs(m, g)
+        for op, want in cast.items():
+            err = np.max(np.abs(real[op] - want))
+            assert err <= 1e-14 * np.max(np.abs(want)), (name, op, err)
+
+
+def _duhamel(m, drift, forcing, f):
+    problem = linear_solver.LinearProblem(m, drift, 0.3, forcing, f, 0.25)
+    return linear_solver.duhamel_solve(
+        problem, linear_solver.SolverConfig(time_step=0.05))
+
+
+@pytest.mark.parametrize("skewed", [False, True], ids=["symmetric", "skewed"])
+def test_duhamel_without_forcing_is_the_zero_forcing_run(skewed, monkeypatch):
+    # the same frames bit for bit, from one forward transform (of phi)
+    g = Grid(2, 16, 6.0)
+    f = _noise(g, 5)
+    m = _atoms(2) if skewed else _paired_atoms(2)
+    drift = (DriftSchedule((0.1,), ((0.4, -0.2), (0.0, 0.0))) if skewed
+             else DriftSchedule.zero(2))
+    zero = fg.SpaceTimeField(0.05, tuple(GridField.zeros(g) for _ in range(6)))
+    want = _duhamel(m, drift, zero, f)
+    calls = []
+    forward = linear_solver.forward
+
+    def counted(*args):
+        calls.append(1)
+        return forward(*args)
+
+    monkeypatch.setattr(linear_solver, "forward", counted)
+    got = _duhamel(m, drift, None, f)
+    assert len(calls) == 1
+    for a, b in zip(got.frames, want.frames, strict=True):
+        np.testing.assert_array_equal(a.values, b.values)
+
+
+def test_drift_solve_without_forcing_is_the_zero_forcing_run():
+    g = Grid(1, 32, 6.0)
+    f = _noise(g, 6)
+    drift = lambda t, y: 0.5 * np.cos(y)                            # noqa: E731
+    cfg = linear_solver.SolverConfig(time_step=0.05)
+    zero = fg.SpaceTimeField(0.05, tuple(GridField.zeros(g) for _ in range(5)))
+    runs = [linear_solver.drift_solve(linear_solver.LinearProblem(
+        _paired_atoms(1), drift, 0.2, forcing, f, 0.2), cfg)
+        for forcing in (None, zero)]
+    for a, b in zip(*(r.frames for r in runs), strict=True):
+        np.testing.assert_array_equal(a.values, b.values)
 
 
 # ---------------------------------------------------------------------------

@@ -287,6 +287,28 @@ def test_ensemble_builds_one_bit_generator(monkeypatch):
     assert len(built) == 1
 
 
+def test_pairing_is_derived_once_per_estimate(monkeypatch):
+    # the atom pairs and their scales are derived once per ensemble, not
+    # once per block of paths
+    pairs = levy.antipodal_pairs
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return pairs(*args)
+
+    monkeypatch.setattr(levy, "antipodal_pairs", counted)
+    m = levy.DirectSumAxes(1.2, [0.6, 0.9])
+    g = Grid(2, 16, 8.0)
+    phi = GridField(g, np.ones((1,) + g.shape))
+    n_paths = 3 * stochastic._block_paths(8) + 5
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DomainExitWarning)
+        stochastic.feynman_kac(phi, None, None, m, 0.5, [4.0, 4.0], n_paths,
+                               rng_seed=3, n_steps=8)
+    assert len(calls) == 1
+
+
 def test_drift_failure_reports_location():
     m = _iso1d()
     tg = np.linspace(0.0, 0.5, 6)
