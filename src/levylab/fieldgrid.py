@@ -12,10 +12,13 @@ axis also keeps -pi/h at its Nyquist index N/2).  The one other transform
 is the complex one inside ``nufft_type1``, which sums weighted nodes at
 lattice frequencies.
 
-Nyquist rule: a multiplier m acts as the average of m(xi) and m(xi'), xi'
-being xi with every Nyquist component changed in sign (xi' = xi off the
-Nyquist planes).  For a real operator, m(-xi) = conj m(xi), this is the
-Hermitian part of m, so results equal Re(ifftn(m fftn f)).
+Conjugation rule: a real operator has m(-xi) = conj m(xi), which gives
+the Nyquist rule, adjoints and heat kernels.  Nyquist rule: m acts as the
+average of m(xi) and m(xi'), xi' being xi with every Nyquist component
+changed in sign (xi' = xi off the Nyquist planes), the Hermitian part of
+m, so results equal Re(ifftn(m fftn f)).  The adjoint's multiplier is
+conj m (``nonlocal_op.adjoint_apply``), and the heat kernel inverts
+conj e^{-t psi} (``heatkernel.kernel``).
 
 Dtype rule: the operator, heat and ETD2 multipliers of a symmetric measure
 are real (float64), since its psi is real and even; those of any other
@@ -194,35 +197,30 @@ def inverse(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _nyquist_entries(grid: Grid) -> np.ndarray:
-    """Mask of the half-spectrum entries with a Nyquist component."""
-    return np.any(np.indices(grid.spectral_shape) == grid.points_per_axis // 2,
-                  axis=0)
+    """Read-only flat indices of the half-spectrum Nyquist entries."""
+    idx = np.flatnonzero(np.any(
+        np.indices(grid.spectral_shape) == grid.points_per_axis // 2, axis=0))
+    idx.flags.writeable = False
+    return idx
 
 
 def spectral_points(grid: Grid) -> np.ndarray:
     """Where multipliers are sampled, shape (n, dim): the half spectrum,
-    flattened, then xi' for each Nyquist entry (in mask order)."""
-    xi = grid.frequencies()
+    flattened, then xi' for each Nyquist entry (in index order)."""
+    xi = grid.frequencies().reshape(-1, grid.dim)
     flip = xi[_nyquist_entries(grid)]
     nyq_value = grid.axis_frequencies()[grid.points_per_axis // 2]
-    return np.concatenate([xi.reshape(-1, grid.dim),
-                           np.where(flip == nyq_value, -flip, flip)])
+    return np.concatenate([xi, np.where(flip == nyq_value, -flip, flip)])
 
 
 def resolve(grid: Grid, mult: np.ndarray) -> np.ndarray:
     """Half-spectrum values of a multiplier sampled at spectral_points
     (trailing axes allowed), under the Nyquist rule."""
     nyq = _nyquist_entries(grid)
-    out = mult[:nyq.size].reshape(nyq.shape + mult.shape[1:]).copy()
-    out[nyq] = 0.5 * (out[nyq] + mult[nyq.size:])
-    return out
-
-
-def periodic_samples(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Samples of the transform of a real grid kernel, given on the half
-    spectrum: a trigonometric polynomial on the grid, equal at xi and xi'."""
-    nyq = _nyquist_entries(grid)
-    return np.concatenate([values.reshape(nyq.size), values[nyq]])
+    size = math.prod(grid.spectral_shape)
+    out = mult[:size].copy()
+    out[nyq] = 0.5 * (out[nyq] + mult[size:])
+    return out.reshape(grid.spectral_shape + mult.shape[1:])
 
 
 def apply_multiplier(field: GridField, mult: np.ndarray) -> GridField:
@@ -357,11 +355,11 @@ def refine(field: GridField, factor: int = 2) -> GridField:
     n, n2 = g.points_per_axis, factor * g.points_per_axis
     fine = Grid(g.dim, n2, g.side_length)
     nyq = _nyquist_entries(g)
-    co = forward(field) * factor ** g.dim
+    co = forward(field).reshape(field.components, -1) * factor ** g.dim
     co[:, nyq] *= 0.5
     # each coefficient at its xi, each Nyquist one once more at xi'; a
     # last-axis -N/2 has no slot in the half spectrum (xi' fills its partner)
-    co = np.concatenate([co.reshape(co.shape[0], -1), co[:, nyq]], axis=1)
+    co = np.concatenate([co, co[:, nyq]], axis=1)
     k = np.rint(spectral_points(g) * (g.side_length / (2 * np.pi)))
     keep = k[:, -1] >= 0
     out = np.zeros((field.components,) + fine.spectral_shape, dtype=complex)

@@ -185,12 +185,6 @@ class SphericalMeasure:
         wts = np.array([w for _, w in self.atoms], dtype=float)
         return dirs, wts
 
-    def reflected(self) -> "SphericalMeasure":
-        if self.is_isotropic:
-            return self
-        return SphericalMeasure.discrete(
-            [(tuple(-c for c in d), w) for d, w in self.atoms], dim=self.dim)
-
 
 def antipodal_pairs(dirs, wts):
     """The one +/- pairing rule: pool repeated directions, then match each
@@ -262,9 +256,6 @@ class StableSpectral:
     def is_symmetric(self) -> bool:
         return self.sigma.is_symmetric
 
-    def reflected(self) -> "StableSpectral":
-        return StableSpectral(self.alpha, self.sigma.reflected())
-
 
 @dataclass(frozen=True)
 class DensityKernel:
@@ -299,22 +290,6 @@ class DensityKernel:
     @property
     def is_symmetric(self) -> bool:
         return self.symmetric
-
-    def reflected(self) -> "DensityKernel":
-        return DensityKernel(self.alpha, self.dim, _Reflected(self.a),
-                             self.c1, self.c2, self.symmetric,
-                             a_name=self.a_name + "(-)" if self.a_name else "")
-
-
-@dataclass(frozen=True)
-class _Reflected:
-    """y -> inner(-y); equal (and hashing equal) whenever the inner
-    densities are, so a reflected measure is one multiplier-cache key."""
-
-    inner: object
-
-    def __call__(self, y):
-        return self.inner(-np.asarray(y))
 
 
 def DirectSumAxes(alpha: float, weights) -> StableSpectral:

@@ -26,9 +26,8 @@ import numpy as np
 from . import levy
 from .errors import (DriftEvaluationFailure, InvalidArgument,
                      IterationFailure, PreconditionFailure)
-from .fieldgrid import (Grid, GridField, SpaceTimeField, apply_multiplier,
-                        forward, inverse, lp_norm, partial_derivatives,
-                        periodic_samples, resolve, spectral_l2,
+from .fieldgrid import (Grid, GridField, SpaceTimeField, forward, inverse,
+                        lp_norm, partial_derivatives, resolve, spectral_l2,
                         spectral_points)
 from .nonlocal_op import OperatorRoute, apply as op_apply, multiplier
 from .heatkernel import DriftSchedule
@@ -65,6 +64,11 @@ class LinearProblem:
             if isinstance(data, SpaceTimeField) and data.grid != self.phi.grid:
                 raise InvalidArgument(f"{name} lives on {data.grid}, "
                                       f"phi on {self.phi.grid}")
+        if (isinstance(self.forcing, SpaceTimeField)
+                and self.forcing.frames[0].components != self.phi.components):
+            raise InvalidArgument(
+                f"forcing has {self.forcing.frames[0].components} components, "
+                f"phi {self.phi.components}")
 
 
 @dataclass(frozen=True)
@@ -98,9 +102,10 @@ def step_count(horizon: float, dt: float) -> int:
 
 def mollify(field: GridField, eps: float) -> GridField:
     """Convolution with the compactly supported bump mollifier rho_eps
-    (unit discrete mass, support radius eps), computed spectrally.  A
-    width whose bump is positive at no grid point besides the origin would
-    be the identity, and raises."""
+    (unit discrete mass, support radius eps), computed spectrally: rho is
+    real and even, so its half spectrum needs no Nyquist rule.  A width
+    whose bump is positive at no grid point besides the origin would be
+    the identity, and raises."""
     if eps <= 0:
         return field
     g = field.grid
@@ -115,8 +120,9 @@ def mollify(field: GridField, eps: float) -> GridField:
             f"mollifier width {eps} below grid resolution: its bump holds "
             "no grid point besides the origin")
     rho /= float(rho.sum()) * g.cell_volume
-    rho_hat = forward(rho, g) * g.cell_volume
-    return apply_multiplier(field, periodic_samples(g, rho_hat))
+    coeffs = forward(field)
+    coeffs *= forward(rho, g) * g.cell_volume
+    return GridField(g, inverse(g, coeffs))
 
 
 def _phi1(z):
@@ -166,7 +172,11 @@ def _solver_data(problem: LinearProblem, config: SolverConfig):
         f_frames = []
         for t in times:
             v = np.asarray(forcing(t, x), dtype=float)
-            f_frames.append(v[None] if v.shape == g.shape else v)
+            v = v[None] if v.shape == g.shape else v
+            if v.shape != phi.values.shape:
+                raise InvalidArgument(f"forcing callable returned shape "
+                                      f"{v.shape}, phi has {phi.values.shape}")
+            f_frames.append(v)
     if eps > 0:
         f_frames = [mollify(GridField(g, v), eps).values for v in f_frames]
     return phi, times, f_frames

@@ -261,9 +261,11 @@ def multiplier(measure, grid, route: OperatorRoute) -> np.ndarray:
     """The multiplier of L^nu at the grid's spectral_points by the requested
     route: -psi, or its quadrature counterpart.  Real (float64) for a
     symmetric measure, whose odd part vanishes, by either route; complex
-    otherwise.  Cached per (measure, grid, route), read-only; the heat and
-    solver multipliers derive from the multiplier-route entry and keep its
-    dtype."""
+    otherwise.  Cached per (measure, grid, route), read-only; the adjoint
+    reads the same entry, and the heat and solver multipliers derive from
+    the multiplier-route entry and keep its dtype."""
+    if grid.dim != measure.dim:
+        raise InvalidArgument(f"measure dim {measure.dim}, grid dim {grid.dim}")
     xi = spectral_points(grid)
     if route.variant == "multiplier":
         mult = -levy.symbol_array(measure, xi)
@@ -276,19 +278,16 @@ def multiplier(measure, grid, route: OperatorRoute) -> np.ndarray:
 def apply(measure, field: GridField,
           route: OperatorRoute = OperatorRoute.multiplier()) -> GridField:
     """L^nu f on the grid by the requested route."""
-    if field.grid.dim != measure.dim:
-        raise InvalidArgument("measure and field dimensions differ")
     return apply_multiplier(field, multiplier(measure, field.grid, route))
 
 
 def adjoint_apply(measure, field: GridField,
                   route: OperatorRoute = OperatorRoute.multiplier()) -> GridField:
-    """L^{nu*} f = L^{nu(-)} f (reflected measure), so that
-    <L f, g> = <f, L* g> on the grid.  A symmetric measure is its own
-    reflection, so it keeps its own multiplier-cache entry."""
-    if not measure.is_symmetric:
-        measure = measure.reflected()
-    return apply(measure, field, route)
+    """L^{nu*} f, so that <L f, g> = <f, L* g> on the grid: L is real, so
+    its adjoint's multiplier is the conjugate of the cached multiplier of
+    L (the conjugation rule of ``fieldgrid``)."""
+    mult = multiplier(measure, field.grid, route)
+    return apply_multiplier(field, np.conj(mult))
 
 
 # ---------------------------------------------------------------------------

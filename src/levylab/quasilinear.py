@@ -35,8 +35,7 @@ from . import levy
 from .errors import (GradientAugmentationInconsistency, InvalidArgument,
                      PreconditionFailure)
 from .fieldgrid import GridField, SpaceTimeField, gradient, inverse, lp_norm
-from .linear_solver import (SolverConfig, advection, etd2_march, mollify,
-                            step_count)
+from .linear_solver import SolverConfig, advection, etd2_march, step_count
 
 GRADIENT_CONSISTENCY_TOL = 1e-3
 
@@ -66,18 +65,19 @@ class QuasilinearProblem:
 def picard_solve(problem: QuasilinearProblem, config: SolverConfig,
                  dealias: bool = False) -> SpaceTimeField:
     """One ETD2 march with G(u) = b(t, x, u) . grad u + f(t, x, u) taken at
-    the step's current iterate, so each step is a fixed point in u_{n+1};
-    phi, b and f are mollified with width config.mollifier_width."""
+    the step's current iterate, so each step is a fixed point in u_{n+1}.
+    Nothing is mollified: a nonzero config.mollifier_width raises."""
+    if config.mollifier_width > 0:
+        raise InvalidArgument("the quasi-linear solvers do not mollify: "
+                              "mollifier_width must be 0")
     if levy.nondegeneracy_of(problem.measure) <= 0:
         raise PreconditionFailure("measure must be nondegenerate")
     g = problem.phi.grid
     dt = config.time_step
-    eps = config.mollifier_width
     x = g.coordinates()
 
     def coefficient(fn, n, u):
-        v = np.asarray(fn(n * dt, x, u), dtype=float)
-        return mollify(GridField(g, v), eps).values if eps > 0 else v
+        return np.asarray(fn(n * dt, x, u), dtype=float)
 
     def nonlinearity(n, u_hat):
         u = inverse(g, u_hat)
@@ -87,7 +87,7 @@ def picard_solve(problem: QuasilinearProblem, config: SolverConfig,
             out = out + coefficient(problem.forcing_f, n, u)
         return out
 
-    return etd2_march(mollify(problem.phi, eps), problem.measure, 0.0, dt,
+    return etd2_march(problem.phi, problem.measure, 0.0, dt,
                       step_count(problem.horizon, dt), nonlinearity, config,
                       dealias)
 

@@ -230,6 +230,9 @@ def _path_blocks(b, measure, x0, time_grid, n_paths: int, seed: int):
         raise InvalidArgument("time_grid must be strictly increasing")
     if not isinstance(measure, levy.StableSpectral):
         raise UnsupportedMeasure("simulation needs a StableSpectral measure")
+    if d != measure.dim:
+        raise InvalidArgument(f"the start point has {d} components but the "
+                              f"measure lives in R^{measure.dim}")
     law = _increment_law(measure.sigma, measure.alpha)
     rng = np.random.Generator(np.random.Philox(key=seed))
     block = _block_paths(dts.size)
@@ -417,6 +420,8 @@ def _feynman_kac(phi, f, b, measure, t, x, n_paths, rng_seed, lam, n_steps):
         raise InvalidArgument("a standard error needs at least 2 paths")
     if n_steps < 1:
         raise InvalidArgument(f"n_steps must be at least 1, got {n_steps}")
+    if phi.components != 1 or f is not None and f.frames[0].components != 1:
+        raise InvalidArgument("phi and the forcing must be scalar fields")
     if f is not None and f.grid != phi.grid:
         raise InvalidArgument(f"forcing lives on {f.grid}, phi on {phi.grid}")
     if f is not None and f.times[-1] < t * (1.0 - 1e-9):
@@ -455,6 +460,8 @@ def krylov_check(b, measure, f: SpaceTimeField, p: float,
         raise InvalidArgument("n_paths must be positive")
     if n_steps < 1:
         raise InvalidArgument(f"n_steps must be at least 1, got {n_steps}")
+    if f.frames[0].components != 1:
+        raise InvalidArgument("f must be a scalar field")
     if any(float(fr.values.min()) < 0 for fr in f.frames):
         raise InvalidArgument("f must be nonnegative")
     T = f.time_step * (len(f.frames) - 1)

@@ -522,12 +522,13 @@ def contract_files(tmp_path, measure_file, phi_file):
     g = Grid(1, 128, 2 * np.pi)
     x = g.coordinates()[..., 0]
     save_field(GridField(g, np.stack([np.sin(x), np.cos(x)])), files["phi2"])
-    for name, key in (("t0", "t"), ("n0", "n_steps")):
+    for name, key, value in (("t0", "t", 0), ("n0", "n_steps", 0),
+                             ("sde2", "phi", files["phi2"])):
         files[name] = str(tmp_path / f"{name}.json")
         with open(files[name], "w") as fh:
             json.dump({"measure": levy.to_dict(levy.load_measure(measure_file)),
                        "phi": phi_file, "t": 0.5, "x": [4.0], "n_steps": 8,
-                       key: 0}, fh)
+                       key: value}, fh)
     return files
 
 
@@ -551,6 +552,7 @@ PRECONDITION_VIOLATIONS = {
                           "{phi2}", *_STEPS],
     "sde-t": ["sde", "--problem", "{t0}", *_SDE],
     "sde-n_steps": ["sde", "--problem", "{n0}", *_SDE],
+    "sde-phi-components": ["sde", "--problem", "{sde2}", *_SDE],
 }
 
 

@@ -143,6 +143,24 @@ def test_refine_is_trigonometric_interpolation():
     np.testing.assert_allclose(up.values[0], np.cos(3 * xf), atol=1e-12)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_resolve_matches_a_boolean_mask_oracle(dim):
+    # the Nyquist rule through a mask of the whole half spectrum, with and
+    # without trailing axes
+    g = Grid(dim, 8, 3.0)
+    nyq = np.any(np.indices(g.spectral_shape) == 4, axis=0)
+    n = nyq.size + np.count_nonzero(nyq)
+    assert len(fg.spectral_points(g)) == n
+    assert not fg._nyquist_entries(g).flags.writeable
+    rng = np.random.default_rng(dim)
+    for trailing in ((), (3,), (2, 3)):
+        mult = (rng.normal(size=(n,) + trailing)
+                + 1j * rng.normal(size=(n,) + trailing))
+        want = mult[:nyq.size].reshape(nyq.shape + trailing).copy()
+        want[nyq] = 0.5 * (want[nyq] + mult[nyq.size:])
+        np.testing.assert_array_equal(fg.resolve(g, mult), want)
+
+
 def test_gradient_closed_form():
     g = Grid(2, 64, 2 * np.pi)
     c = g.coordinates()

@@ -510,13 +510,17 @@ def test_spherical_measure_validation():
 
 
 def test_reflection_and_symmetry():
-    asym = levy.SphericalMeasure.discrete([((1.0,), 0.8), ((-1.0,), 0.2)])
+    # reflecting the atoms conjugates psi (the adjoint's symbol), and a
+    # measure plus its reflection is symmetric
+    atoms = [((1.0,), 0.8), ((-1.0,), 0.2)]
+    reflected = [((-d[0],), w) for d, w in atoms]
+    asym = levy.SphericalMeasure.discrete(atoms)
     assert not asym.is_symmetric
-    refl = asym.reflected()
-    (dirs, wts) = refl.atom_arrays()
-    pairs = {(float(d[0]), float(w)) for d, w in zip(dirs, wts)}
-    assert pairs == {(-1.0, 0.8), (1.0, 0.2)}
-    assert asym.mass == pytest.approx(refl.mass)
+    assert levy.SphericalMeasure.discrete(atoms + reflected).is_symmetric
+    xi = np.linspace(-3.0, 3.0, 13)[:, None]
+    psi = levy.symbol_array(levy.StableSpectral(0.7, asym), xi)
+    np.testing.assert_array_equal(levy.symbol_array(levy.StableSpectral(
+        0.7, levy.SphericalMeasure.discrete(reflected)), xi), np.conj(psi))
 
 
 def test_antipodal_pairs_pools_and_matches_negatives():

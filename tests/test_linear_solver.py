@@ -195,6 +195,20 @@ def test_maximum_principle_with_space_dependent_drift():
     assert all(lp_norm(fr, np.inf) <= sup0 + 1e-6 for fr in traj.frames)
 
 
+def test_forcing_of_another_component_count_rejected():
+    # both solvers ran the whole march before the trajectory raised
+    phi = GridField(G, np.sin(X)[None])
+    two = GridField(G, np.stack([np.sin(X), np.cos(X)]))
+    traj = SpaceTimeField(0.1, (two,) * 3)
+    with pytest.raises(InvalidArgument, match="components"):
+        LinearProblem(_iso1d(), DriftSchedule.zero(1), 0.0, traj, phi, 0.2)
+    problem = LinearProblem(_iso1d(), DriftSchedule.zero(1), 0.0,
+                            lambda t, x: two.values, phi, 0.2)
+    for solve in (duhamel_solve, drift_solve):
+        with pytest.raises(InvalidArgument, match="forcing callable"):
+            solve(problem, SolverConfig(time_step=0.1))
+
+
 def test_forcing_time_step_mismatch_rejected():
     phi = GridField(G, np.sin(X)[None])
     frames = tuple(GridField(G, np.zeros((1, 256))) for _ in range(9))

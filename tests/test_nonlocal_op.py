@@ -300,16 +300,30 @@ def test_tail_profile_cache_is_bounded():
 # structural identities
 # ---------------------------------------------------------------------------
 
-def test_adjoint_pairing():
-    # <L f, g> = <f, L* g> with L* the reflected-measure operator
-    m = levy.StableSpectral(0.8, levy.SphericalMeasure.discrete(
-        [((1.0,), 0.9), ((-1.0,), 0.1)]))
-    g = Grid(1, 128, 10.0)
+_ADJOINT_MEASURES = {
+    "atoms-1d": lambda: levy.StableSpectral(0.8, levy.SphericalMeasure.discrete(
+        [((1.0,), 0.9), ((-1.0,), 0.1)])),
+    "atoms-2d": lambda: levy.StableSpectral(1.3, levy.SphericalMeasure.discrete(
+        _SKEW_ATOMS[2])),
+    "density-1d": lambda: _skew_density(1.5),
+}
+
+
+@pytest.mark.parametrize("route", [OperatorRoute.multiplier(),
+                                   OperatorRoute.quadrature()],
+                         ids=["multiplier", "quadrature"])
+@pytest.mark.parametrize("family", _ADJOINT_MEASURES)
+def test_adjoint_pairing(family, route):
+    # <L f, g> = <f, L* g>, L* reading the cache entry that L filled
+    m = _ADJOINT_MEASURES[family]()
+    g = Grid(m.dim, {1: 128, 2: 32}[m.dim], 10.0)
     rng = np.random.default_rng(5)
-    f = _bump(g, [4.0])
-    w = GridField(g, rng.normal(size=(1, 128)))
-    lhs = np.sum(apply(m, f).values * w.values) * g.cell_volume
-    rhs = np.sum(f.values * adjoint_apply(m, w).values) * g.cell_volume
+    f = _bump(g, [4.0] * m.dim)
+    w = GridField(g, rng.normal(size=(1,) + g.shape))
+    lhs = np.sum(apply(m, f, route).values * w.values) * g.cell_volume
+    misses = nonlocal_op.multiplier.cache_info().misses
+    rhs = np.sum(f.values * adjoint_apply(m, w, route).values) * g.cell_volume
+    assert nonlocal_op.multiplier.cache_info().misses == misses
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
@@ -328,16 +342,16 @@ def test_adjoint_of_symmetric_measure_is_apply(measure):
 
 
 def test_adjoint_of_skew_density_reuses_its_multiplier():
-    # the reflected density is one cache key however often it is built
+    # L* has the conjugate multiplier: no second density quadrature
     m = _skew_density(1.5)
     g = Grid(1, 64, 10.0)
     f = _bump(g, [5.0])
-    misses = nonlocal_op.multiplier.cache_info().misses
-    outs = [adjoint_apply(m, f).values for _ in range(3)]
-    assert nonlocal_op.multiplier.cache_info().misses == misses + 1
-    np.testing.assert_array_equal(outs[0], outs[2])
-    assert m.reflected() == m.reflected()
-    assert m.reflected().a(np.array([[0.7]])) == m.a(np.array([[-0.7]]))
+    for route in (OperatorRoute.multiplier(), OperatorRoute.quadrature(40)):
+        apply(m, f, route)
+        misses = nonlocal_op.multiplier.cache_info().misses
+        outs = [adjoint_apply(m, f, route).values for _ in range(3)]
+        assert nonlocal_op.multiplier.cache_info().misses == misses
+        np.testing.assert_array_equal(outs[0], outs[2])
 
 
 def test_translation_equivariance():

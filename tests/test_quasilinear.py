@@ -51,6 +51,16 @@ def test_component_count_must_match():
         QuasilinearProblem(_iso1d(), 2, None, None, phi, 0.5)
 
 
+def test_quasilinear_solvers_do_not_mollify():
+    phi = GridField(G, np.sin(X)[None])
+    config = SolverConfig(time_step=0.125, mollifier_width=0.3)
+    with pytest.raises(InvalidArgument, match="mollifier_width"):
+        picard_solve(QuasilinearProblem(_iso1d(), 1, None, None, phi, 0.5),
+                     config)
+    with pytest.raises(InvalidArgument, match="mollifier_width"):
+        burgers_solve(phi, _iso1d(), 0.5, config)
+
+
 def test_degenerate_measure_is_a_precondition_failure():
     # the single atom (1, 0) in d = 2 has no diffusion along x_2
     g = Grid(2, 16, 2 * np.pi)

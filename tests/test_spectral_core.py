@@ -17,6 +17,7 @@ import pytest
 import levylab
 from levylab import fieldgrid as fg
 from levylab import heatkernel, levy, linear_solver, nonlocal_op
+from levylab.errors import InvalidArgument
 from levylab.fieldgrid import Grid, GridField
 from levylab.heatkernel import DriftSchedule
 from levylab.nonlocal_op import OperatorRoute
@@ -78,7 +79,12 @@ def test_operator_routes_match_reference(d, n):
         m, g, route, xi.reshape(-1, d)).reshape(g.shape)
     _close(nonlocal_op.apply(m, f, route).values,
            _reference(g, f.values, quad))
-    psi_adj = levy.symbol_array(m.reflected(), xi)
+    # the adjoint is the operator of the reflected atoms, built here so that
+    # the reference shares nothing with the conjugation in adjoint_apply
+    dirs, wts = m.sigma.atom_arrays()
+    reflected = levy.StableSpectral(m.alpha, levy.SphericalMeasure.discrete(
+        [(tuple(-v), w) for v, w in zip(dirs, wts)], dim=d))
+    psi_adj = levy.symbol_array(reflected, xi)
     _close(nonlocal_op.adjoint_apply(m, f).values,
            _reference(g, f.values, -psi_adj))
 
@@ -145,6 +151,26 @@ def test_field_routines_match_reference(d, n):
 # ---------------------------------------------------------------------------
 # multiplier cache
 # ---------------------------------------------------------------------------
+
+_ENTRY_POINTS = {
+    "adjoint": nonlocal_op.adjoint_apply,
+    "kernel": lambda m, f: heatkernel.kernel(m, 1.0, f.grid),
+    "semigroup": lambda m, f: heatkernel.semigroup_apply(m, 0.5, f),
+    "duhamel": lambda m, f: linear_solver.duhamel_solve(
+        linear_solver.LinearProblem(m, DriftSchedule.zero(1), 0.0, None, f,
+                                    0.5),
+        linear_solver.SolverConfig(time_step=0.25)),
+}
+
+
+@pytest.mark.parametrize("entry", _ENTRY_POINTS.values(),
+                         ids=_ENTRY_POINTS.keys())
+def test_measure_of_another_dimension_is_rejected(entry):
+    # the check sits in multiplier, which every spectral entry point calls
+    m = levy.StableSpectral(1.0, levy.SphericalMeasure.isotropic(2, 1.0))
+    with pytest.raises(InvalidArgument, match="measure dim 2, grid dim 1"):
+        entry(m, _noise(Grid(1, 16, 6.0)))
+
 
 def _constant_density(value):
     return levy.DensityKernel(

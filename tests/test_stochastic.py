@@ -613,6 +613,32 @@ def test_start_point_must_match_the_grid():
         stochastic.feynman_kac(phi, None, None, m, 0.5, [60.0, 60.0], 10, 0)
 
 
+def test_measure_must_match_the_start_point():
+    # a 1-d grid and start point with a measure in R^2 crashed inside numpy
+    g, phi = _terminal_setup()
+    m = levy.StableSpectral(1.0, levy.SphericalMeasure.isotropic(2, 1.0))
+    f = SpaceTimeField(0.25, (GridField(g, np.ones((1,) + g.shape)),) * 3)
+    with pytest.raises(InvalidArgument, match="R\\^2"):
+        stochastic.feynman_kac(phi, None, None, m, 0.5, [1.0], 10, 0)
+    with pytest.raises(InvalidArgument, match="R\\^2"):
+        stochastic.krylov_check(None, m, f, 3.0, 10, 0)
+    with pytest.raises(InvalidArgument, match="R\\^2"):
+        stochastic.sample_ensemble(None, m, [1.0], [0.0, 0.5], 4, 0)
+
+
+def test_estimators_need_scalar_data():
+    # a 2-component phi or f was read as its component 0
+    g, phi = _terminal_setup()
+    two = GridField(g, np.concatenate([phi.values, phi.values]))
+    f = SpaceTimeField(0.25, (two,) * 3)
+    with pytest.raises(InvalidArgument, match="scalar"):
+        stochastic.feynman_kac(two, None, None, _iso1d(), 0.5, [60.0], 10, 0)
+    with pytest.raises(InvalidArgument, match="scalar"):
+        stochastic.feynman_kac(phi, f, None, _iso1d(), 0.5, [60.0], 10, 0)
+    with pytest.raises(InvalidArgument, match="scalar"):
+        stochastic.krylov_check(None, _iso1d(), f, 3.0, 10, 0)
+
+
 # ---------------------------------------------------------------------------
 # occupation-time functional
 # ---------------------------------------------------------------------------
