@@ -371,8 +371,8 @@ def coarsen_samples(field: GridField, factor: int = 2) -> GridField:
     """Subsample every factor-th point per axis (inverse of refine for
     fields band-limited to the coarse grid)."""
     g = field.grid
-    if g.points_per_axis % factor:
-        raise InvalidArgument("factor must divide the point count")
+    if factor < 1 or g.points_per_axis % factor:
+        raise InvalidArgument("factor must be >= 1 and divide the point count")
     sl = (slice(None),) + (slice(None, None, factor),) * g.dim
     coarse = Grid(g.dim, g.points_per_axis // factor, g.side_length)
     return GridField(coarse, field.values[sl])

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
-from scipy.special import gamma as Gamma, roots_jacobi
+from scipy.special import gamma as Gamma, jv, roots_jacobi, spherical_jn
 
 from .errors import InvalidArgument, QuadratureFailure
 from .fieldgrid import gauss_legendre
@@ -364,7 +364,9 @@ def sphere_area(dim: int) -> float:
 
 def sphere_rule(dim: int, n: int):
     """Product quadrature rule on the unit sphere: directions and weights
-    for the (unnormalized) surface measure."""
+    for the (unnormalized) surface measure.  For dim >= 2 the first half of
+    the directions is one side of each +/- pair, the second half its exact
+    negative at equal weight."""
     if dim == 1:
         return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
     if dim == 2:
@@ -387,6 +389,36 @@ def sphere_rule(dim: int, n: int):
     wts = np.broadcast_to(wz[:, None] * (math.pi / n), zz.shape).reshape(-1)
     dirs = np.concatenate([half, -half], axis=0)
     return dirs, np.concatenate([wts, wts])
+
+
+def sphere_rule_size(dim: int, z, eps: float) -> np.ndarray:
+    """Per entry of z >= 0, the n of the smallest ``sphere_rule(dim, n)``
+    (dim 2 or 3) whose first neglected term of the Jacobi-Anger expansion
+    of the plane wave e^{i z xi.theta}, |xi| = 1, is below eps relative to
+    the rule's total weight:
+
+    * d = 2: the M = n equispaced directions alias degree M first, whose
+      term 2 i^M J_M(z) cos(M phi) is at most 2 |J_M(z)|;
+    * d = 3: the product rule is exact to degree 2n - 1, and the degree
+      L = 2n term (2L + 1) i^L j_L(z) P_L(xi.theta) is at most
+      (2L + 1) |j_L(z)|.
+
+    Past degree z both terms fall monotonically, so each search starts at
+    the first even degree >= z (where they are still of order z^{-1/3})."""
+    if dim not in (2, 3) or not eps > 0.0:
+        raise InvalidArgument(f"need dim 2 or 3 and eps > 0, got {dim}, {eps}")
+    z = np.asarray(z, dtype=float)
+    k = np.maximum(1.0, np.ceil(z / 2.0))             # degree 2k
+    while True:
+        deg = 2.0 * k
+        if dim == 2:
+            term = 2.0 * np.abs(jv(deg, z))
+        else:
+            term = (2.0 * deg + 1.0) * np.abs(spherical_jn(deg.astype(int), z))
+        above = term >= eps
+        if not above.any():
+            return (deg if dim == 2 else k).astype(int)
+        k[above] += 1.0
 
 
 def _symbol_density(measure: DensityKernel, xi):

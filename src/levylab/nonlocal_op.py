@@ -6,13 +6,18 @@
   periodic grid is an exact spectral phase shift; the node sums are therefore
   a quadrature-built multiplier, assembled at every frequency at once by the
   type-1 NUFFT of ``fieldgrid`` at its tolerance NUFFT_EPS = 1e-8, below
-  the route's discretisation error of 1e-5 to 1e-3.  The "- 1" of every
-  node is the NUFFT's own value at xi = 0, so the quadrature psi(0) is
-  exactly 0 and the NUFFT error cancels at low frequencies, where |psi| is
-  small.  The singular region r < h/2 is
-  handled by a Taylor expansion to fourth order with spectral derivatives,
-  and the jumps beyond the truncation radius (for alpha > 1 with their
-  compensation) are added analytically.
+  the route's discretisation error of 1e-5 to 1e-3.  The radii come in
+  panels of 10; for an isotropic measure in d >= 2 each panel has the
+  smallest direction rule that resolves e^{i r xi.theta} to NUFFT_EPS at
+  its largest r and every lattice frequency, so the many small radii take
+  few directions.  Atoms keep their exact set and a density its fixed rule
+  at every panel.  The "- 1" of every node is the NUFFT's own value at
+  xi = 0, so the quadrature psi(0) is exactly 0 and the NUFFT error
+  cancels at low frequencies, where |psi| is small.  The singular region
+  r < h/2 is handled by a Taylor expansion to fourth order with spectral
+  derivatives, and the jumps beyond the truncation radius (for alpha > 1
+  with their compensation) are added analytically, both on one fixed
+  direction rule.
 
 The two routes share no symbol formulas, so their agreement cross-validates
 both implementations.
@@ -23,15 +28,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from . import levy
 from .errors import ConsistencyFailure, InvalidArgument
-from .fieldgrid import (GridField, apply_multiplier, coarsen_samples,
-                        forward, inverse, nufft_type1, refine, resolve,
-                        spectral_points)
+from .fieldgrid import (NUFFT_EPS, GridField, apply_multiplier,
+                        coarsen_samples, forward, inverse, nufft_type1, refine,
+                        resolve, spectral_points)
 
 COMMUTATOR_TOL = 1e-6
 MULTIPLIER_CACHE_SIZE = 16
@@ -54,15 +60,18 @@ class OperatorRoute:
     def __post_init__(self):
         if self.variant not in ("multiplier", "quadrature"):
             raise InvalidArgument(f"unknown route variant {self.variant!r}")
-        if self.variant == "quadrature" and self.radial_nodes < 10:
-            raise InvalidArgument("quadrature route needs >= 10 radial nodes")
+        if self.variant == "quadrature" and (
+                self.radial_nodes < 20 or self.radial_nodes % 10):
+            raise InvalidArgument("quadrature route needs a multiple of 10 "
+                                  ">= 20 radial nodes (10 per panel), got "
+                                  f"{self.radial_nodes}")
 
     @classmethod
     def multiplier(cls) -> "OperatorRoute":
         return cls("multiplier")
 
     @classmethod
-    def quadrature(cls, radial_nodes: int = 512) -> "OperatorRoute":
+    def quadrature(cls, radial_nodes: int = 510) -> "OperatorRoute":
         return cls("quadrature", radial_nodes)
 
 
@@ -70,9 +79,22 @@ class OperatorRoute:
 # quadrature node construction
 # ---------------------------------------------------------------------------
 
+class _NodeSet(NamedTuple):
+    """The quadrature route's nodes on a grid (see ``_nodes``)."""
+
+    r_min: float            # Taylor radius h/2
+    r_max: float            # truncation radius R = L/2
+    nodes: np.ndarray       # (n, dim) jumps y = r theta
+    weights: np.ndarray     # (n,) radial x angular weight (x a(y) for a density)
+    comp: np.ndarray        # (n,) bool: y carries the first-order compensation
+    sides: tuple            # (dirs, dir_wts, paired): the Taylor and tail rule
+
+
 def _direction_rule(measure):
     """Spherical directions and weights carrying the angular part of nu
-    (excluding the radial kernel and any radial density factor)."""
+    (excluding the radial kernel and any radial density factor): the rule
+    of the Taylor region and the tail, and of every radial panel of a
+    measure other than an isotropic one in d >= 2."""
     if isinstance(measure, levy.StableSpectral):
         sig = measure.sigma
         if sig.is_isotropic and sig.dim > 1:
@@ -86,13 +108,11 @@ def _direction_rule(measure):
     raise InvalidArgument(f"unknown measure type {type(measure)!r}")
 
 
-def _nodes(measure, grid, route):
-    """The quadrature route's node set on a grid: the Taylor radius
-    r_min = h/2, the truncation radius R = L/2, ``route.radial_nodes``
-    log-panel radii on [r_min, R] (``levy.radial_rule``), the directions
-    and weights of ``_direction_rule``, and ``sides``: for a symmetric
-    measure one side of each +/- pair at doubled weight
-    (``levy.antipodal_pairs``), else all directions, and whether it paired."""
+def _radial_panels(measure, grid, route):
+    """(r_min, r_max, radii, weights): the Taylor radius r_min = h/2, the
+    truncation radius R = L/2, and ``route.radial_nodes`` radii on
+    [r_min, R] with their weights (``levy.radial_rule``), one row of 10 per
+    log panel."""
     alpha = measure.alpha
     h = grid.spacing
     r_min, r_max = h / 2.0, grid.side_length / 2.0
@@ -101,15 +121,62 @@ def _nodes(measure, grid, route):
     if alpha == 1.0 and r_max < 1.0:
         raise InvalidArgument("alpha = 1 needs truncation radius >= 1 "
                               "(unit-ball compensation)")
-    n = max(2, route.radial_nodes // 10)          # 10 nodes per panel
+    n = route.radial_nodes // 10
     n_lo = min(n - 1, max(1, round(
         n * math.log(1.0 / r_min) / math.log(r_max / r_min))))
     radii, rad_wts = levy.radial_rule(alpha, r_min, r_max, n_lo, n - n_lo)
+    return r_min, r_max, radii.reshape(n, 10), rad_wts.reshape(n, 10)
+
+
+def _bandwidth_rules(sigma, grid, panel_r_max):
+    """For an isotropic sigma in d >= 2, per radial panel: one side of each
+    +/- pair, at doubled weight, of the smallest ``levy.sphere_rule`` whose
+    first neglected term of e^{i r xi.theta} is below NUFFT_EPS
+    (``levy.sphere_rule_size``) at the panel's largest r and every lattice
+    frequency, |xi| <= pi sqrt(d) / h."""
+    xi_max = math.pi * math.sqrt(grid.dim) / grid.spacing
+    scale = 2.0 * sigma.total_mass / levy.sphere_area(sigma.dim)
+    rules = []
+    for n in levy.sphere_rule_size(sigma.dim, panel_r_max * xi_max, NUFFT_EPS):
+        dirs, wts = levy.sphere_rule(sigma.dim, int(n))
+        half = len(dirs) // 2
+        rules.append((dirs[:half], scale * wts[:half]))
+    return rules
+
+
+def _nodes(measure, grid, route) -> _NodeSet:
+    """The quadrature route's node set on a grid, flat: direction by
+    direction, each at its radial panel's 10 radii (``_radial_panels``) or,
+    where one rule serves every panel, at all radii.  For an isotropic
+    measure in d >= 2 each panel has a rule sized to its bandwidth
+    (``_bandwidth_rules``).  Every other measure has the rule of
+    ``_direction_rule`` at every panel: the exact atoms, or a density's
+    fixed rule (its a has no known angular bandwidth).  ``sides`` is that
+    rule for the Taylor region and the tail: for a symmetric measure one
+    side of each +/- pair at doubled weight (``levy.antipodal_pairs``), else
+    all directions, and whether it paired.  Paired, the nodes too are one
+    side of each pair at doubled weight."""
+    r_min, r_max, radii, rad_wts = _radial_panels(measure, grid, route)
     dirs, dir_wts = _direction_rule(measure)
     paired = levy.antipodal_pairs(dirs, dir_wts) if measure.is_symmetric else None
     sides = ((dirs, dir_wts, False) if paired is None
              else (paired[0], 2.0 * paired[1], True))
-    return r_min, r_max, radii, rad_wts, dirs, dir_wts, sides
+    if (isinstance(measure, levy.StableSpectral) and measure.sigma.is_isotropic
+            and measure.dim > 1):
+        rules = _bandwidth_rules(measure.sigma, grid, radii.max(axis=1))
+        dirs, dir_wts = map(np.concatenate, zip(*rules))
+        panel = np.repeat(np.arange(len(radii)), [len(d) for d, _ in rules])
+        radii, rad_wts = radii[panel], rad_wts[panel]        # one row per direction
+    else:
+        dirs, dir_wts = sides[:2]
+        radii, rad_wts = radii.reshape(1, -1), rad_wts.reshape(1, -1)
+    nodes = (dirs[:, None, :] * radii[:, :, None]).reshape(-1, measure.dim)
+    weights = (dir_wts[:, None] * rad_wts).ravel()
+    comp = np.broadcast_to(radii <= levy.compensation_radius(measure.alpha),
+                           (len(dirs), radii.shape[1])).ravel()
+    if isinstance(measure, levy.DensityKernel):
+        weights = weights * measure._eval_a(nodes)
+    return _NodeSet(r_min, r_max, nodes, weights, comp, sides)
 
 
 @lru_cache(maxsize=TAIL_PROFILE_CACHE_SIZE)
@@ -216,21 +283,17 @@ def _quadrature_multiplier(measure, grid, route, xi):
     gives the sum of c: psi(0) is then exactly 0, and the NUFFT error at
     frequencies near 0 cancels against it."""
     alpha = measure.alpha
-    r_min, r_max, radii, rad_wts, _, _, sides = _nodes(measure, grid, route)
+    ns = _nodes(measure, grid, route)
+    r_min = ns.r_min
     # symmetric: each +/- pair sums to 2 (cos(xi.y) - 1); the odd
     # compensation and Taylor orders cancel, so only the real part stays
-    dirs, dir_wts, paired = sides
+    dirs, dir_wts, paired = ns.sides
     is_density = isinstance(measure, levy.DensityKernel)
 
-    nodes = (dirs[:, None, :] * radii[:, None]).reshape(-1, measure.dim)
-    weights = (dir_wts[:, None] * rad_wts).ravel()
-    if is_density:
-        weights = weights * measure._eval_a(nodes)
-    sums = nufft_type1(grid.side_length, nodes, weights,
+    sums = nufft_type1(grid.side_length, ns.nodes, ns.weights,
                        np.vstack([xi, np.zeros(measure.dim)]))
     mult = sums[:-1] - sums[-1]
-    comp = np.tile(radii <= levy.compensation_radius(alpha), len(dirs))
-    mult -= 1j * (xi @ ((weights * comp) @ nodes))
+    mult -= 1j * (xi @ ((ns.weights * ns.comp) @ ns.nodes))
 
     # singular region r < h/2 by Taylor with spectral derivatives:
     # sum_k (i xi.theta)^k r_min^{k-a} / (k! (k-a)); k = 1 only when
@@ -249,7 +312,7 @@ def _quadrature_multiplier(measure, grid, route, xi):
         mult = mult.real
     # jumps beyond the truncation radius (includes the alpha > 1
     # compensation tail), diagonal in frequency
-    return mult + _tail_multiplier(measure, r_max, sides, xi)
+    return mult + _tail_multiplier(measure, ns.r_max, ns.sides, xi)
 
 
 # ---------------------------------------------------------------------------
@@ -332,13 +395,25 @@ def commutator_defect(measure, f: GridField, zeta: GridField,
     return coarsen_samples(GridField(g, composed), 2)
 
 
+def _both_sides(points, weights, paired):
+    """Each point of a paired set as itself and its negative at half weight;
+    an unpaired set as it is."""
+    if not paired:
+        return points, weights
+    return (np.concatenate([points, -points]),
+            np.concatenate([weights, weights]) * 0.5)
+
+
 def _direct_commutator(measure, f, zeta, route):
-    """Node-sum of [Delta_y f][Delta_y zeta] over the shared node set, with
-    the singular region handled by the matching Taylor term
-    2 * (theta.grad f)(theta.grad zeta) * r_min^{2-alpha} / (2 (2-alpha))."""
+    """Node-sum of [Delta_y f][Delta_y zeta] over the shared node set, both
+    sides of each pair, with the singular region handled by the matching
+    Taylor term 2 * (theta.grad f)(theta.grad zeta) * r_min^{2-alpha} /
+    (2 (2-alpha)) on the Taylor rule."""
     g = f.grid
     alpha = measure.alpha
-    r_min, r_max, radii, rad_wts, dirs, dir_wts, sides = _nodes(measure, g, route)
+    ns = _nodes(measure, g, route)
+    r_min = ns.r_min
+    dirs, dir_wts, paired = ns.sides
 
     xi = spectral_points(g)
     f_hat = forward(f)
@@ -348,17 +423,14 @@ def _direct_commutator(measure, f, zeta, route):
         return inverse(g, co * resolve(g, mult))
 
     out = np.zeros((1,) + g.shape)
+    for y, w in zip(*_both_sides(ns.nodes, ns.weights, paired)):
+        phase = np.exp(1j * (xi @ y))
+        df = spatial(f_hat, phase) - f.values
+        dz = spatial(z_hat, phase) - zeta.values
+        out += w * df * dz
     is_density = isinstance(measure, levy.DensityKernel)
-    for theta, wt in zip(dirs, dir_wts):
+    for theta, wt in zip(*_both_sides(dirs, dir_wts, paired)):
         s = xi @ theta
-        node_w = wt * rad_wts
-        if is_density:
-            node_w = node_w * measure._eval_a(radii[:, None] * theta)
-        for r, w in zip(radii, node_w):
-            phase = np.exp(1j * s * r)
-            df = spatial(f_hat, phase) - f.values
-            dz = spatial(z_hat, phase) - zeta.values
-            out += w * df * dz
         # singular region: Taylor product [Delta f][Delta zeta] =
         # sum r^{j+k} F_j G_k / (j! k!) with F_k = (theta.grad)^k f, matched
         # order-by-order with the composed route's inner expansion
@@ -376,7 +448,7 @@ def _direct_commutator(measure, f, zeta, route):
     # Delta(f zeta) - (Delta f) zeta - f (Delta zeta) and apply the same
     # analytic tail correction as the composed route (exact cancellation of
     # the shared approximation in the consistency comparison)
-    tail = _tail_multiplier(measure, r_max, sides, xi)
+    tail = _tail_multiplier(measure, ns.r_max, ns.sides, xi)
     p_hat = forward(GridField(g, f.values * zeta.values))
     t_p, t_f, t_z = (spatial(co, tail) for co in (p_hat, f_hat, z_hat))
     out += t_p - t_f * zeta.values - f.values * t_z

@@ -134,6 +134,13 @@ def test_refine_then_coarsen_identity():
     np.testing.assert_allclose(back.values, u.values, atol=1e-12)
 
 
+@pytest.mark.parametrize("factor", [0, -2, 3])
+def test_coarsen_rejects_factors_that_are_not_divisors(factor):
+    g = Grid(1, 32, 2.0)
+    with pytest.raises(InvalidArgument):
+        fg.coarsen_samples(GridField(g, np.zeros((1, 32))), factor)
+
+
 def test_refine_is_trigonometric_interpolation():
     g = Grid(1, 32, 2 * np.pi)
     x = g.coordinates()[..., 0]

@@ -535,6 +535,34 @@ def test_antipodal_pairs_pools_and_matches_negatives():
     assert levy.antipodal_pairs(dirs, unequal) is None
 
 
+@pytest.mark.parametrize("dim,n", [(2, 2), (2, 7), (2, 128), (3, 1), (3, 5), (3, 24)])
+def test_sphere_rule_first_half_is_one_side_of_each_pair(dim, n):
+    # the quadrature route's panel rules take the first half as the pairs
+    dirs, wts = levy.sphere_rule(dim, n)
+    half = len(dirs) // 2
+    reps, one_side = levy.antipodal_pairs(dirs, wts)
+    np.testing.assert_array_equal(reps, dirs[:half])
+    np.testing.assert_array_equal(one_side, wts[:half])
+
+
+def test_sphere_rule_size_steps_past_the_bandwidth():
+    # 2 |J_M(z)| in d = 2 and (2L + 1) |j_L(z)| in d = 3, first below eps
+    from scipy.special import jv, spherical_jn
+    z = np.array([0.0, 1e-3, 0.7, 5.0, 40.0, 142.0])
+    m = levy.sphere_rule_size(2, z, 1e-8)
+    assert np.all(m % 2 == 0) and np.all(m >= np.maximum(2, z))
+    assert np.all(2 * np.abs(jv(m, z)) < 1e-8)
+    assert np.all(2 * np.abs(jv(m - 2, z)) >= 1e-8)
+    n = levy.sphere_rule_size(3, z, 1e-8)
+    assert np.all(n >= 1) and np.all(2 * n >= z)
+    assert np.all((4 * n + 1) * np.abs(spherical_jn(2 * n, z)) < 1e-8)
+    big = n > 1
+    assert np.all((4 * n[big] - 3) * np.abs(spherical_jn(2 * n[big] - 2, z[big])) >= 1e-8)
+    for dim, eps in ((1, 1e-8), (2, 0.0), (3, -1.0)):
+        with pytest.raises(InvalidArgument):
+            levy.sphere_rule_size(dim, z, eps)
+
+
 def test_isotropic_1d_atoms_are_the_unit_pair():
     dirs, wts = levy.SphericalMeasure.isotropic(1, 3.0).atom_arrays()
     np.testing.assert_array_equal(dirs, [[1.0], [-1.0]])

@@ -63,6 +63,22 @@ def test_dimension_mismatch_rejected():
         apply(m, GridField(g, np.zeros((1,) + g.shape)))
 
 
+@pytest.mark.parametrize("radial_nodes", [0, 10, 15, 45, 512])
+def test_quadrature_route_rejects_partial_panels(radial_nodes):
+    # 10 radii per panel and at least two panels; 45 used to run 40 radii
+    # and 10 to run 20
+    with pytest.raises(InvalidArgument):
+        OperatorRoute.quadrature(radial_nodes)
+
+
+def test_quadrature_route_runs_every_radial_node():
+    m = levy.StableSpectral(1.5, levy.SphericalMeasure.discrete([((1.0, 0.0), 1.0)]))
+    g = Grid(2, 16, 10.0)
+    for radial_nodes in (20, 40, 510):
+        ns = nonlocal_op._nodes(m, g, OperatorRoute.quadrature(radial_nodes))
+        assert len(ns.nodes) == radial_nodes
+
+
 def test_annihilates_constants():
     m = _iso1d(alpha=1.5)
     g = Grid(1, 64, 5.0)
@@ -114,27 +130,34 @@ def test_quadrature_matches_multiplier_2d_axes():
 # ---------------------------------------------------------------------------
 
 def _direct_quadrature(measure, grid, route, xi):
-    """The quadrature multiplier as one cos/exp sum per direction, unpaired,
-    and the tail beyond R = L/2 per direction, unpaired, with both the even
-    (G) and the odd (H) table read.  s = xi.theta is one product per
-    direction, taken as 0 within 4 ulps of sum_i |xi_i theta_i| as in the
-    route: for alpha < 1 the tail's |s|^alpha would turn a rounding of 1e-16
-    in an s that should be 0 (xi normal to (0.6, -0.8)) into 1e-8."""
+    """The quadrature multiplier as one exp sum over the route's node set,
+    read a block of nodes at a time, each node of a paired set as itself
+    and its negative at half weight; the Taylor region and the tail beyond
+    R = L/2 per direction of the unpaired ``_direction_rule``, with both the
+    even (G) and the odd (H) table read.  In the tail s = xi.theta is one
+    product per direction, taken as 0 within 4 ulps of
+    sum_i |xi_i theta_i| as in the route: for alpha < 1 the tail's
+    |s|^alpha would turn a rounding of 1e-16 in an s that should be 0 (xi
+    normal to (0.6, -0.8)) into 1e-8."""
     alpha, r_min, r_max = measure.alpha, grid.spacing / 2.0, grid.side_length / 2.0
-    route_r_min, route_r_max, radii, rad_w, dirs, wts, _ = nonlocal_op._nodes(
-        measure, grid, route)
-    assert (route_r_min, route_r_max) == (r_min, r_max)
+    ns = nonlocal_op._nodes(measure, grid, route)
+    assert (ns.r_min, ns.r_max) == (r_min, r_max)
+    nodes, weights = ns.nodes, ns.weights
+    if ns.sides[2]:                                    # paired
+        nodes = np.concatenate([nodes, -nodes])
+        weights = np.concatenate([weights, weights]) / 2
+    radii = np.linalg.norm(nodes, axis=1)
     assert r_min < radii.min() and radii.max() < r_max
-    v_tab, g_tab, h_tab = nonlocal_op._oscillatory_tail_profile(alpha)
     comp = radii <= (np.inf if alpha > 1 else (1.0 if alpha == 1 else 0.0))
-    density = isinstance(measure, levy.DensityKernel)
     out = np.zeros(len(xi), dtype=complex)
-    for theta, wt in zip(dirs, wts):
+    for k in range(0, len(nodes), 500):
+        sy = xi @ nodes[k:k + 500].T
+        out += (np.exp(1j * sy) - 1.0 - 1j * sy * comp[k:k + 500]) @ weights[k:k + 500]
+    v_tab, g_tab, h_tab = nonlocal_op._oscillatory_tail_profile(alpha)
+    density = isinstance(measure, levy.DensityKernel)
+    for theta, wt in zip(*nonlocal_op._direction_rule(measure)):
         s = xi @ theta
         s[np.abs(s) <= 4 * np.finfo(float).eps * (np.abs(xi) @ np.abs(theta))] = 0
-        sr = np.outer(s, radii)
-        a = measure._eval_a(radii[:, None] * theta) if density else 1.0
-        out += (np.exp(1j * sr) - 1.0 - 1j * sr * comp) @ (wt * rad_w * a)
         a0 = float(measure._eval_a(r_min * theta)) if density else 1.0
         for k in range(1 if alpha < 1 else 2, 5):
             out += wt * a0 * (1j * s) ** k * r_min ** (k - alpha) / (
@@ -172,7 +195,7 @@ def _nufft_case(family, dim, alpha):
     measure = (_skew_density(alpha) if family == "density"
                else _NUFFT_MEASURES[family](alpha, dim))
     g = Grid(dim, {1: 64, 2: 16, 3: 8}[dim], 10.0)
-    return measure, g, OperatorRoute.quadrature(512 if dim < 3 else 40)
+    return measure, g, OperatorRoute.quadrature(510 if dim < 3 else 40)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
@@ -187,12 +210,70 @@ def test_quadrature_multiplier_matches_direct_sum(family, dim, alpha,
     route_eps = nonlocal_op._quadrature_multiplier(measure, g, route, xi)
     assert route_eps[0] == 0
     # the oracle checks how the route assembles its sums (pairing,
-    # compensation, Taylor, tail), so the NUFFT runs at 1e-12, below its bound
+    # compensation, Taylor, tail), so the NUFFT runs at 1e-12, below its bound;
+    # the node set stays the route's, its panel rules sized to nonlocal_op's
+    # NUFFT_EPS = 1e-8
     monkeypatch.setattr(fieldgrid, "NUFFT_EPS", 1e-12)
     got = nonlocal_op._quadrature_multiplier(measure, g, route, xi)
     assert np.max(np.abs(route_eps - got)) <= 1e-8 * np.max(np.abs(got))
     want = _direct_quadrature(measure, g, route, xi)
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("dim,n", [(2, 64), (2, 128), (3, 16)])
+def test_panel_rules_resolve_the_plane_wave(dim, n):
+    # each panel's rule against the angular mean of e^{i z xi.theta} at the
+    # panel's largest z = r |xi|_max, from scipy: 2 pi J_0(z) in d = 2 and
+    # 4 pi sin(z) / z in d = 3 (weights of total mass |S^{d-1}|)
+    from scipy.special import j0
+    g = Grid(dim, n, 40.0)
+    m = levy.StableSpectral(1.5, levy.SphericalMeasure.isotropic(
+        dim, levy.sphere_area(dim)))
+    _, _, radii, _ = nonlocal_op._radial_panels(m, g, OperatorRoute.quadrature())
+    xi = spectral_points(g)
+    xi_max = np.sqrt(np.max(np.sum(xi ** 2, axis=1)))
+    xi_hats = [np.eye(dim)[0], np.ones(dim) / math.sqrt(dim), xi[-1] / np.linalg.norm(xi[-1]),
+               np.random.default_rng(dim).normal(size=dim)]
+    z = radii.max(axis=1) * xi_max
+    rules = nonlocal_op._bandwidth_rules(m.sigma, g, radii.max(axis=1))
+    assert len(rules) == len(radii) == 51
+    for (dirs, wts), zp in zip(rules, z):
+        total = np.sum(wts)               # one side of each pair, doubled
+        assert total == pytest.approx(levy.sphere_area(dim), rel=1e-13)
+        want = 2 * np.pi * j0(zp) if dim == 2 else 4 * np.pi * np.sin(zp) / zp
+        for xi_hat in xi_hats:
+            got = wts @ np.cos(zp * dirs @ (xi_hat / np.linalg.norm(xi_hat)))
+            assert abs(got - want) <= fieldgrid.NUFFT_EPS * total
+    # the small radii need far fewer directions than the fixed rule, R more
+    fixed = len(nonlocal_op._direction_rule(m)[0]) // 2
+    assert len(rules[0][0]) < fixed / 4 and len(rules[-1][0]) > fixed / 2
+
+
+# per |xi| h band, [0, 1), [1, 2), [2, 3), [3, inf): the errors of the one
+# fixed direction rule at every radius (64 pairs in d = 2, 1152 in d = 3)
+# that the panel rules replaced, rounded up to two digits, written down
+# before the panel rules were first run
+_BAND_EDGES = (0.0, 1.0, 2.0, 3.0, np.inf)
+_BAND_BOUNDS = {
+    (2, 64, 0.5): (1.3e-3, 1.3e-3, 1.1e-2, 2.1e-2),
+    (2, 64, 1.0): (1.8e-4, 2.4e-4, 1.8e-3, 2.0e-3),
+    (2, 64, 1.5): (1.9e-5, 9.4e-5, 3.6e-4, 3.1e-3),
+    (3, 16, 1.5): (1.6e-4, 2.0e-4, 4.9e-4, 5.6e-3),
+}
+
+
+@pytest.mark.parametrize("dim,n,alpha", list(_BAND_BOUNDS))
+def test_quadrature_accuracy_per_band(dim, n, alpha):
+    # per mode, relative to the closed-form psi, isotropic, L = 40
+    g = Grid(dim, n, 40.0)
+    m = levy.StableSpectral(alpha, levy.SphericalMeasure.isotropic(dim, 1.3))
+    xi = spectral_points(g)[1:]
+    got = nonlocal_op._quadrature_multiplier(m, g, OperatorRoute.quadrature(), xi)
+    psi = levy.symbol_array(m, xi)
+    rel = np.abs(got + psi) / np.abs(psi)
+    kh = np.linalg.norm(xi, axis=1) * g.spacing
+    for lo, hi, bound in zip(_BAND_EDGES, _BAND_EDGES[1:], _BAND_BOUNDS[dim, n, alpha]):
+        assert rel[(kh >= lo) & (kh < hi)].max() <= bound
 
 
 def test_tail_does_not_depend_on_how_xi_theta_is_formed():
@@ -205,8 +286,8 @@ def test_tail_does_not_depend_on_how_xi_theta_is_formed():
 
     def tail(atoms):
         m = levy.StableSpectral(0.5, levy.SphericalMeasure.discrete(atoms))
-        nodes = nonlocal_op._nodes(m, g, OperatorRoute.quadrature())
-        return nonlocal_op._tail_multiplier(m, nodes[1], nodes[-1], xi)
+        ns = nonlocal_op._nodes(m, g, OperatorRoute.quadrature())
+        return nonlocal_op._tail_multiplier(m, ns.r_max, ns.sides, xi)
 
     got = tail(atoms)
     want = sum(tail([atom]) for atom in atoms)
@@ -390,6 +471,19 @@ def test_commutator_defect_consistency():
 
 def test_commutator_defect_consistency_2d_skew_atoms():
     m = _NUFFT_MEASURES["atoms"](1.5, 2)
+    g = Grid(2, 16, 10.0)
+    f = _bump(g, [4.5, 5.0], width=1.5)
+    zeta = _bump(g, [5.5, 5.5], width=2.0)
+    defect = nonlocal_op.commutator_defect(m, f, zeta, OperatorRoute.quadrature(40))
+    assert defect.grid == g
+    assert lp_norm(defect, 2) > 1e-6
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5])
+def test_commutator_defect_consistency_2d_isotropic(alpha):
+    # panel rules of bandwidth-sized size, paired: both sides of each node
+    # in the direct sum
+    m = _NUFFT_MEASURES["isotropic"](alpha, 2)
     g = Grid(2, 16, 10.0)
     f = _bump(g, [4.5, 5.0], width=1.5)
     zeta = _bump(g, [5.5, 5.5], width=2.0)
