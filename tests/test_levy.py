@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
-from scipy.special import gamma as Gamma
+from scipy.special import gamma as Gamma, jv, spherical_jn
 
 from levylab import levy
 from levylab.errors import InvalidArgument
@@ -547,7 +547,6 @@ def test_sphere_rule_first_half_is_one_side_of_each_pair(dim, n):
 
 def test_sphere_rule_size_steps_past_the_bandwidth():
     # 2 |J_M(z)| in d = 2 and (2L + 1) |j_L(z)| in d = 3, first below eps
-    from scipy.special import jv, spherical_jn
     z = np.array([0.0, 1e-3, 0.7, 5.0, 40.0, 142.0])
     m = levy.sphere_rule_size(2, z, 1e-8)
     assert np.all(m % 2 == 0) and np.all(m >= np.maximum(2, z))

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import j0
 
 from levylab import fieldgrid, levy, nonlocal_op
 from levylab.errors import ConsistencyFailure, InvalidArgument
@@ -225,7 +226,6 @@ def test_panel_rules_resolve_the_plane_wave(dim, n):
     # each panel's rule against the angular mean of e^{i z xi.theta} at the
     # panel's largest z = r |xi|_max, from scipy: 2 pi J_0(z) in d = 2 and
     # 4 pi sin(z) / z in d = 3 (weights of total mass |S^{d-1}|)
-    from scipy.special import j0
     g = Grid(dim, n, 40.0)
     m = levy.StableSpectral(1.5, levy.SphericalMeasure.isotropic(
         dim, levy.sphere_area(dim)))
