@@ -9,7 +9,8 @@ in ``docs/cli.md``.
 
 Exit codes: 0 success, 1 computation or check failure, 2 usage error
 (unknown flags, malformed input files, or any value the library rejects
-with ``InvalidArgument``).  ``main`` alone maps exceptions to exit codes.
+with ``InvalidArgument``).  ``main`` alone maps exceptions to exit codes,
+and ``_reading`` alone decides what counts as malformed input.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,51 +106,54 @@ def _manifest(measure, grid: Grid, **fields) -> RunManifest:
 # input parsing helpers (all schema violations become UsageError -> exit 2)
 # ---------------------------------------------------------------------------
 
-def _parse_vector(text: str) -> np.ndarray:
+@contextmanager
+def _reading(what: str):
+    """Read outside input: any malformed-input exception raised inside
+    becomes UsageError("bad <what>: <reason>").  An explicit UsageError
+    passes through unchanged."""
     try:
+        yield
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError,
+            OSError, LevylabError) as exc:
+        raise UsageError(f"bad {what}: {exc}") from exc
+
+
+def _parse_vector(text: str) -> np.ndarray:
+    with _reading(f"vector {text!r}"):
         return np.array([float(p) for p in text.split(",")], dtype=float)
-    except ValueError as exc:
-        raise UsageError(f"expected comma-separated floats, got {text!r}") \
-            from exc
 
 
 def _parse_grid(text: str) -> tuple:
     """'N,L' or 'd,N,L' -> (dim, points_per_axis, side_length)."""
     parts = text.split(",")
-    try:
-        if len(parts) == 2:
-            return 1, int(parts[0]), float(parts[1])
-        if len(parts) == 3:
-            return int(parts[0]), int(parts[1]), float(parts[2])
-    except ValueError as exc:
-        raise UsageError(f"malformed grid spec {text!r}") from exc
-    raise UsageError(f"grid spec must be 'N,L' or 'd,N,L', got {text!r}")
+    with _reading(f"grid spec {text!r}"):
+        if len(parts) not in (2, 3):
+            raise ValueError("expected 'N,L' or 'd,N,L'")
+        return (int(parts[0]) if len(parts) == 3 else 1, int(parts[-2]),
+                float(parts[-1]))
 
 
 def _load_json(path) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{path} is not valid JSON: {exc}") from exc
+    """A JSON file whose top level is an object."""
+    with _reading(f"JSON file {path}"), open(path) as fh:
+        spec = json.load(fh)
+        if not isinstance(spec, dict):
+            raise TypeError(f"top level must be an object, not "
+                            f"{type(spec).__name__}")
+    return spec
 
 
 def _load_measure(path):
-    try:
-        return levy.from_dict(_load_json(path))
-    except (KeyError, LevylabError) as exc:
-        raise UsageError(f"bad measure file {path}: {exc}") from exc
+    spec = _load_json(path)
+    with _reading(f"measure file {path}"):
+        return levy.from_dict(spec)
 
 
 def _load_any_field(path) -> GridField:
-    try:
-        if str(path).endswith(".csv"):
+    with _reading(f"field file {path}"):
+        if os.fspath(path).endswith(".csv"):
             return load_field_csv(path)
         return load_field(path)
-    except (OSError, ValueError, LevylabError) as exc:
-        raise UsageError(f"bad field file {path}: {exc}") from exc
 
 
 def _save_any_field(fieldv: GridField, path) -> None:
@@ -173,7 +178,7 @@ def _check_field_dim(phi: GridField, measure, key: str) -> None:
 def _drift_from_dict(spec, dim: int):
     if spec is None:
         return DriftSchedule.zero(dim)
-    try:
+    with _reading("drift specification"):
         kind = spec["type"]
         if kind == "constant":
             drift = DriftSchedule.constant(np.asarray(spec["value"], float))
@@ -182,8 +187,6 @@ def _drift_from_dict(spec, dim: int):
                                   tuple(tuple(v) for v in spec["values"]))
         else:
             raise UsageError(f"unknown drift type {kind!r}")
-    except (KeyError, TypeError, LevylabError) as exc:
-        raise UsageError(f"bad drift specification: {exc}") from exc
     if drift.dim != dim:
         raise UsageError(f"drift has {drift.dim} components but the measure "
                          f"lives in R^{dim}")
@@ -191,14 +194,12 @@ def _drift_from_dict(spec, dim: int):
 
 
 def _solver_config(cfg: dict) -> SolverConfig:
-    try:
+    with _reading("solver config"):
         return SolverConfig(
             time_step=float(cfg["time_step"]),
             mollifier_width=float(cfg.get("mollifier_width", 0.0)),
             picard_tol=float(cfg.get("picard_tol", 1e-10)),
             max_iterations=int(cfg.get("max_iterations", 50)))
-    except (KeyError, ValueError) as exc:
-        raise UsageError(f"bad solver config: {exc}") from exc
 
 
 def _write_trajectory_run(out, traj: SpaceTimeField, measure, cfg: dict,
@@ -261,15 +262,13 @@ def _cmd_evolve(args) -> int:
     _reject_unknown_keys(cfg, ("time_step", "mollifier_width", "picard_tol",
                                "max_iterations", "solver", "dealias"),
                          args.config)
-    try:
+    with _reading(f"problem file {args.problem}"):
         measure = levy.from_dict(spec["measure"])
         phi = _load_any_field(spec["phi"])
         lam = float(spec.get("lam", 0.0))
         horizon = float(spec["horizon"])
-        forcing = (load_trajectory(spec["forcing"])
+        forcing = (load_trajectory(os.fspath(spec["forcing"]))
                    if spec.get("forcing") else None)
-    except (KeyError, OSError, ValueError, LevylabError) as exc:
-        raise UsageError(f"bad problem file {args.problem}: {exc}") from exc
     _check_field_dim(phi, measure, "phi")
     drift = _drift_from_dict(spec.get("drift"), measure.dim)
     config = _solver_config(cfg)
@@ -327,15 +326,13 @@ def _cmd_sde(args) -> int:
     spec = _load_json(args.problem)
     _reject_unknown_keys(spec, ("measure", "phi", "t", "x", "lam", "n_steps",
                                 "drift"), args.problem)
-    try:
+    with _reading(f"problem file {args.problem}"):
         measure = levy.from_dict(spec["measure"])
         phi = _load_any_field(spec["phi"])
         t_final = float(spec["t"])
         x = np.asarray(spec["x"], dtype=float)
         lam = float(spec.get("lam", 0.0))
         n_steps = int(spec.get("n_steps", 64))
-    except (KeyError, ValueError, LevylabError) as exc:
-        raise UsageError(f"bad problem file {args.problem}: {exc}") from exc
     _check_field_dim(phi, measure, "phi")
     if args.paths < 2:
         raise UsageError(f"--paths {args.paths}: a standard error needs at "

@@ -242,7 +242,7 @@ NUFFT_DECONV_CACHE_SIZE = 16      # kernel transforms, one per (width, fine size
 ES_BETA_PER_WIDTH = 2.30          # kernel shape beta / width, for 2x oversampling
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=64)
 def gauss_legendre(n: int):
     """The n-point Gauss-Legendre nodes and weights on [-1, 1], read-only."""
     z, w = np.polynomial.legendre.leggauss(n)
@@ -440,18 +440,28 @@ def _write_field(fh, field: GridField) -> None:
     fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
 
 
+def _header_grid(dim: int, n: int, length: float, m: int) -> Grid:
+    """The grid of a field file's header dim,N,L,m, which must give at least
+    one component."""
+    if m < 1:
+        raise InvalidArgument(f"field header gives {m} components")
+    return Grid(dim, n, length)
+
+
 def _read_exactly(fh, size: int) -> bytes:
-    data = fh.read(size)
-    if len(data) != size:
-        raise InvalidArgument(f"truncated file: {len(data)} of {size} bytes")
-    return data
+    """The next size bytes of a binary file, checked against the bytes left
+    before reading: a header's false count raises rather than asking
+    ``read`` for that many."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size > left:
+        raise InvalidArgument(f"truncated file: {left} of {size} bytes")
+    return fh.read(size)
 
 
 def _read_field(fh) -> GridField:
     dim, n, length, m = _HEADER.unpack(_read_exactly(fh, _HEADER.size))
-    grid = Grid(dim, n, length)
-    count = m * n ** dim
-    vals = np.frombuffer(_read_exactly(fh, count * 8), dtype="<f8")
+    grid = _header_grid(dim, n, length, m)
+    vals = np.frombuffer(_read_exactly(fh, 8 * m * n ** dim), dtype="<f8")
     return GridField(grid, vals.reshape((m,) + grid.shape))
 
 
@@ -483,8 +493,11 @@ def save_field_csv(field: GridField, path) -> None:
 def load_field_csv(path) -> GridField:
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
+    if not rows or len(rows[0]) != 4:
+        raise InvalidArgument("a CSV field starts with the header row "
+                              "dim,N,L,m")
     dim, n, length, m = int(rows[0][0]), int(rows[0][1]), float(rows[0][2]), int(rows[0][3])
-    grid = Grid(dim, n, length)
+    grid = _header_grid(dim, n, length, m)
     if len(rows) - 1 != m * n ** dim:
         raise InvalidArgument(f"expected {m * n ** dim} value rows, found "
                               f"{len(rows) - 1}")

@@ -84,7 +84,11 @@ def picard_solve(problem: QuasilinearProblem, config: SolverConfig,
         out = (np.zeros_like(u) if problem.drift_b is None else
                advection(coefficient(problem.drift_b, n, u), u_hat, g))
         if problem.forcing_f is not None:
-            out = out + coefficient(problem.forcing_f, n, u)
+            f = coefficient(problem.forcing_f, n, u)
+            if f.shape != u.shape:
+                raise InvalidArgument(f"forcing has shape {f.shape}, not "
+                                      f"{u.shape}")
+            out = out + f
         return out
 
     return etd2_march(problem.phi, problem.measure, 0.0, dt,

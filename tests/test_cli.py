@@ -1,7 +1,10 @@
 """CLI contract tests: output formats, exit codes, file schemas."""
 
+import ast
 import json
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -563,6 +566,135 @@ def test_precondition_violation_exits_2(contract_files, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract: malformed flag values and file contents exit 2
+# ---------------------------------------------------------------------------
+
+@pytest.fixture()
+def malformed_files(tmp_path, measure_file, phi_file):
+    """The malformed input files, by placeholder name, and a valid config."""
+    measure = levy.to_dict(levy.load_measure(measure_file))
+    evolve = {"measure": measure, "phi": phi_file, "horizon": 0.25}
+    sde = {"measure": measure, "phi": phi_file, "t": 0.5, "x": [3.0],
+           "n_steps": 8}
+    specs = {
+        "alpha-text": {**measure, "alpha": "1.0"},
+        "measure-list": [measure],
+        "mass-null": {**measure, "total_mass": None},
+        "axes-weights": {"variant": "direct_sum_axes", "alpha": 1.0,
+                         "axes_weights": 3},
+        "evolve": evolve,
+        "cfg": {"time_step": 0.0625},
+        "step-null": {"time_step": None},
+        "horizon-null": {**evolve, "horizon": None},
+        "evolve-alpha-text": {**evolve, "measure": {**measure, "alpha": "1"}},
+        "number": 3,
+        "empty-list": [],
+        "drift-text": {**evolve, "drift": {"type": "constant", "value": "x"}},
+        "n_steps-null": {**sde, "n_steps": None},
+        "t-null": {**sde, "t": None},
+    }
+    files = {"out": str(tmp_path / "out")}
+    for name, spec in specs.items():
+        files[name] = str(tmp_path / f"{name}.json")
+        Path(files[name]).write_text(json.dumps(spec))
+    files["n_steps-huge"] = str(tmp_path / "n_steps-huge.json")
+    Path(files["n_steps-huge"]).write_text(
+        json.dumps({**sde, "n_steps": "N"}).replace('"N"', "1e400"))
+    for name, content in (("empty.csv", b""), ("short-header.csv", b"1,8\n"),
+                          ("huge-header.bin", struct.pack(
+                              "<qqdq", 3, 2 ** 20, 2 * np.pi, 1))):
+        files[name.replace(".", "-")] = str(tmp_path / name)
+        (tmp_path / name).write_bytes(content)
+    return files
+
+
+def _evolve_argv(problem, config="{cfg}"):
+    return ["evolve", "--problem", problem, "--config", config,
+            "--out", "{out}"]
+
+
+MALFORMED_INPUTS = {
+    "symbol-alpha-text": ["symbol", "--measure", "{alpha-text}", "--xi", "1"],
+    "symbol-measure-list": ["symbol", "--measure", "{measure-list}",
+                            "--xi", "1"],
+    "symbol-mass-null": ["symbol", "--measure", "{mass-null}", "--xi", "1"],
+    "symbol-axes-weights": ["symbol", "--measure", "{axes-weights}",
+                            "--xi", "1"],
+    "burgers-empty-csv": ["burgers", "--phi", "{empty-csv}", *_STEPS],
+    "burgers-short-csv-header": ["burgers", "--phi", "{short-header-csv}",
+                                 *_STEPS],
+    "burgers-huge-binary-header": ["burgers", "--phi", "{huge-header-bin}",
+                                   *_STEPS],
+    "evolve-horizon-null": _evolve_argv("{horizon-null}"),
+    "evolve-time_step-null": _evolve_argv("{evolve}", "{step-null}"),
+    "evolve-alpha-text": _evolve_argv("{evolve-alpha-text}"),
+    "evolve-problem-number": _evolve_argv("{number}"),
+    "evolve-problem-list": _evolve_argv("{empty-list}"),
+    "evolve-config-list": _evolve_argv("{evolve}", "{empty-list}"),
+    "evolve-drift-text": _evolve_argv("{drift-text}"),
+    "sde-n_steps-null": ["sde", "--problem", "{n_steps-null}", *_SDE],
+    "sde-t-null": ["sde", "--problem", "{t-null}", *_SDE],
+    "sde-n_steps-huge": ["sde", "--problem", "{n_steps-huge}", *_SDE],
+}
+
+
+@pytest.mark.parametrize("argv", MALFORMED_INPUTS.values(),
+                         ids=MALFORMED_INPUTS.keys())
+def test_malformed_input_exits_2(malformed_files, capsys, argv):
+    assert cli.main([a.format(**malformed_files) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: bad ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["phi", "forcing"])
+def test_a_number_is_not_a_file_name(measure_file, phi_file, tmp_path, key):
+    # open() reads an int as a file descriptor: "phi": 3 would read, and
+    # then close, whatever file the process has open as descriptor 3
+    fd = os.open(phi_file, os.O_RDONLY)
+    try:
+        assert _evolve(tmp_path, measure_file, phi_file,
+                       {"time_step": 0.0625}, **{key: fd}) == 2
+        os.fstat(fd)                        # raises if the run closed it
+    finally:
+        os.close(fd)
+
+
+def _handler_scopes(source: str) -> list:
+    """The function around each except clause of source, in order;
+    '<module>' outside every function."""
+    scopes = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ExceptHandler):
+                scopes.append(scope)
+            visit(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
+
+    visit(ast.parse(source), "<module>")
+    return scopes
+
+
+def test_handler_guard_finds_every_scope():
+    source = ("try:\n    pass\nexcept ValueError:\n    pass\n"
+              "class C:\n    def m(self):\n        def inner():\n"
+              "            try:\n                pass\n"
+              "            except (KeyError, OSError):\n                pass\n"
+              "        try:\n            inner()\n"
+              "        except Exception:\n            pass\n")
+    assert _handler_scopes(source) == ["<module>", "inner", "m"]
+
+
+def test_only_reading_and_main_handle_exceptions():
+    # a loader with its own except clause would bring back its own idea of
+    # malformed input; it reads through _reading instead
+    scopes = _handler_scopes(Path(cli.__file__).read_text())
+    assert scopes.count("_reading") == 1
+    assert set(scopes) == {"_reading", "main"}
 
 
 def test_degenerate_measure_exits_1(tmp_path, capsys):

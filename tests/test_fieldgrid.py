@@ -1,6 +1,7 @@
 """Grid, field, transform, norm, and serialization tests."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -220,6 +221,36 @@ def test_csv_field_round_trip(tmp_path):
     back = fg.load_field_csv(path)
     assert back.grid == g
     np.testing.assert_array_equal(back.values, u.values)
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "1,8\n",
+    "1,4,6.25,1,9\n" + "".join(f"0,{i},{i}\n" for i in range(4)),
+], ids=["empty", "two-fields", "five-fields"])
+def test_csv_header_must_be_four_fields(tmp_path, text):
+    path = tmp_path / "f.csv"
+    path.write_text(text)
+    with pytest.raises(InvalidArgument, match="header row"):
+        fg.load_field_csv(path)
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_field_header_needs_a_component(tmp_path, m):
+    binary, text = tmp_path / "f.bin", tmp_path / "f.csv"
+    binary.write_bytes(struct.pack("<qqdq", 1, 8, 1.0, m) + bytes(64))
+    text.write_text(f"1,8,1.0,{m}\n")
+    for load, path in ((fg.load_field, binary), (fg.load_field_csv, text)):
+        with pytest.raises(InvalidArgument, match=f"gives {m} components"):
+            load(path)
+
+
+def test_binary_header_is_checked_against_the_file_size(tmp_path):
+    # 2^20 points per axis in d = 3 would be 2^63 bytes of values
+    path = tmp_path / "f.bin"
+    path.write_bytes(struct.pack("<qqdq", 3, 2 ** 20, 2 * np.pi, 1))
+    with pytest.raises(InvalidArgument, match="truncated file: 0 of"):
+        fg.load_field(path)
 
 
 def test_trajectory_round_trip(tmp_path):

@@ -377,6 +377,18 @@ def test_tail_profile_cache_is_bounded():
     assert info.maxsize == bound
 
 
+def test_gauss_legendre_cache_holds_a_3d_node_set():
+    # a 16^3 node set reads 28 distinct rules, the 2n-point rule of each
+    # panel's sphere_rule(3, n) and the radial rule: more than 16 entries
+    m = levy.StableSpectral(1.5, levy.SphericalMeasure.isotropic(3, 1.0))
+    g = Grid(3, 16, 40.0)
+    nonlocal_op._nodes(m, g, OperatorRoute.quadrature())
+    before = fieldgrid.gauss_legendre.cache_info()
+    nonlocal_op._nodes(m, g, OperatorRoute.quadrature())
+    after = fieldgrid.gauss_legendre.cache_info()
+    assert after.hits > before.hits and after.misses == before.misses
+
+
 # ---------------------------------------------------------------------------
 # structural identities
 # ---------------------------------------------------------------------------

@@ -87,6 +87,21 @@ def test_drift_of_the_wrong_shape_is_rejected(dim, shape):
         picard_solve(problem, SolverConfig(time_step=1 / 64))
 
 
+@pytest.mark.parametrize("dim,m,shape", [
+    (1, 2, (32,)), (1, 2, (1, 32)), (2, 1, (32, 32)),
+], ids=["N", "1-N", "N-N-in-2d"])
+def test_forcing_of_the_wrong_shape_is_rejected(dim, m, shape):
+    # a forcing that only broadcasts to (m, *grid) would be added to every
+    # component alike
+    g = Grid(dim, 32, 2 * np.pi)
+    phi = GridField(g, np.ones((m,) + g.shape))
+    problem = QuasilinearProblem(
+        levy.StableSpectral(1.0, levy.SphericalMeasure.isotropic(dim, 1.0)),
+        m, None, lambda t, x, u: np.full(shape, 0.5), phi, 0.25)
+    with pytest.raises(InvalidArgument, match="forcing has shape"):
+        picard_solve(problem, SolverConfig(time_step=1 / 16))
+
+
 # ---------------------------------------------------------------------------
 # Picard iteration
 # ---------------------------------------------------------------------------
