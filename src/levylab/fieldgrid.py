@@ -35,7 +35,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.fft
@@ -130,36 +130,71 @@ class GridField:
     def zeros(cls, grid: Grid, components: int = 1) -> "GridField":
         return cls(grid, np.zeros((components,) + grid.shape))
 
+    @classmethod
+    def _view(cls, grid: Grid, values: np.ndarray) -> "GridField":
+        """A GridField of checked read-only values, not copied or scanned."""
+        field = object.__new__(cls)
+        object.__setattr__(field, "grid", grid)
+        object.__setattr__(field, "values", values)
+        return field
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class SpaceTimeField:
-    """Uniformly time-sampled trajectory of GridFields on a common grid."""
+    """Uniformly time-sampled trajectory: one read-only array ``values`` of
+    shape (frames, m, *grid shape), frame j at time j * time_step."""
 
     time_step: float
-    frames: tuple
+    grid: Grid
+    values: np.ndarray
 
-    def __post_init__(self):
-        if not self.time_step > 0:
+    def __init__(self, time_step: float, frames):
+        """Stack GridFields that share a grid and a component count."""
+        frames = tuple(frames)
+        if len({(fr.grid, fr.components) for fr in frames}) != 1:
+            raise InvalidArgument("frames must be at least one, and share "
+                                  "grid and components")
+        self._take(time_step, frames[0].grid,
+                   np.stack([fr.values for fr in frames]))
+
+    @classmethod
+    def from_array(cls, time_step: float, grid: Grid,
+                   values) -> "SpaceTimeField":
+        """The trajectory of values (frames, m, *grid shape); a float array
+        is taken over, not copied, and made read-only."""
+        stf = object.__new__(cls)
+        stf._take(time_step, grid, values)
+        return stf
+
+    def _take(self, time_step: float, grid: Grid, values) -> None:
+        v = np.asarray(values, dtype=float)
+        if not time_step > 0:
             raise InvalidArgument("time_step must be positive")
-        frames = tuple(self.frames)
-        if not frames:
-            raise InvalidArgument("at least one frame is required")
-        g0, m0 = frames[0].grid, frames[0].components
-        for fr in frames[1:]:
-            if fr.grid != g0 or fr.components != m0:
-                raise InvalidArgument("frames must share grid and components")
-        object.__setattr__(self, "frames", frames)
+        if v.ndim != grid.dim + 2 or v.shape[2:] != grid.shape or not len(v):
+            raise InvalidArgument(f"trajectory shape {v.shape} is not "
+                                  f"(frames >= 1, m, *{grid.shape})")
+        if not np.all(np.isfinite(v)):
+            raise InvalidArgument("field values must be finite")
+        v.flags.writeable = False
+        object.__setattr__(self, "time_step", time_step)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "values", v)
+
+    @cached_property
+    def frames(self) -> tuple:
+        """The frames as GridFields that view ``values``."""
+        return tuple(GridField._view(self.grid, v) for v in self.values)
 
     @property
-    def grid(self) -> Grid:
-        return self.frames[0].grid
+    def components(self) -> int:
+        return self.values.shape[1]
 
     @property
     def times(self) -> np.ndarray:
-        return np.arange(len(self.frames)) * self.time_step
+        return np.arange(len(self.values)) * self.time_step
 
     def final(self) -> GridField:
-        return self.frames[-1]
+        return GridField._view(self.grid, self.values[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +258,17 @@ def resolve(grid: Grid, mult: np.ndarray) -> np.ndarray:
     return out.reshape(grid.spectral_shape + mult.shape[1:])
 
 
-def apply_multiplier(field: GridField, mult: np.ndarray) -> GridField:
+def apply_multiplier(field, mult: np.ndarray, grid: Grid | None = None):
     """m(D) f for a scalar multiplier, real or complex, sampled at
-    spectral_points."""
-    g = field.grid
-    coeffs = forward(field)
-    coeffs *= resolve(g, mult)
-    return GridField(g, inverse(g, coeffs))
+    spectral_points: of a GridField, as a GridField, or of a real array
+    sampled on ``grid`` (any leading axes, such as a trajectory's frames),
+    as an array, by one transform pair."""
+    if grid is None:
+        return GridField(field.grid,
+                         apply_multiplier(field.values, mult, field.grid))
+    coeffs = forward(field, grid)
+    coeffs *= resolve(grid, mult)
+    return inverse(grid, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -407,12 +446,19 @@ def gradient(field: GridField) -> np.ndarray:
 
 def lp_norm(field: GridField, p: float) -> float:
     """Riemann-sum L^p norm; p = inf gives the max norm."""
+    return lp_norms(field.grid, field.values[None], p)[0]
+
+
+def lp_norms(grid: Grid, frames: np.ndarray, p: float) -> list:
+    """lp_norm of each field frames[j], frames of shape (n, m, *grid shape),
+    by one reduction over all of them."""
     if p != np.inf and p < 1:
         raise InvalidArgument(f"p must be >= 1 or inf, got {p}")
-    v = field.values
+    axes = tuple(range(1, np.ndim(frames)))
     if p == np.inf:
-        return float(np.max(np.abs(v)))
-    return float((field.grid.cell_volume * np.sum(np.abs(v) ** p)) ** (1.0 / p))
+        return [float(s) for s in np.max(np.abs(frames), axis=axes)]
+    sums = np.sum(np.abs(frames) ** p, axis=axes)
+    return [float((grid.cell_volume * s) ** (1.0 / p)) for s in sums]
 
 
 def bessel_norm(field: GridField, alpha: float, p: float) -> float:
@@ -448,21 +494,33 @@ def _header_grid(dim: int, n: int, length: float, m: int) -> Grid:
     return Grid(dim, n, length)
 
 
-def _read_exactly(fh, size: int) -> bytes:
-    """The next size bytes of a binary file, checked against the bytes left
-    before reading: a header's false count raises rather than asking
-    ``read`` for that many."""
+def _check_bytes_left(fh, size: int) -> None:
+    """Raise unless a binary file holds size more bytes: a header's false
+    count raises rather than asking ``read`` for that many."""
     left = os.fstat(fh.fileno()).st_size - fh.tell()
     if size > left:
         raise InvalidArgument(f"truncated file: {left} of {size} bytes")
+
+
+def _read_exactly(fh, size: int) -> bytes:
+    _check_bytes_left(fh, size)
     return fh.read(size)
 
 
-def _read_field(fh) -> GridField:
-    dim, n, length, m = _HEADER.unpack(_read_exactly(fh, _HEADER.size))
+def _read_fields(fh, count: int):
+    """The grid and the values (count, m, *grid shape) of the next count
+    fields of a binary file, which must all have the first one's header."""
+    header = _read_exactly(fh, _HEADER.size)
+    dim, n, length, m = _HEADER.unpack(header)
     grid = _header_grid(dim, n, length, m)
-    vals = np.frombuffer(_read_exactly(fh, 8 * m * n ** dim), dtype="<f8")
-    return GridField(grid, vals.reshape((m,) + grid.shape))
+    record = _HEADER.size + 8 * m * n ** dim
+    _check_bytes_left(fh, count * record - _HEADER.size)
+    fh.seek(-_HEADER.size, os.SEEK_CUR)
+    fields = np.frombuffer(fh.read(count * record), np.dtype(
+        [("header", f"V{_HEADER.size}"), ("values", "<f8", (m,) + grid.shape)]))
+    if fields["header"].tobytes() != header * count:
+        raise InvalidArgument("a field header differs from the first one")
+    return grid, fields["values"]
 
 
 def save_field(field: GridField, path) -> None:
@@ -474,7 +532,8 @@ def save_field(field: GridField, path) -> None:
 
 def load_field(path) -> GridField:
     with open(path, "rb") as fh:
-        return _read_field(fh)
+        grid, values = _read_fields(fh, 1)
+    return GridField(grid, values[0])
 
 
 def save_field_csv(field: GridField, path) -> None:
@@ -523,7 +582,10 @@ def save_trajectory(stf: SpaceTimeField, path) -> None:
 
 
 def load_trajectory(path) -> SpaceTimeField:
+    """A trajectory file, read as one block once its size is checked."""
     with open(path, "rb") as fh:
         n_frames, dt = struct.unpack("<qd", _read_exactly(fh, 16))
-        frames = tuple(_read_field(fh) for _ in range(n_frames))
-    return SpaceTimeField(dt, frames)
+        if n_frames < 1:
+            raise InvalidArgument(f"trajectory header gives {n_frames} frames")
+        grid, values = _read_fields(fh, n_frames)
+    return SpaceTimeField.from_array(dt, grid, values)

@@ -26,10 +26,10 @@ import numpy as np
 from . import levy
 from .errors import (DriftEvaluationFailure, InvalidArgument,
                      IterationFailure, PreconditionFailure)
-from .fieldgrid import (Grid, GridField, SpaceTimeField, forward, inverse,
-                        lp_norm, partial_derivatives, resolve, spectral_l2,
-                        spectral_points)
-from .nonlocal_op import OperatorRoute, apply as op_apply, multiplier
+from .fieldgrid import (Grid, GridField, SpaceTimeField, apply_multiplier,
+                        forward, inverse, lp_norms, partial_derivatives,
+                        resolve, spectral_l2, spectral_points)
+from .nonlocal_op import OperatorRoute, multiplier
 from .heatkernel import DriftSchedule
 
 
@@ -51,23 +51,24 @@ class LinearProblem:
     horizon: float
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise InvalidArgument("lambda must be nonnegative")
+        if not 0.0 <= self.lam < np.inf:
+            raise InvalidArgument(f"lambda must be nonnegative and finite, "
+                                  f"got {self.lam}")
         if not self.horizon > 0:
             raise InvalidArgument("horizon must be positive")
         d = self.phi.grid.dim
         if (isinstance(self.drift, DriftSchedule) and self.drift.dim != d
                 or isinstance(self.drift, SpaceTimeField)
-                and self.drift.frames[0].components != d):
+                and self.drift.components != d):
             raise InvalidArgument(f"drift dimension differs from the grid's {d}")
         for name, data in (("drift", self.drift), ("forcing", self.forcing)):
             if isinstance(data, SpaceTimeField) and data.grid != self.phi.grid:
                 raise InvalidArgument(f"{name} lives on {data.grid}, "
                                       f"phi on {self.phi.grid}")
         if (isinstance(self.forcing, SpaceTimeField)
-                and self.forcing.frames[0].components != self.phi.components):
+                and self.forcing.components != self.phi.components):
             raise InvalidArgument(
-                f"forcing has {self.forcing.frames[0].components} components, "
+                f"forcing has {self.forcing.components} components, "
                 f"phi {self.phi.components}")
 
 
@@ -100,18 +101,21 @@ def step_count(horizon: float, dt: float) -> int:
     return n
 
 
-def mollify(field: GridField, eps: float) -> GridField:
+def mollify(field, eps: float, grid: Grid | None = None):
     """Convolution with the compactly supported bump mollifier rho_eps
     (unit discrete mass, support radius eps), computed spectrally: rho is
-    real and even, so its half spectrum needs no Nyquist rule.  A width
+    real and even, so its half spectrum needs no Nyquist rule.  Of a
+    GridField, as a GridField, or of a real array sampled on ``grid`` (any
+    leading axes, such as a trajectory's frames), as an array.  A width
     whose bump is positive at no grid point besides the origin would be
     the identity, and raises."""
     if eps <= 0:
         return field
-    g = field.grid
-    x = g.coordinates()
-    half = g.side_length / 2.0
-    centered = np.where(x > half, x - g.side_length, x)
+    if grid is None:
+        return GridField(field.grid, mollify(field.values, eps, field.grid))
+    x = grid.coordinates()
+    half = grid.side_length / 2.0
+    centered = np.where(x > half, x - grid.side_length, x)
     r2 = np.sum(centered ** 2, axis=-1) / eps ** 2
     with np.errstate(divide="ignore", over="ignore"):
         rho = np.where(r2 < 1.0, np.exp(-1.0 / np.maximum(1e-300, 1.0 - r2)), 0.0)
@@ -119,10 +123,10 @@ def mollify(field: GridField, eps: float) -> GridField:
         raise InvalidArgument(
             f"mollifier width {eps} below grid resolution: its bump holds "
             "no grid point besides the origin")
-    rho /= float(rho.sum()) * g.cell_volume
-    coeffs = forward(field)
-    coeffs *= forward(rho, g) * g.cell_volume
-    return GridField(g, inverse(g, coeffs))
+    rho /= float(rho.sum()) * grid.cell_volume
+    coeffs = forward(field, grid)
+    coeffs *= forward(rho, grid) * grid.cell_volume
+    return inverse(grid, coeffs)
 
 
 def _phi1(z):
@@ -143,20 +147,21 @@ def _phi2(z):
     return np.where(small, 0.5 - z / 6.0 + z * z / 24.0, out)
 
 
-def _trajectory_frames(field: SpaceTimeField, times, name: str):
+def _trajectory_frames(field: SpaceTimeField, times, name: str) -> np.ndarray:
     """The frame values of a drift or forcing trajectory at the solver times,
-    which must be its own time grid."""
-    if len(field.frames) < len(times):
+    which must be its own time grid: a view of its first len(times)."""
+    if len(field.values) < len(times):
         raise InvalidArgument(f"{name} has fewer frames than time steps")
     if len(times) > 1 and abs(field.time_step - (times[1] - times[0])) > 1e-12:
         raise InvalidArgument(f"{name} time step must match solver time step")
-    return [field.frames[i].values for i in range(len(times))]
+    return field.values[:len(times)]
 
 
 def _solver_data(problem: LinearProblem, config: SolverConfig):
-    """The initial data, the solver times and the forcing frames that both
-    solvers start from, the data mollified to ``config.mollifier_width``.
-    Without forcing the frames are None, not zeros."""
+    """The initial data, the solver times and the forcing frames, one array
+    (times, m, *grid shape), that both solvers start from, the data
+    mollified to ``config.mollifier_width``.  Without forcing the frames
+    are None, not zeros."""
     g = problem.phi.grid
     eps = config.mollifier_width
     n_steps = step_count(problem.horizon, config.time_step)
@@ -169,17 +174,18 @@ def _solver_data(problem: LinearProblem, config: SolverConfig):
         f_frames = _trajectory_frames(forcing, times, "forcing")
     else:
         x = g.coordinates()
-        f_frames = []
-        for t in times:
+        f_frames = np.empty((len(times),) + phi.values.shape)
+        for n, t in enumerate(times):
             v = np.asarray(forcing(t, x), dtype=float)
             v = v[None] if v.shape == g.shape else v
             if v.shape != phi.values.shape:
                 raise InvalidArgument(f"forcing callable returned shape "
                                       f"{v.shape}, phi has {phi.values.shape}")
-            f_frames.append(v)
-    if eps > 0:
-        f_frames = [mollify(GridField(g, v), eps).values for v in f_frames]
-    return phi, times, f_frames
+            if not np.all(np.isfinite(v)):
+                raise InvalidArgument(f"forcing callable returned a "
+                                      f"non-finite value at t = {t}")
+            f_frames[n] = v
+    return phi, times, mollify(f_frames, eps, g)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +208,8 @@ def duhamel_solve(problem: LinearProblem, config: SolverConfig) -> SpaceTimeFiel
     xi = spectral_points(g)
 
     u_hat = forward(phi)
-    frames = [phi]
+    out = np.empty((len(times),) + phi.values.shape)
+    out[0] = phi.values
     if f_frames is not None:
         f_hat_next = forward(f_frames[0], g)
     weights = {}                  # per distinct drift value, for this call
@@ -223,8 +230,8 @@ def duhamel_solve(problem: LinearProblem, config: SolverConfig) -> SpaceTimeFiel
             f_hat = f_hat_next
             f_hat_next = forward(f_frames[n + 1], g)
             u_hat = decay * u_hat + w_old * f_hat + w_new * f_hat_next
-        frames.append(GridField(g, inverse(g, u_hat)))
-    return SpaceTimeField(dt, tuple(frames))
+        out[n + 1] = inverse(g, u_hat)
+    return SpaceTimeField.from_array(dt, g, out)
 
 
 def _etd2_weights(grid: Grid, z, dt: float):
@@ -272,7 +279,8 @@ def etd2_march(phi: GridField, measure, lam: float, dt: float, n_steps: int,
         mask = resolve(g, keep.astype(float))
 
     u_hat = forward(phi)
-    frames = [phi]
+    out = np.empty((n_steps + 1,) + phi.values.shape)
+    out[0] = phi.values
     g_n_hat = forward(nonlinearity(0, u_hat), g) * mask
     g_prev_hat = g_n_hat
     for n in range(n_steps):
@@ -292,27 +300,28 @@ def etd2_march(phi: GridField, measure, lam: float, dt: float, n_steps: int,
                 residuals=residuals)
         u_hat = new_hat
         g_prev_hat, g_n_hat = g_n_hat, g_new_hat
-        frames.append(GridField(g, inverse(g, u_hat)))
-    return SpaceTimeField(dt, tuple(frames))
+        out[n + 1] = inverse(g, u_hat)
+    return SpaceTimeField.from_array(dt, g, out)
 
 
-def _drift_frames(drift, grid: Grid, times):
-    """Drift vector values (d, *grid shape) per time frame."""
+def _drift_frames(drift, grid: Grid, times) -> np.ndarray:
+    """Drift vector values, one array (times, d, *grid shape)."""
+    shape = (len(times), grid.dim) + grid.shape
     if isinstance(drift, DriftSchedule):
-        return [np.broadcast_to(
-            np.reshape(drift.theta(t), (grid.dim,) + (1,) * grid.dim),
-            (grid.dim,) + grid.shape) for t in times]
+        theta = np.array([drift.theta(t) for t in times])
+        return np.broadcast_to(theta.reshape(shape[:2] + (1,) * grid.dim),
+                               shape)
     if isinstance(drift, SpaceTimeField):
         return _trajectory_frames(drift, times, "drift")
     x = grid.coordinates()
-    out = []
-    for t in times:
+    out = np.empty(shape)
+    for n, t in enumerate(times):
         v = np.asarray(drift(t, x), dtype=float)
         if v.shape != grid.shape + (grid.dim,):
             raise InvalidArgument("drift callable must return shape (*grid, d)")
         if not np.all(np.isfinite(v)):
             raise DriftEvaluationFailure("non-finite drift value", t=t)
-        out.append(np.moveaxis(v, -1, 0))
+        out[n] = np.moveaxis(v, -1, 0)
     return out
 
 
@@ -322,11 +331,9 @@ def drift_solve(problem: LinearProblem, config: SolverConfig,
     G = b(t_n) . grad u + f(t_n) from the drift and forcing frames, each
     mollified with the initial data."""
     g = problem.phi.grid
-    eps = config.mollifier_width
     phi, times, f_frames = _solver_data(problem, config)
-    b_frames = _drift_frames(problem.drift, g, times)
-    if eps > 0:
-        b_frames = [mollify(GridField(g, v), eps).values for v in b_frames]
+    b_frames = mollify(_drift_frames(problem.drift, g, times),
+                       config.mollifier_width, g)
 
     def nonlinearity(n, u_hat):
         adv = advection(b_frames[n], u_hat, g)
@@ -351,20 +358,21 @@ def regularity_ratio(nu1, nu2, lam: float, f: SpaceTimeField,
     initial data.  Frames with t < burn_in are excluded from both sides."""
     if levy.nondegeneracy_of(nu1) <= 0:
         raise PreconditionFailure("nu1 must be nondegenerate")
-    dt = f.time_step
-    keep = [i for i, t in enumerate(f.times) if t >= burn_in]
+    dt, g = f.time_step, f.grid
+    first = int(np.searchsorted(f.times, burn_in))   # first t >= burn_in
+    n_keep = len(f.values) - first
     # trapezoid in time over the kept frames
-    weights = [0.5 * dt if j in (0, len(keep) - 1) else dt
-               for j in range(len(keep))]
-    rhs = sum(lp_norm(f.frames[i], p) ** q * w for i, w in zip(keep, weights))
+    weights = [0.5 * dt if j in (0, n_keep - 1) else dt for j in range(n_keep)]
+    rhs = sum(norm ** q * w for norm, w in
+              zip(lp_norms(g, f.values[first:], p), weights))
     if not rhs > 0:
         raise InvalidArgument(f"forcing vanishes on every frame from "
                               f"burn_in = {burn_in} on: ratio undefined")
-    g = f.grid
     problem = LinearProblem(nu1, DriftSchedule.zero(g.dim), lam, f,
-                            GridField.zeros(g, f.frames[0].components),
-                            horizon=dt * (len(f.frames) - 1))
+                            GridField.zeros(g, f.components),
+                            horizon=dt * (len(f.values) - 1))
     u = duhamel_solve(problem, SolverConfig(time_step=dt))
-    lhs = sum(lp_norm(op_apply(nu2, u.frames[i]), p) ** q * w
-              for i, w in zip(keep, weights))
+    lu = apply_multiplier(u.values[first:],
+                          multiplier(nu2, g, OperatorRoute.multiplier()), g)
+    lhs = sum(norm ** q * w for norm, w in zip(lp_norms(g, lu, p), weights))
     return (lhs / rhs) ** (1.0 / q)

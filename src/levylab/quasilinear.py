@@ -187,13 +187,12 @@ def hamilton_jacobi_solve(H: Hamiltonian, phi: GridField, measure,
                                  w0, horizon)
     traj = picard_solve(problem, config, dealias=True)
 
-    final = traj.frames[-1]
-    grad_u = gradient(GridField(g, final.values[:1]))[0]
-    defect = lp_norm(GridField(g, grad_u - final.values[1:]), 2)
+    final = traj.values[-1]
+    grad_u = gradient(GridField(g, final[:1]))[0]
+    defect = lp_norm(GridField(g, grad_u - final[1:]), 2)
     if defect >= GRADIENT_CONSISTENCY_TOL:
         raise GradientAugmentationInconsistency(
             f"|grad u - q|_2 = {defect:.3e} at final time")
     if return_augmented:
         return traj
-    scalar = tuple(GridField(g, fr.values[:1]) for fr in traj.frames)
-    return SpaceTimeField(traj.time_step, scalar)
+    return SpaceTimeField.from_array(traj.time_step, g, traj.values[:, :1])

@@ -331,10 +331,16 @@ def _interp_field(field: GridField, points: np.ndarray) -> np.ndarray:
     return _corner_sum(w * field.values[0].ravel()[idx])
 
 
-def _frame_at(f: SpaceTimeField, t: float) -> GridField:
-    """Frame at the left endpoint of the step containing t."""
-    j = int(min(len(f.frames) - 1, max(0, math.floor(t / f.time_step + 1e-9))))
-    return f.frames[j]
+def _frame_index(f: SpaceTimeField, t: float) -> int:
+    """Index of the frame at the left endpoint of the step containing t."""
+    return int(min(len(f.values) - 1,
+                   max(0, math.floor(t / f.time_step + 1e-9))))
+
+
+def _flat_frames(f: SpaceTimeField, times) -> list:
+    """The flat values of scalar f's frame _frame_index(f, t) per time t."""
+    flat = f.values.reshape(len(f.values), -1)
+    return [flat[_frame_index(f, t)] for t in times]
 
 
 def _time_integral(v, grid, frames, weights: np.ndarray, states):
@@ -416,11 +422,13 @@ def _feynman_kac(phi, f, b, measure, t, x, n_paths, rng_seed, lam, n_steps):
     that left the half-period box around x."""
     if not 0.0 < t < np.inf:
         raise InvalidArgument("t must be positive and finite")
+    if not 0.0 <= lam < np.inf:
+        raise InvalidArgument(f"lam must be nonnegative and finite, got {lam}")
     if n_paths < 2:
         raise InvalidArgument("a standard error needs at least 2 paths")
     if n_steps < 1:
         raise InvalidArgument(f"n_steps must be at least 1, got {n_steps}")
-    if phi.components != 1 or f is not None and f.frames[0].components != 1:
+    if phi.components != 1 or f is not None and f.components != 1:
         raise InvalidArgument("phi and the forcing must be scalar fields")
     if f is not None and f.grid != phi.grid:
         raise InvalidArgument(f"forcing lives on {f.grid}, phi on {phi.grid}")
@@ -431,7 +439,7 @@ def _feynman_kac(phi, f, b, measure, t, x, n_paths, rng_seed, lam, n_steps):
     dt = t / n_steps
 
     if f is not None:
-        frames = [_frame_at(f, t - s).values[0].ravel() for s in tg[:-1]]
+        frames = _flat_frames(f, t - tg[:-1])
         weights = np.array([math.exp(-lam * s) * dt for s in tg[:-1]])
 
     def value(states):
@@ -460,16 +468,16 @@ def krylov_check(b, measure, f: SpaceTimeField, p: float,
         raise InvalidArgument("n_paths must be positive")
     if n_steps < 1:
         raise InvalidArgument(f"n_steps must be at least 1, got {n_steps}")
-    if f.frames[0].components != 1:
+    if f.components != 1:
         raise InvalidArgument("f must be a scalar field")
-    if any(float(fr.values.min()) < 0 for fr in f.frames):
+    if float(f.values.min()) < 0:
         raise InvalidArgument("f must be nonnegative")
-    T = f.time_step * (len(f.frames) - 1)
+    T = f.time_step * (len(f.values) - 1)
     x0 = np.zeros(g.dim) if x0 is None else np.atleast_1d(np.asarray(x0, float))
     tg = np.linspace(0.0, T, n_steps + 1)
     dt = T / n_steps
 
-    frames = [_frame_at(f, s).values[0].ravel() for s in tg[:-1]]
+    frames = _flat_frames(f, tg[:-1])
     weights = np.full(n_steps, dt)
 
     def value(states):
@@ -479,8 +487,5 @@ def krylov_check(b, measure, f: SpaceTimeField, p: float,
     per_path, _ = _per_path(b, measure, x0, tg, n_paths, rng_seed, g, value)
     lhs = float(np.mean(per_path))
     # space-time L^p norm with left-endpoint time rule to match the estimator
-    fnorm = 0.0
-    for fr in f.frames[:-1]:
-        fnorm += float(np.sum(np.abs(fr.values[0]) ** p)) * g.cell_volume \
-            * f.time_step
-    return lhs, fnorm ** (1.0 / p)
+    fnorm = float(np.sum(np.abs(f.values[:-1]) ** p)) * g.cell_volume
+    return lhs, (fnorm * f.time_step) ** (1.0 / p)

@@ -526,12 +526,20 @@ def contract_files(tmp_path, measure_file, phi_file):
     x = g.coordinates()[..., 0]
     save_field(GridField(g, np.stack([np.sin(x), np.cos(x)])), files["phi2"])
     for name, key, value in (("t0", "t", 0), ("n0", "n_steps", 0),
-                             ("sde2", "phi", files["phi2"])):
+                             ("sde2", "phi", files["phi2"]),
+                             ("lamnan", "lam", float("nan"))):
         files[name] = str(tmp_path / f"{name}.json")
         with open(files[name], "w") as fh:
             json.dump({"measure": levy.to_dict(levy.load_measure(measure_file)),
                        "phi": phi_file, "t": 0.5, "x": [4.0], "n_steps": 8,
                        key: value}, fh)
+    files["laminf"] = str(tmp_path / "laminf.json")
+    files["cfg"] = str(tmp_path / "cfg.json")
+    with open(files["laminf"], "w") as fh:      # json writes Infinity
+        json.dump({"measure": levy.to_dict(levy.load_measure(measure_file)),
+                   "phi": phi_file, "horizon": 0.25, "lam": float("inf")}, fh)
+    with open(files["cfg"], "w") as fh:
+        json.dump({"time_step": 0.0625}, fh)
     return files
 
 
@@ -556,6 +564,9 @@ PRECONDITION_VIOLATIONS = {
     "sde-t": ["sde", "--problem", "{t0}", *_SDE],
     "sde-n_steps": ["sde", "--problem", "{n0}", *_SDE],
     "sde-phi-components": ["sde", "--problem", "{sde2}", *_SDE],
+    "sde-lam-nan": ["sde", "--problem", "{lamnan}", *_SDE],
+    "evolve-lam-inf": ["evolve", "--problem", "{laminf}", "--config", "{cfg}",
+                       "--out", "{out}"],
 }
 
 

@@ -253,6 +253,39 @@ def test_binary_header_is_checked_against_the_file_size(tmp_path):
         fg.load_field(path)
 
 
+def _trajectory_bytes(n_frames, *headers):
+    """A trajectory file's bytes: the count header, then one frame of zeros
+    per field header (dim, N, L, m)."""
+    out = struct.pack("<qd", n_frames, 0.5)
+    for dim, n, length, m in headers:
+        out += struct.pack("<qqdq", dim, n, length, m) + bytes(8 * m * n ** dim)
+    return out
+
+
+def test_trajectory_frame_count_is_checked_before_allocating(tmp_path):
+    # 2^40 frames of 8 values would ask for 64 TiB
+    path = tmp_path / "t.traj"
+    path.write_bytes(_trajectory_bytes(2 ** 40, (1, 8, 1.0, 1)))
+    with pytest.raises(InvalidArgument, match="truncated file"):
+        fg.load_trajectory(path)
+
+
+@pytest.mark.parametrize("n_frames", [0, -1])
+def test_trajectory_needs_a_frame(tmp_path, n_frames):
+    path = tmp_path / "t.traj"
+    path.write_bytes(_trajectory_bytes(n_frames, (1, 8, 1.0, 1)))
+    with pytest.raises(InvalidArgument, match=f"gives {n_frames} frames"):
+        fg.load_trajectory(path)
+
+
+def test_trajectory_frames_must_share_the_first_header(tmp_path):
+    # the same 8 values per frame: 4 points and 2 components, then 8 and 1
+    path = tmp_path / "t.traj"
+    path.write_bytes(_trajectory_bytes(2, (1, 4, 1.0, 2), (1, 8, 1.0, 1)))
+    with pytest.raises(InvalidArgument, match="header differs"):
+        fg.load_trajectory(path)
+
+
 def test_trajectory_round_trip(tmp_path):
     rng = np.random.default_rng(9)
     g = Grid(1, 32, 1.0)

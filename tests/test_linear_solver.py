@@ -5,7 +5,7 @@ properties, and the maximal-regularity probe."""
 import numpy as np
 import pytest
 
-from levylab import levy
+from levylab import fieldgrid, levy
 from levylab.errors import InvalidArgument, PreconditionFailure
 from levylab.fieldgrid import Grid, GridField, SpaceTimeField, lp_norm
 from levylab.heatkernel import DriftSchedule
@@ -38,6 +38,65 @@ def test_problem_validation():
         SolverConfig(time_step=0.0)
     with pytest.raises(InvalidArgument):
         SolverConfig(time_step=0.1, mollifier_width=-1.0)
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+def test_lambda_must_be_finite(lam):
+    phi = GridField(G, np.sin(X)[None])
+    with pytest.raises(InvalidArgument, match="lambda"):
+        LinearProblem(_iso1d(), DriftSchedule.zero(1), lam, None, phi, 1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("solve", [duhamel_solve, drift_solve])
+def test_non_finite_forcing_callable_is_rejected(solve, bad):
+    phi = GridField(G, np.sin(X)[None])
+    problem = LinearProblem(_iso1d(), DriftSchedule.zero(1), 0.0,
+                            lambda t, x: np.full(x.shape[:-1],
+                                                 bad if t > 0.2 else 0.0),
+                            phi, 0.5)
+    with pytest.raises(InvalidArgument):
+        solve(problem, SolverConfig(time_step=0.125))
+
+
+def test_solver_trajectory_is_one_read_only_array():
+    phi = GridField(G, np.sin(X)[None])
+    problem = LinearProblem(_iso1d(), DriftSchedule.zero(1), 0.5, None, phi,
+                            0.5)
+    for solve in (duhamel_solve, drift_solve):
+        traj = solve(problem, SolverConfig(time_step=0.125))
+        assert traj.values.shape == (5, 1, 256)
+        assert not traj.values.flags.writeable
+        with pytest.raises(ValueError):
+            traj.values[1, 0, 0] = 0.0
+        for j, fr in enumerate(traj.frames):
+            assert np.shares_memory(fr.values, traj.values)
+            assert not fr.values.flags.writeable
+            np.testing.assert_array_equal(fr.values, traj.values[j])
+        assert np.shares_memory(traj.final().values, traj.values[-1])
+
+
+@pytest.mark.parametrize("n_steps", [4, 32])
+def test_regularity_ratio_transforms_all_frames_at_once(n_steps, monkeypatch):
+    # one forward and one inverse transform apply nu2 to every kept frame;
+    # the patch does not see duhamel_solve's transforms, which call the
+    # names linear_solver imported
+    calls = {"forward": 0, "inverse": 0}
+
+    def counted(name):
+        real = getattr(fieldgrid, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    f = SpaceTimeField(0.5 / n_steps,
+                       (GridField(G, np.cos(3 * X)[None]),) * (n_steps + 1))
+    for name in calls:
+        monkeypatch.setattr(fieldgrid, name, counted(name))
+    assert regularity_ratio(_iso1d(), _iso1d(), 1.0, f, 2, 2) > 0
+    assert calls == {"forward": 1, "inverse": 1}
 
 
 @pytest.mark.parametrize("horizon", [0.5, 0.1])

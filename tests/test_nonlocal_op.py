@@ -187,23 +187,28 @@ _NUFFT_MEASURES = {
         a, levy.SphericalMeasure.discrete(_SKEW_ATOMS[d])),
     "axes": lambda a, d: levy.DirectSumAxes(a, (0.7, 0.3, 0.5)[:d]),
 }
-_NUFFT_CASES = [(fam, d) for fam in _NUFFT_MEASURES for d in (1, 2, 3)] + [
-    ("density", 1)]
+_NUFFT_CASES = [
+    pytest.param(fam, d, a, {1: 64, 2: 16, 3: 8}[d], id=f"{fam}-{d}-{a}")
+    for a in (0.5, 1.0, 1.5)
+    for fam, d in [(fam, d) for fam in _NUFFT_MEASURES for d in (1, 2, 3)]
+    + [("density", 1)]] + [
+    # at 64^2 the outer panels need more than the fixed 128-direction rule,
+    # so a route that ignored its panel rules would miss the direct sum
+    pytest.param("isotropic", 2, 1.5, 64, id="isotropic-2-1.5-64x64")]
 
 
-def _nufft_case(family, dim, alpha):
+def _nufft_case(family, dim, alpha, n):
     """(measure, grid, route) of one _NUFFT_CASES entry."""
     measure = (_skew_density(alpha) if family == "density"
                else _NUFFT_MEASURES[family](alpha, dim))
-    g = Grid(dim, {1: 64, 2: 16, 3: 8}[dim], 10.0)
+    g = Grid(dim, n, 10.0)
     return measure, g, OperatorRoute.quadrature(510 if dim < 3 else 40)
 
 
-@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
-@pytest.mark.parametrize("family,dim", _NUFFT_CASES)
-def test_quadrature_multiplier_matches_direct_sum(family, dim, alpha,
+@pytest.mark.parametrize("family,dim,alpha,n", _NUFFT_CASES)
+def test_quadrature_multiplier_matches_direct_sum(family, dim, alpha, n,
                                                   monkeypatch):
-    measure, g, route = _nufft_case(family, dim, alpha)
+    measure, g, route = _nufft_case(family, dim, alpha, n)
     xi = spectral_points(g)
     assert not np.any(xi[0])
     # at the route's NUFFT tolerance: psi(0) is the NUFFT's own xi = 0 value

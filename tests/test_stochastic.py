@@ -423,7 +423,7 @@ def _oracle_feynman_kac(phi, f, b, measure, t, x, n_paths, seed, lam,
         phi, wrapped[:, -1, :])
     dt = t / n_steps
     for k in range(n_steps):
-        frame = stochastic._frame_at(f, t - tg[k])
+        frame = f.frames[stochastic._frame_index(f, t - tg[k])]
         per_path = per_path + (math.exp(-lam * tg[k]) * dt
                                * stochastic._interp_field(frame,
                                                           wrapped[:, k, :]))
@@ -439,7 +439,7 @@ def _oracle_krylov(b, measure, f, x0, n_paths, seed, n_steps):
     per_path = np.zeros(n_paths)
     for k in range(n_steps):
         per_path += T / n_steps * stochastic._interp_field(
-            stochastic._frame_at(f, tg[k]), wrapped[:, k, :])
+            f.frames[stochastic._frame_index(f, tg[k])], wrapped[:, k, :])
     return float(np.mean(per_path))
 
 
@@ -662,6 +662,15 @@ def test_feynman_kac_rejects_a_short_or_foreign_forcing(grid, horizon, match):
                                   for _ in range(round(horizon / 0.1) + 1)))
     with pytest.raises(InvalidArgument, match=match):
         stochastic.feynman_kac(phi, f, None, _iso1d(), 0.8, [5.0], 100, 0)
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+def test_feynman_kac_rejects_a_lambda_that_is_not_finite(lam):
+    g = Grid(1, 64, 10.0)
+    phi = GridField(g, np.ones((1, 64)))
+    with pytest.raises(InvalidArgument, match="lam"):
+        stochastic.feynman_kac(phi, None, None, _iso1d(), 0.8, [5.0], 100, 0,
+                               lam=lam)
 
 
 def test_feynman_kac_accepts_a_forcing_of_horizon_t_to_rounding():
