@@ -4,10 +4,16 @@ All computations live on the torus [0, L)^d sampled on a uniform grid with a
 power-of-two number of points per axis.  Whole-space problems are emulated by
 choosing L large enough that fields decay below tolerance at the boundary.
 
-Spectral convention: this module runs every transform, ``scipy.fft.rfftn``
-over the spatial axes with ``LEVYLAB_THREADS`` workers, so a real field is
-stored by its half spectrum (indices 0..N/2 on the last axis).  Index k
-carries xi = 2 pi k / L, k in [-N/2, N/2) per axis (``fftfreq``; the last
+Spectral convention: this module runs every transform, the real-to-complex
+one over the spatial axes with ``LEVYLAB_THREADS`` workers, so a real field
+is stored by its half spectrum (indices 0..N/2 on the last axis).
+``forward`` and ``inverse`` call pocketfft's ``r2c``/``c2r`` kernels, the
+ones ``scipy.fft.rfftn``/``irfftn`` call, directly and with the same
+arguments, so the bits are scipy's: on small grids the wrapper's per-call
+set-up (dispatch, axis and shape checks) costs more than the transform, and
+scipy.fft offers no plan that would skip it (the kernels' module is private;
+tests/test_fieldgrid.py pins their signature against scipy's output).  Index
+k carries xi = 2 pi k / L, k in [-N/2, N/2) per axis (``fftfreq``; the last
 axis also keeps -pi/h at its Nyquist index N/2).  The one other transform
 is the complex one inside ``nufft_type1``, which sums weighted nodes at
 lattice frequencies.
@@ -39,6 +45,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.fft
+from scipy.fft._pocketfft.pypocketfft import c2r, r2c
 
 from .errors import InvalidArgument
 
@@ -214,27 +221,42 @@ def thread_count() -> int:
     return n if n > 0 else (os.cpu_count() or 1)
 
 
+def _spatial_axes(a: np.ndarray, shape: tuple) -> range:
+    """The last len(shape) axes of a, as the kernels take them, once its
+    trailing shape is checked against shape."""
+    lead = a.ndim - len(shape)
+    if lead < 0 or a.shape[lead:] != shape:
+        raise InvalidArgument(f"array shape {a.shape} does not end in {shape}")
+    return range(lead, a.ndim)
+
+
 def forward(field, grid: Grid | None = None) -> np.ndarray:
     """Half spectrum over the spatial (last dim) axes: of a GridField, shape
     (m, *spectral_shape), or of a real array sampled on ``grid``."""
     if grid is None:
         field, grid = field.values, field.grid
-    return scipy.fft.rfftn(field, axes=tuple(range(-grid.dim, 0)),
-                           workers=thread_count())
+    if np.iscomplexobj(field):
+        raise InvalidArgument("forward takes a real field")
+    a = np.asarray(field, dtype=float)
+    return r2c(a, _spatial_axes(a, grid.shape), True, 0, None,
+               thread_count())              # e^{-i k x}, unnormalised
 
 
 def inverse(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Real field of a half spectrum (over the last dim axes)."""
-    return scipy.fft.irfftn(coeffs, s=grid.shape,
-                            axes=tuple(range(-grid.dim, 0)),
-                            workers=thread_count())
+    """Real field of a real or complex half spectrum (last dim axes)."""
+    c = np.asarray(coeffs, dtype=complex)
+    return c2r(c, _spatial_axes(c, grid.spectral_shape),
+               grid.points_per_axis, False, 2, None,
+               thread_count())              # e^{+i k x}, divided by N^dim
 
 
 @lru_cache(maxsize=16)
 def _nyquist_entries(grid: Grid) -> np.ndarray:
-    """Read-only flat indices of the half-spectrum Nyquist entries."""
-    idx = np.flatnonzero(np.any(
-        np.indices(grid.spectral_shape) == grid.points_per_axis // 2, axis=0))
+    """Read-only flat indices of the half-spectrum Nyquist entries (none on
+    a one-point axis, whose index N/2 = 0 is the zero mode)."""
+    n = grid.points_per_axis
+    idx = np.flatnonzero((n > 1) & np.any(
+        np.indices(grid.spectral_shape) == n // 2, axis=0))
     idx.flags.writeable = False
     return idx
 

@@ -5,6 +5,7 @@ import struct
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -114,6 +115,63 @@ def test_forward_inverse_round_trip(seed):
     np.testing.assert_allclose(back, u.values, atol=1e-12)
 
 
+def _layouts(a):
+    """a, then equal values in Fortran order, as a strided view and as a
+    read-only view."""
+    strided = np.repeat(a, 2, axis=-1)[..., ::2]
+    frozen = a.view()
+    frozen.flags.writeable = False
+    return a, np.asfortranarray(a), strided, frozen
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)],
+                         ids=["scalar", "m", "frames-m"])
+@pytest.mark.parametrize("n", [1, 2, 8, 16])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_transforms_are_scipy_rfftn_irfftn_bit_for_bit(dim, n, lead):
+    # forward/inverse call pocketfft's r2c/c2r with scipy's arguments: the
+    # same bits as scipy.fft for any layout, and the input left as it was;
+    # a change of the kernels' private signature fails here
+    g = Grid(dim, n, 3.0)
+    axes = tuple(range(-dim, 0))
+    workers = fg.thread_count()
+    rng = np.random.default_rng(100 * dim + n)
+    u = rng.normal(size=lead + g.shape)
+    spectrum = scipy.fft.rfftn(u, axes=axes, workers=workers)
+    real_half = rng.normal(size=lead + g.spectral_shape)
+    for x in _layouts(u):
+        before = x.copy()
+        _assert_same_bits(fg.forward(x, g),
+                          scipy.fft.rfftn(x, axes=axes, workers=workers))
+        np.testing.assert_array_equal(x, before)
+    for c in _layouts(spectrum) + _layouts(real_half):
+        before = c.copy()
+        _assert_same_bits(fg.inverse(g, c), scipy.fft.irfftn(
+            c, s=g.shape, axes=axes, workers=workers))
+        np.testing.assert_array_equal(c, before)
+
+
+def test_inverse_rejects_a_spectrum_of_another_size():
+    # scipy's s= would pad or crop it to a (3, 16, 16) field
+    with pytest.raises(InvalidArgument):
+        fg.inverse(Grid(2, 16, 1.0), np.zeros((3, 16, 5), dtype=complex))
+
+
+def test_forward_rejects_a_field_of_another_shape():
+    with pytest.raises(InvalidArgument):
+        fg.forward(np.zeros((3, 16, 8)), Grid(2, 16, 1.0))
+
+
+def test_forward_rejects_a_complex_field():
+    with pytest.raises(InvalidArgument):
+        fg.forward(np.zeros((3, 16, 16), dtype=complex), Grid(2, 16, 1.0))
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("n", [1, 2, 16])
 def test_spectral_l2_is_the_riemann_sum_norm(dim, n):
@@ -133,6 +191,17 @@ def test_refine_then_coarsen_identity():
     assert up.grid.points_per_axis == 64
     back = fg.coarsen_samples(up, 2)
     np.testing.assert_allclose(back.values, u.values, atol=1e-12)
+
+
+@pytest.mark.parametrize("factor", [2, 4])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_refine_keeps_a_constant_on_a_one_point_grid(dim, factor):
+    # the index N/2 of a one-point axis is its zero mode, not a Nyquist mode
+    u = GridField(Grid(dim, 1, 2 * np.pi), np.full((1,) * (dim + 1), 3.0))
+    up = fg.refine(u, factor)
+    np.testing.assert_allclose(up.values, 3.0, rtol=1e-15)
+    np.testing.assert_array_equal(fg.coarsen_samples(up, factor).values,
+                                  u.values)
 
 
 @pytest.mark.parametrize("factor", [0, -2, 3])

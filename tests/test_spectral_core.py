@@ -386,8 +386,8 @@ TRANSFORMS = {
     "fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft",
     "rfft2", "irfft2", "rfftn", "irfftn", "hfft", "ihfft", "hfft2", "ihfft2",
     "hfftn", "ihfftn", "dct", "idct", "dst", "idst", "dctn", "idctn", "dstn",
-    "idstn", "fht", "ifht"}
-FFT_MODULES = ("numpy.fft", "scipy.fft")
+    "idstn", "fht", "ifht", "r2c", "c2r", "c2c"}
+FFT_MODULES = ("numpy.fft", "scipy.fft", "scipy.fft._pocketfft.pypocketfft")
 
 
 def _transform_calls(source: str) -> list:
@@ -428,6 +428,8 @@ def test_transform_guard_detects_calls():
     assert _transform_calls("import scipy.fft\nscipy.fft.rfftn(x)")
     assert _transform_calls("from scipy import fft\nfft.irfftn(x)")
     assert _transform_calls("from numpy.fft import fft2")
+    assert _transform_calls(
+        "from scipy.fft._pocketfft.pypocketfft import c2r, r2c")
     assert not _transform_calls("import numpy as np\nnp.fft.fftfreq(8)")
 
 
