@@ -241,9 +241,10 @@ def _band_limited_fields(g: Grid, count: int, seed: int, kmax: int = 10):
             amp = rng.normal() + 1j * rng.normal()
             coeff[tuple(k % n)] += amp
             coeff[tuple((-k) % n)] += np.conj(amp)
-        vals = inverse(g, coeff[..., :n // 2 + 1])
-        if np.max(np.abs(vals)) > 0:
-            out.append(GridField(g, vals))
+        half = np.ascontiguousarray(coeff[None, ..., :n // 2 + 1])
+        field = GridField._adopt(g, inverse(g, half), half)
+        if np.max(np.abs(field.values)) > 0:
+            out.append(field)
     return out
 
 

@@ -18,6 +18,13 @@ axis also keeps -pi/h at its Nyquist index N/2).  The one other transform
 is the complex one inside ``nufft_type1``, which sums weighted nodes at
 lattice frequencies.
 
+A field is transformed at most once: a ``GridField`` keeps its half
+spectrum, and ``forward`` of a ``GridField`` returns that array read-only
+(a caller multiplies it into a new one).  A field built from a half
+spectrum (``apply_multiplier``, ``refine``) keeps the spectrum it was
+inverted from, so an operator applied to it multiplies that spectrum, not
+a transform of its values, which agrees with it to rounding.
+
 Conjugation rule: a real operator has m(-xi) = conj m(xi), which gives
 the Nyquist rule, adjoints and heat kernels.  Nyquist rule: m acts as the
 average of m(xi) and m(xi'), xi' being xi with every Nyquist component
@@ -145,6 +152,28 @@ class GridField:
         object.__setattr__(field, "values", values)
         return field
 
+    @classmethod
+    def _adopt(cls, grid: Grid, values: np.ndarray,
+               spectrum: np.ndarray | None = None) -> "GridField":
+        """A GridField that takes over fresh values (m, *grid shape) and, if
+        given, the half spectrum they were inverted from: both made
+        read-only, neither copied, the values scanned for finiteness."""
+        if not np.all(np.isfinite(values)):
+            raise InvalidArgument("field values must be finite")
+        values.flags.writeable = False
+        field = cls._view(grid, values)
+        if spectrum is not None:
+            spectrum.flags.writeable = False
+            field.__dict__["_half_spectrum"] = spectrum
+        return field
+
+    @cached_property
+    def _half_spectrum(self) -> np.ndarray:
+        """The values' half spectrum, read-only, transformed on first use."""
+        coeffs = forward(self.values, self.grid)
+        coeffs.flags.writeable = False
+        return coeffs
+
 
 @dataclass(frozen=True, init=False)
 class SpaceTimeField:
@@ -232,9 +261,12 @@ def _spatial_axes(a: np.ndarray, shape: tuple) -> range:
 
 def forward(field, grid: Grid | None = None) -> np.ndarray:
     """Half spectrum over the spatial (last dim) axes: of a GridField, shape
-    (m, *spectral_shape), or of a real array sampled on ``grid``."""
-    if grid is None:
-        field, grid = field.values, field.grid
+    (m, *spectral_shape), the one it keeps (read-only), or of a real array
+    sampled on ``grid``, a new one."""
+    if isinstance(field, GridField):
+        if grid not in (None, field.grid):
+            raise InvalidArgument(f"field on {field.grid}, not on {grid}")
+        return field._half_spectrum
     if np.iscomplexobj(field):
         raise InvalidArgument("forward takes a real field")
     a = np.asarray(field, dtype=float)
@@ -286,8 +318,8 @@ def apply_multiplier(field, mult: np.ndarray, grid: Grid | None = None):
     sampled on ``grid`` (any leading axes, such as a trajectory's frames),
     as an array, by one transform pair."""
     if grid is None:
-        return GridField(field.grid,
-                         apply_multiplier(field.values, mult, field.grid))
+        coeffs = forward(field) * resolve(field.grid, mult)
+        return GridField._adopt(field.grid, inverse(field.grid, coeffs), coeffs)
     coeffs = forward(field, grid)
     coeffs *= resolve(grid, mult)
     return inverse(grid, coeffs)
@@ -425,7 +457,7 @@ def refine(field: GridField, factor: int = 2) -> GridField:
     keep = k[:, -1] >= 0
     out = np.zeros((field.components,) + fine.spectral_shape, dtype=complex)
     out[(slice(None),) + tuple((k[keep].astype(int) % n2).T)] = co[:, keep]
-    return GridField(fine, inverse(fine, out))
+    return GridField._adopt(fine, inverse(fine, out), out)
 
 
 def coarsen_samples(field: GridField, factor: int = 2) -> GridField:

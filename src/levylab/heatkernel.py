@@ -76,7 +76,7 @@ def kernel(measure, t: float, grid: Grid) -> GridField:
     gen = multiplier(measure, grid, OperatorRoute.multiplier())     # -psi
     mult = np.conj(gen)                 # a fresh array, real or complex
     mult *= t
-    dens = inverse(grid, resolve(grid, np.exp(mult, out=mult)))
+    dens = inverse(grid, resolve(grid, np.exp(mult, out=mult))[None])
     dens /= grid.cell_volume
     mass = float(np.sum(dens) * grid.cell_volume)
     if abs(mass - 1.0) > KERNEL_MASS_TOL:
@@ -89,7 +89,7 @@ def kernel(measure, t: float, grid: Grid) -> GridField:
             f"kernel minimum {dens.min():.3e} below -{KERNEL_NEGATIVITY_TOL:.0e}",
             suggested_points=2 * grid.points_per_axis,
             suggested_length=grid.side_length)
-    return GridField(grid, dens)
+    return GridField._adopt(grid, dens)
 
 
 def semigroup_apply(measure, t: float, field: GridField) -> GridField:

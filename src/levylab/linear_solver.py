@@ -112,7 +112,8 @@ def mollify(field, eps: float, grid: Grid | None = None):
     if eps <= 0:
         return field
     if grid is None:
-        return GridField(field.grid, mollify(field.values, eps, field.grid))
+        return GridField._adopt(field.grid,
+                                mollify(field.values, eps, field.grid))
     x = grid.coordinates()
     half = grid.side_length / 2.0
     centered = np.where(x > half, x - grid.side_length, x)

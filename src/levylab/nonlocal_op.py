@@ -449,7 +449,7 @@ def _direct_commutator(measure, f, zeta, route):
     # analytic tail correction as the composed route (exact cancellation of
     # the shared approximation in the consistency comparison)
     tail = _tail_multiplier(measure, ns.r_max, ns.sides, xi)
-    p_hat = forward(GridField(g, f.values * zeta.values))
+    p_hat = forward(f.values * zeta.values, g)
     t_p, t_f, t_z = (spatial(co, tail) for co in (p_hat, f_hat, z_hat))
     out += t_p - t_f * zeta.values - f.values * t_z
     return out

@@ -172,6 +172,15 @@ def test_forward_rejects_a_complex_field():
         fg.forward(np.zeros((3, 16, 16), dtype=complex), Grid(2, 16, 1.0))
 
 
+def test_forward_of_a_field_takes_only_its_own_grid():
+    f = _sin_field(16)
+    assert fg.forward(f, f.grid) is fg.forward(f)
+    assert fg.forward(f, Grid(1, 16, 2 * np.pi)) is fg.forward(f)
+    for other in (Grid(1, 16, 1.0), Grid(1, 32, 2 * np.pi)):
+        with pytest.raises(InvalidArgument):
+            fg.forward(f, other)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("n", [1, 2, 16])
 def test_spectral_l2_is_the_riemann_sum_norm(dim, n):

@@ -439,3 +439,179 @@ def test_only_fieldgrid_runs_transforms():
                  if p.name != "fieldgrid.py"
                  and (calls := _transform_calls(p.read_text()))}
     assert offenders == {}
+
+
+# ---------------------------------------------------------------------------
+# kept spectra: a field is transformed at most once
+# ---------------------------------------------------------------------------
+
+def _counted_kernels(monkeypatch):
+    """Count the r2c and c2r kernel calls of fieldgrid's transforms."""
+    calls = {"r2c": 0, "c2r": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(fg, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(fg, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_a_t_sweep_transforms_its_datum_once(k, monkeypatch):
+    # P_t f at k values of t, then L P_t f on each: the datum is transformed
+    # once and each P_t f not at all, since it keeps the spectrum it came from
+    m = _paired_atoms(2)
+    f = _noise(Grid(2, 16, 6.0), 7)
+    calls = _counted_kernels(monkeypatch)
+    for j in range(1, k + 1):
+        nonlocal_op.apply(m, heatkernel.semigroup_apply(m, 0.1 * j, f))
+    assert calls == {"r2c": 1, "c2r": 2 * k}
+
+
+def test_operator_and_adjoint_share_one_transform(monkeypatch):
+    m = _atoms(2)
+    f = _noise(Grid(2, 16, 6.0), 8)
+    calls = _counted_kernels(monkeypatch)
+    nonlocal_op.apply(m, f)
+    nonlocal_op.adjoint_apply(m, f)
+    assert calls == {"r2c": 1, "c2r": 2}
+
+
+def _public_fields(tmp_path):
+    """Every way the public API hands out a GridField, by name."""
+    g = Grid(2, 16, 6.0)
+    f = _noise(g, 9)
+    m = _atoms(2)
+    traj = linear_solver.duhamel_solve(
+        linear_solver.LinearProblem(m, DriftSchedule.zero(2), 0.3, None, f,
+                                    0.1),
+        linear_solver.SolverConfig(time_step=0.05))
+    fg.save_field(f, tmp_path / "f.bin")
+    fg.save_field_csv(f, tmp_path / "f.csv")
+    return {"constructor": f, "zeros": GridField.zeros(g, 2),
+            "frame": traj.frames[1], "final": traj.final(),
+            "apply": nonlocal_op.apply(m, f),
+            "adjoint": nonlocal_op.adjoint_apply(m, f),
+            "semigroup": heatkernel.semigroup_apply(m, 0.2, f),
+            "kernel": heatkernel.kernel(m, 1.0, g),
+            "refine": fg.refine(f, 2), "coarsen": fg.coarsen_samples(f, 2),
+            "mollify": linear_solver.mollify(f, 1.5),
+            "load": fg.load_field(tmp_path / "f.bin"),
+            "load-csv": fg.load_field_csv(tmp_path / "f.csv")}
+
+
+def test_public_fields_and_their_spectra_are_read_only(tmp_path):
+    for name, field in _public_fields(tmp_path).items():
+        assert not field.values.flags.writeable, name
+        spectrum = fg.forward(field)
+        assert not spectrum.flags.writeable, name
+        with pytest.raises(ValueError):
+            spectrum *= 2.0
+        with pytest.raises(ValueError):
+            spectrum[...] = 0.0
+        assert fg.forward(field) is spectrum, name
+
+
+def _core_built(m, f, route):
+    out = {"apply": nonlocal_op.apply(m, f, route),
+           "adjoint": nonlocal_op.adjoint_apply(m, f, route)}
+    if route.variant == "multiplier":
+        out["semigroup"] = heatkernel.semigroup_apply(m, 0.2, f)
+        out["refine"] = fg.refine(f, 2)
+    return out
+
+
+@pytest.mark.parametrize("route", [OperatorRoute.multiplier(),
+                                   OperatorRoute.quadrature(40)],
+                         ids=["multiplier", "quadrature"])
+@pytest.mark.parametrize("measure", ["symmetric", "skewed"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_kept_spectrum_is_the_spectrum_of_the_values(d, measure, route):
+    # a core-built field's values are the inverse of its kept spectrum bit
+    # for bit, and a new transform of the values gives that spectrum back
+    # to rounding (the quadrature multiplier is Hermitian only to rounding)
+    g = Grid(d, 16, 6.0)
+    m = _paired_atoms(d) if measure == "symmetric" else _atoms(d)
+    for name, field in _core_built(m, _noise(g, 10), route).items():
+        kept = fg.forward(field)
+        np.testing.assert_array_equal(fg.inverse(field.grid, kept),
+                                      field.values)
+        fresh = fg.forward(np.array(field.values), field.grid)
+        err = np.max(np.abs(fresh - kept))
+        assert err <= 1e-14 * np.max(np.abs(kept)), (name, err)
+
+
+# ---------------------------------------------------------------------------
+# spectral outputs go through the constructor that keeps their spectrum
+# ---------------------------------------------------------------------------
+
+def _is_call_to(node, name: str) -> bool:
+    f = node.func if isinstance(node, ast.Call) else None
+    return (isinstance(f, ast.Name) and f.id == name
+            or isinstance(f, ast.Attribute) and f.attr == name)
+
+
+def _scope_nodes(scope):
+    """The nodes of a module or function, not of the functions in it."""
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _inverse_wraps(source: str) -> list:
+    """Lines of GridField(...) calls given an inverse(...) result, directly
+    or through a name that the same function (or the module) binds to an
+    expression with one."""
+    tree = ast.parse(source)
+    found = []
+    for scope in [tree] + [n for n in ast.walk(tree) if isinstance(
+            n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]:
+        nodes = list(_scope_nodes(scope))
+
+        def has_inverse(expr):
+            return any(_is_call_to(n, "inverse") for n in ast.walk(expr))
+
+        bound = set()
+        for n in nodes:
+            if (isinstance(n, (ast.Assign, ast.AugAssign, ast.AnnAssign,
+                               ast.NamedExpr))
+                    and n.value is not None and has_inverse(n.value)):
+                targets = n.targets if isinstance(n, ast.Assign) else [n.target]
+                bound |= {t.id for target in targets
+                          for t in ast.walk(target) if isinstance(t, ast.Name)}
+        for n in nodes:
+            if _is_call_to(n, "GridField") and any(
+                    has_inverse(a) or any(isinstance(x, ast.Name)
+                                          and x.id in bound
+                                          for x in ast.walk(a))
+                    for a in n.args + [k.value for k in n.keywords]):
+                found.append(n.lineno)
+    return sorted(found)
+
+
+def test_inverse_wrap_guard_detects_wraps():
+    assert _inverse_wraps("GridField(g, inverse(g, c))") == [1]
+    assert _inverse_wraps("f = fg.GridField(g, fg.inverse(g, c)[None])") == [1]
+    assert _inverse_wraps("GridField(grid=g, values=inverse(g, c))") == [1]
+    # through a name, as heatkernel.kernel built its density
+    assert _inverse_wraps("def kernel(g, c):\n    dens = inverse(g, c)\n"
+                          "    dens /= 2.0\n    return GridField(g, dens)\n"
+                          ) == [4]
+    assert _inverse_wraps("v = inverse(g, c)\nclass A:\n"
+                          "    def f(self):\n        return GridField(g, v)\n"
+                          "w = GridField(g, v)\n") == [5]
+    assert not _inverse_wraps("GridField._adopt(g, inverse(g, c), c)")
+    assert not _inverse_wraps("GridField(g, np.zeros((1, 8)))")
+    assert not _inverse_wraps("def a(g, c):\n    v = inverse(g, c)\n"
+                              "def b(g, v):\n    return GridField(g, v)\n")
+
+
+def test_no_module_wraps_an_inverse_in_a_gridfield():
+    package = Path(nonlocal_op.__file__).parent
+    offenders = {p.name: lines for p in sorted(package.glob("*.py"))
+                 if (lines := _inverse_wraps(p.read_text()))}
+    assert offenders == {}
